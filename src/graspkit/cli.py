@@ -96,11 +96,11 @@ def _cmd_plan(args) -> int:
 
 def _cmd_segment(args) -> int:
     config = _load_config(args.config)
-    cloud = planner_mod.preprocess(load_cloud(args.input), config)
+    cloud, neighbors = planner_mod.prepare(load_cloud(args.input), config)
     if cloud.normals is None or cloud.curvatures is None:
         print("error: cloud too small to segment", file=sys.stderr)
         return EXIT_NO_CANDIDATES
-    segmentation = segment(cloud, config.region_params())
+    segmentation = segment(cloud, config.region_params(), neighbors)
     save_segmentation_ply(cloud, segmentation.region_ids(), args.output)
     return EXIT_OK if len(segmentation) else EXIT_NO_CANDIDATES
 

@@ -17,6 +17,9 @@ from scipy.spatial import cKDTree
 logger = logging.getLogger(__name__)
 
 UNIT_NORM_TOL = 1e-6
+# knn_all: rows per block (bounds its scratch memory) and extra tree neighbours per row
+KNN_BLOCK = 1024
+KNN_SLACK = 8
 
 
 def _as_points(arr, name: str) -> np.ndarray:
@@ -26,13 +29,19 @@ def _as_points(arr, name: str) -> np.ndarray:
     return out
 
 
+def _check_finite(arr: np.ndarray, name: str) -> None:
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} contain non-finite values (NaN or inf)")
+
+
 @dataclass(frozen=True)
 class PointCloud:
     """Ordered 3D points with optional per-point normals, curvatures, confidences.
 
-    Invariants enforced at construction: optional attribute arrays match the
-    point count, normals are unit length within 1e-6 and curvatures lie in
-    [0, 1]. Arrays are marked read-only; treat instances as immutable.
+    Invariants enforced at construction: every array is finite, optional
+    attribute arrays match the point count, normals are unit length within
+    1e-6 and curvatures lie in [0, 1]. Arrays are marked read-only; treat
+    instances as immutable.
     """
 
     points: np.ndarray
@@ -42,12 +51,14 @@ class PointCloud:
 
     def __post_init__(self):
         points = _as_points(self.points, "points")
+        _check_finite(points, "points")
         object.__setattr__(self, "points", points)
         n = len(points)
         if self.normals is not None:
             normals = _as_points(self.normals, "normals")
             if len(normals) != n:
                 raise ValueError("normals length does not match points")
+            _check_finite(normals, "normals")
             norms = np.linalg.norm(normals, axis=1)
             if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
                 raise ValueError("normals must be unit length within 1e-6")
@@ -56,6 +67,7 @@ class PointCloud:
             curv = np.ascontiguousarray(self.curvatures, dtype=np.float64)
             if curv.shape != (n,):
                 raise ValueError("curvatures length does not match points")
+            _check_finite(curv, "curvatures")
             if np.any(curv < 0.0) or np.any(curv > 1.0):
                 raise ValueError("curvatures must lie in [0, 1]")
             object.__setattr__(self, "curvatures", curv)
@@ -63,6 +75,7 @@ class PointCloud:
             conf = np.ascontiguousarray(self.confidences, dtype=np.float64)
             if conf.shape != (n,):
                 raise ValueError("confidences length does not match points")
+            _check_finite(conf, "confidences")
             object.__setattr__(self, "confidences", conf)
         for arr in (self.points, self.normals, self.curvatures, self.confidences):
             if arr is not None:
@@ -152,24 +165,38 @@ class SpatialIndex:
     def knn_all(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """k-NN of every indexed point against the cloud itself.
 
-        Returns (indices, distances) of shape (n, k). Each query point is its
-        own nearest neighbor (distance 0) unless a duplicate point with a
-        lower index exists.
+        Returns (indices, distances) of shape (n, k), row i equal to
+        ``knn(points[i], k)``. Each query point is its own nearest neighbor
+        (distance 0) unless a duplicate point with a lower index exists.
+
+        Rows are computed in blocks of KNN_BLOCK: per block, the KNN_SLACK
+        extra tree neighbours of each row are ordered by (d², index). A row
+        is exact when its farthest candidate lies strictly beyond the k-th
+        (relative 1e-8 in d², well above the tree's round-off and ``knn``'s
+        1e-9 ball inflation), so no point outside the candidates can tie
+        into the first k. The few other rows take the per-point ``knn``.
         """
         n = len(self._points)
         if not 1 <= k <= n:
             raise ValueError(f"k must be in [1, {n}], got {k}")
-        dist, _ = self._tree.query(self._points, k=k)
-        dist = np.atleast_2d(dist.reshape(n, -1))
-        dk = dist[:, -1] * (1.0 + 1e-9) + 1e-300
-        hoods = self._tree.query_ball_point(self._points, dk)
+        m = min(k + KNN_SLACK, n)
         out_idx = np.empty((n, k), dtype=np.intp)
         out_d = np.empty((n, k), dtype=np.float64)
-        for i in range(n):
-            cand = np.asarray(hoods[i], dtype=np.intp)
-            idx, d = self._order(self._points[i], cand)
-            out_idx[i] = idx[:k]
-            out_d[i] = d[:k]
+        for start in range(0, n, KNN_BLOCK):
+            query = self._points[start : start + KNN_BLOCK]
+            _, cand = self._tree.query(query, k=m)
+            # ascending index first, so the stable sort by d² breaks ties by index
+            cand = np.sort(cand.reshape(len(query), m), axis=1)
+            diff = self._points[cand] - query[:, np.newaxis, :]
+            d2 = diff[..., 0] ** 2 + diff[..., 1] ** 2 + diff[..., 2] ** 2
+            order = np.argsort(d2, axis=1, kind="stable")
+            cand = np.take_along_axis(cand, order, axis=1)
+            d2 = np.take_along_axis(d2, order, axis=1)
+            out_idx[start : start + len(query)] = cand[:, :k]
+            out_d[start : start + len(query)] = np.sqrt(d2[:, :k])
+            if m < n:
+                for i in np.flatnonzero(d2[:, -1] <= d2[:, k - 1] * (1.0 + 1e-8)):
+                    out_idx[start + i], out_d[start + i] = self.knn(query[i], k)
         return out_idx, out_d
 
     def radius(self, query, r: float) -> tuple[np.ndarray, np.ndarray]:
@@ -202,26 +229,32 @@ def voxel_downsample(cloud: PointCloud, voxel: float) -> PointCloud:
     boundaries = np.ones(len(cloud), dtype=bool)
     boundaries[1:] = np.any(sorted_coords[1:] != sorted_coords[:-1], axis=1)
     starts = np.flatnonzero(boundaries)
-    ends = np.append(starts[1:], len(cloud))
+    counts = np.diff(np.append(starts, len(cloud)))
 
     points = np.empty((len(starts), 3))
     normals = np.empty((len(starts), 3)) if cloud.normals is not None else None
     curvatures = np.empty(len(starts)) if cloud.curvatures is not None else None
     confidences = np.empty(len(starts)) if cloud.confidences is not None else None
-    for j, (a, b) in enumerate(zip(starts, ends)):
-        members = order[a:b]
-        points[j] = cloud.points[members].mean(axis=0)
+    # One bucket per member count: a (voxels, count) member matrix whose
+    # rows are ascending original indices. mean(axis=1) sums each voxel in
+    # the same order as a per-voxel mean (rows of points in sequence, a 1-D
+    # attribute pairwise), and vecdot rounds like a 1-D norm, so the result
+    # is bit-identical to a loop over voxels.
+    for count in np.unique(counts):
+        voxels = np.flatnonzero(counts == count)
+        members = order[starts[voxels][:, np.newaxis] + np.arange(count)]
+        points[voxels] = cloud.points[members].mean(axis=1)
         if normals is not None:
-            mean_n = cloud.normals[members].mean(axis=0)
-            norm = np.linalg.norm(mean_n)
-            if norm < 1e-12:
-                normals[j] = cloud.normals[members.min()]
-            else:
-                normals[j] = mean_n / norm
+            mean_n = cloud.normals[members].mean(axis=1)
+            norm = np.sqrt(np.vecdot(mean_n, mean_n))
+            vanished = norm < 1e-12  # fall back to the lowest-index member
+            mean_n[vanished] = cloud.normals[members[vanished, 0]]
+            norm[vanished] = 1.0
+            normals[voxels] = mean_n / norm[:, np.newaxis]
         if curvatures is not None:
-            curvatures[j] = np.clip(cloud.curvatures[members].mean(), 0.0, 1.0)
+            curvatures[voxels] = np.clip(cloud.curvatures[members].mean(axis=1), 0.0, 1.0)
         if confidences is not None:
-            confidences[j] = cloud.confidences[members].mean()
+            confidences[voxels] = cloud.confidences[members].mean(axis=1)
     return PointCloud(points, normals, curvatures, confidences)
 
 
@@ -237,15 +270,14 @@ def remove_statistical_outliers(cloud: PointCloud, k: int = 12, std_ratio: float
         raise ValueError(f"cloud of {len(cloud)} points is too small for k={k}")
     index = SpatialIndex(cloud)
     idx, dist = index.knn_all(k + 1)
-    # Drop the self entry per row (matching index, first occurrence).
+    # Drop each row's self entry: the first column holding the row's own
+    # index, or column 0 (argmax of an all-False row) when lower-index
+    # duplicates pushed it out.
     n = len(cloud)
-    mean_d = np.empty(n)
     rows = np.arange(n)
-    for i in range(n):
-        self_pos = np.flatnonzero(idx[i] == i)
-        keep = np.ones(k + 1, dtype=bool)
-        keep[self_pos[0] if len(self_pos) else 0] = False
-        mean_d[i] = dist[i][keep].mean()
+    keep = np.ones(idx.shape, dtype=bool)
+    keep[rows, (idx == rows[:, np.newaxis]).argmax(axis=1)] = False
+    mean_d = dist[keep].reshape(n, k).mean(axis=1)
     threshold = mean_d.mean() + std_ratio * mean_d.std()
     mask = mean_d <= threshold
     removed = int(n - mask.sum())
@@ -260,11 +292,23 @@ def _canonical_sign(v: np.ndarray) -> np.ndarray:
     return v if v[dominant] >= 0 else -v
 
 
-def estimate_normals_curvatures(cloud: PointCloud, k: int = 16) -> PointCloud:
+def neighbor_table(cloud: PointCloud, k: int, neighbors: np.ndarray | None = None) -> np.ndarray:
+    """The (n, k) k-NN index table of ``cloud``: the first k columns of
+    ``neighbors`` (a ``knn_all`` table of the same points with at least k
+    columns), or a freshly computed one when it is None."""
+    if neighbors is None:
+        return SpatialIndex(cloud).knn_all(k)[0]
+    if neighbors.ndim != 2 or len(neighbors) != len(cloud) or neighbors.shape[1] < k:
+        raise ValueError(f"neighbor table of shape {neighbors.shape} does not cover {len(cloud)} points x {k}")
+    return neighbors[:, :k]
+
+
+def estimate_normals_curvatures(cloud: PointCloud, k: int = 16, neighbors: np.ndarray | None = None) -> PointCloud:
     """PCA normals and surface-variation curvature over k-NN neighborhoods.
 
     The neighborhood of a point is its k nearest cloud points (the point
-    itself included). The normal is the eigenvector of the smallest
+    itself included), taken from ``neighbors`` when given (see
+    ``neighbor_table``). The normal is the eigenvector of the smallest
     covariance eigenvalue, oriented away from the cloud centroid; curvature
     is lambda_min / (sum of eigenvalues), clamped to [0, 1]. Coincident
     neighborhoods degrade to normal +Z with curvature 0 and are logged.
@@ -273,9 +317,7 @@ def estimate_normals_curvatures(cloud: PointCloud, k: int = 16) -> PointCloud:
         raise ValueError(f"k must be >= 3, got {k}")
     if len(cloud) < k:
         raise ValueError(f"cloud of {len(cloud)} points is too small for k={k}")
-    index = SpatialIndex(cloud)
-    hoods, _ = index.knn_all(k)
-    nbh = cloud.points[hoods]  # (n, k, 3)
+    nbh = cloud.points[neighbor_table(cloud, k, neighbors)]  # (n, k, 3)
     centered = nbh - nbh.mean(axis=1, keepdims=True)
     cov = np.einsum("nki,nkj->nij", centered, centered) / k
     eigvals, eigvecs = np.linalg.eigh(cov)  # ascending eigenvalues

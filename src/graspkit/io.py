@@ -41,8 +41,16 @@ def load_cloud(path, format: str | None = None) -> PointCloud:
     raise ValueError(f"unknown cloud format {format!r}")
 
 
+def _check_finite_rows(values: np.ndarray, linenos) -> None:
+    """Raise on the first record holding NaN or inf; ``linenos[i]`` is row i's line."""
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    if len(bad):
+        raise CloudParseError(f"non-finite record {values[bad[0]].tolist()}", int(linenos[bad[0]]))
+
+
 def _load_xyz(path: Path) -> PointCloud:
     points = []
+    linenos = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -55,9 +63,12 @@ def _load_xyz(path: Path) -> PointCloud:
                 points.append([float(f) for f in fields])
             except ValueError:
                 raise CloudParseError(f"non-numeric record {line!r}", lineno) from None
+            linenos.append(lineno)
     if not points:
         raise EmptyCloudError(f"no points in {path}")
-    return PointCloud(np.array(points))
+    points = np.array(points)
+    _check_finite_rows(points, linenos)
+    return PointCloud(points)
 
 
 def _load_ply(path: Path) -> PointCloud:
@@ -120,6 +131,7 @@ def _load_ply(path: Path) -> PointCloud:
         if name != "vertex":
             cursor += count
             continue
+        vertex_linenos = np.arange(cursor + 1, cursor + count + 1)
         col = {p: i for i, p in enumerate(elem_props)}
         for row in range(count):
             if cursor + row >= len(lines):
@@ -138,6 +150,7 @@ def _load_ply(path: Path) -> PointCloud:
                     f"non-numeric record {lines[cursor + row]!r}", cursor + row + 1
                 ) from None
         cursor += count
+    _check_finite_rows(points if normals is None else np.hstack([points, normals]), vertex_linenos)
     if has_normals:
         norms = np.linalg.norm(normals, axis=1)
         if np.any(norms == 0):

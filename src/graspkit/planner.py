@@ -19,7 +19,13 @@ from pathlib import Path
 import numpy as np
 
 from .candidates import GraspCandidate, find_antiparallel_pairs, make_candidates
-from .cloud import PointCloud, estimate_normals_curvatures, remove_statistical_outliers, voxel_downsample
+from .cloud import (
+    PointCloud,
+    SpatialIndex,
+    estimate_normals_curvatures,
+    remove_statistical_outliers,
+    voxel_downsample,
+)
 from .regions import RegionGrowingParams, Segmentation, segment
 from .stability import GraspReport, RankedCandidates, rank_candidates
 
@@ -207,14 +213,28 @@ def _hash_cloud(cloud: PointCloud) -> str:
 
 def preprocess(cloud: PointCloud, config: PlannerConfig) -> PointCloud:
     """Outlier filter, then voxel downsample, then fill in missing attributes."""
+    return prepare(cloud, config)[0]
+
+
+def prepare(cloud: PointCloud, config: PlannerConfig) -> tuple[PointCloud, np.ndarray | None]:
+    """``preprocess`` plus the k-NN table of the prepared points, or None.
+
+    When normals are estimated, one ``knn_all`` table of the post-voxel
+    points with max(normals_k, region_k_neighbors) columns (at most n) is
+    built, and normal estimation and segmentation each take its first k
+    columns. Otherwise ``segment`` builds its own table.
+    """
     out = cloud
     if len(out) >= config.outlier_k + 1:
         out = remove_statistical_outliers(out, k=config.outlier_k, std_ratio=config.outlier_std_ratio)
     if config.voxel_size > 0:
         out = voxel_downsample(out, config.voxel_size)
+    neighbors = None
     if (out.normals is None or out.curvatures is None) and len(out) >= config.normals_k:
-        out = estimate_normals_curvatures(out, k=config.normals_k)
-    return out
+        k = min(max(config.normals_k, config.region_k_neighbors), len(out))
+        neighbors, _ = SpatialIndex(out).knn_all(k)
+        out = estimate_normals_curvatures(out, k=config.normals_k, neighbors=neighbors)
+    return out, neighbors
 
 
 def plan(cloud: PointCloud, config: PlannerConfig | None = None) -> PlanResult:
@@ -231,7 +251,7 @@ def plan(cloud: PointCloud, config: PlannerConfig | None = None) -> PlanResult:
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()
-    prepared = preprocess(cloud, config)
+    prepared, neighbors = prepare(cloud, config)
     timings["preprocess"] = (time.perf_counter() - t0) * 1e3
 
     def finish(code: str, reports=(), n_regions=0, n_pairs=0) -> PlanResult:
@@ -253,7 +273,7 @@ def plan(cloud: PointCloud, config: PlannerConfig | None = None) -> PlanResult:
         return finish(RESULT_SEGMENTATION_EMPTY)
 
     t0 = time.perf_counter()
-    segmentation: Segmentation = segment(prepared, config.region_params())
+    segmentation: Segmentation = segment(prepared, config.region_params(), neighbors)
     timings["segment"] = (time.perf_counter() - t0) * 1e3
     if len(segmentation) == 0:
         return finish(RESULT_SEGMENTATION_EMPTY)

@@ -10,12 +10,11 @@ small number of locally planar patches instead of fragmenting.
 from __future__ import annotations
 
 import logging
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cloud import PointCloud, SpatialIndex, _canonical_sign
+from .cloud import PointCloud, _canonical_sign, neighbor_table
 
 logger = logging.getLogger(__name__)
 
@@ -132,8 +131,8 @@ def _in_plane_extent(points: np.ndarray, normal: np.ndarray) -> tuple[float, flo
     return (half[0], half[1])
 
 
-def _finish_region(cloud: PointCloud, members: list[int]) -> PlanarRegion:
-    idx = np.array(sorted(members), dtype=np.intp)
+def _finish_region(cloud: PointCloud, members: np.ndarray) -> PlanarRegion:
+    idx = np.sort(members)
     pts = cloud.points[idx]
     normal, offset, _ = fit_plane_lsq(pts)
     # Align the fitted normal with the members' stored orientation so that
@@ -154,27 +153,17 @@ def _finish_region(cloud: PointCloud, members: list[int]) -> PlanarRegion:
     )
 
 
-def segment(cloud: PointCloud, params: RegionGrowingParams | None = None) -> Segmentation:
-    """Grow planar regions over ``cloud`` (which must carry normals and curvatures).
+def _grow_regions(cloud: PointCloud, params: RegionGrowingParams, hoods: np.ndarray) -> list[np.ndarray]:
+    """Raw region members in growth order (see ``segment``).
 
-    Seeds are picked at the minimum-curvature available point (ties by lowest
-    index). A neighbor joins when its normal deviates from the seed normal by
-    less than the angle threshold and it lies within the distance threshold
-    of the region's incremental plane; joined points below the curvature
-    threshold keep growing the front. Regions smaller than min_region_size end
-    up in the residue. Output regions are sorted by descending size, ties by
-    lowest member index.
+    Growth is breadth-first, one frontier (the points a FIFO queue would pop
+    next, in its order) at a time. The frontier's neighbour rows are tested
+    with array ops: availability and the seed-normal angle first, then the
+    plane distance. The plane only changes at a refit, so the rows are
+    accepted up to the entry that triggers one and the rest is re-tested
+    against the refitted plane.
     """
-    params = params or RegionGrowingParams()
-    if len(cloud) == 0:
-        raise ValueError("cannot segment an empty cloud")
-    if cloud.normals is None or cloud.curvatures is None:
-        raise ValueError("segmentation requires normals and curvatures")
-
     n = len(cloud)
-    k = min(params.k_neighbors, n)
-    index = SpatialIndex(cloud)
-    hoods, _ = index.knn_all(k)
     cos_threshold = float(np.cos(np.radians(params.angle_threshold_deg)))
     normals = cloud.normals
     points = cloud.points
@@ -184,7 +173,11 @@ def segment(cloud: PointCloud, params: RegionGrowingParams | None = None) -> Seg
     seed_order = np.lexsort((np.arange(n), curvatures))
     seed_cursor = 0
 
-    raw_regions: list[list[int]] = []
+    # Every point joins exactly one region, so the regions' members, in
+    # growth order, are consecutive slices of one permutation.
+    grown = np.empty(n, dtype=np.intp)
+    size = 0
+    raw_regions: list[np.ndarray] = []
     while True:
         while seed_cursor < n and not available[seed_order[seed_cursor]]:
             seed_cursor += 1
@@ -193,38 +186,81 @@ def segment(cloud: PointCloud, params: RegionGrowingParams | None = None) -> Seg
         seed = int(seed_order[seed_cursor])
         seed_normal = normals[seed]
         available[seed] = False
-        members = [seed]
+        start = size
+        grown[size] = seed
+        size += 1
         # Incremental plane: starts as the seed's tangent plane, refit from
         # the accumulated members every REFIT_INTERVAL accepted points.
         plane_n = seed_normal
         plane_d = float(plane_n @ points[seed])
-        queue = deque([seed])
         since_refit = 0
-        while queue:
-            current = queue.popleft()
-            for nbr in hoods[current]:
-                if not available[nbr]:
-                    continue
-                if normals[nbr] @ seed_normal <= cos_threshold:
-                    continue
-                if abs(points[nbr] @ plane_n - plane_d) >= params.distance_threshold:
-                    continue
-                available[nbr] = False
-                members.append(int(nbr))
-                since_refit += 1
-                if curvatures[nbr] < params.curvature_threshold:
-                    queue.append(int(nbr))
-                if since_refit >= REFIT_INTERVAL and len(members) >= 3:
-                    try:
-                        fit_n, fit_d, _ = fit_plane_lsq(points[members])
-                    except DegenerateFitError:
-                        pass
-                    else:
-                        if fit_n @ seed_normal < 0:
-                            fit_n, fit_d = -fit_n, -fit_d
-                        plane_n, plane_d = fit_n, fit_d
-                    since_refit = 0
-        raw_regions.append(members)
+        front = [seed]
+        while front:
+            # The frontier's neighbour rows in pop order. A neighbour's tests
+            # do not depend on the row it is found in, so until the next refit
+            # the accepted points are the first occurrences of the passing ones.
+            cand = hoods[front].ravel()
+            front = []
+            cand = cand[available[cand]]
+            # vecdot rounds exactly like a 1-D ``a @ b`` per neighbour
+            cand = cand[np.vecdot(normals[cand], seed_normal) > cos_threshold]
+            while len(cand):
+                near = np.flatnonzero(
+                    np.abs(np.vecdot(points[cand], plane_n) - plane_d) < params.distance_threshold
+                )
+                _, first = np.unique(cand[near], return_index=True)
+                near = np.sort(near[first])
+                refit = len(near) >= REFIT_INTERVAL - since_refit
+                if refit:
+                    near = near[: REFIT_INTERVAL - since_refit]
+                accepted = cand[near]
+                available[accepted] = False
+                grown[size : size + len(accepted)] = accepted
+                size += len(accepted)
+                front.extend(accepted[curvatures[accepted] < params.curvature_threshold].tolist())
+                if not refit:
+                    since_refit += len(accepted)
+                    break
+                try:
+                    fit_n, fit_d, _ = fit_plane_lsq(points[grown[start:size]])
+                except DegenerateFitError:
+                    pass
+                else:
+                    if fit_n @ seed_normal < 0:
+                        fit_n, fit_d = -fit_n, -fit_d
+                    plane_n, plane_d = fit_n, fit_d
+                since_refit = 0
+                # re-test the rest of the frontier's rows against the new plane
+                cand = cand[near[-1] + 1 :]
+                cand = cand[available[cand]]
+        raw_regions.append(grown[start:size])
+    return raw_regions
+
+
+def segment(
+    cloud: PointCloud, params: RegionGrowingParams | None = None, neighbors: np.ndarray | None = None
+) -> Segmentation:
+    """Grow planar regions over ``cloud`` (which must carry normals and curvatures).
+
+    Seeds are picked at the minimum-curvature available point (ties by lowest
+    index). A neighbor joins when its normal deviates from the seed normal by
+    less than the angle threshold and it lies within the distance threshold
+    of the region's incremental plane; joined points below the curvature
+    threshold keep growing the front. Regions smaller than min_region_size end
+    up in the residue. Output regions are sorted by descending size, ties by
+    lowest member index. The neighbours of a point are the first
+    ``k_neighbors`` columns of ``neighbors`` when given (see
+    ``cloud.neighbor_table``).
+    """
+    params = params or RegionGrowingParams()
+    if len(cloud) == 0:
+        raise ValueError("cannot segment an empty cloud")
+    if cloud.normals is None or cloud.curvatures is None:
+        raise ValueError("segmentation requires normals and curvatures")
+
+    n = len(cloud)
+    hoods = neighbor_table(cloud, min(params.k_neighbors, n), neighbors)
+    raw_regions = _grow_regions(cloud, params, hoods)
 
     surviving: list[PlanarRegion] = []
     residue: list[int] = []

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graspkit.cloud import (
+    KNN_BLOCK,
     PointCloud,
     SpatialIndex,
     estimate_normals_curvatures,
@@ -19,6 +20,30 @@ def random_points(n, seed, scale=1.0):
     return rng.uniform(0.0, scale, size=(n, 3))
 
 
+@st.composite
+def knn_clouds(draw):
+    """(points, k) with every k in [1, n]: random clouds, exact duplicates
+    (so a row's self entry need not be in column 0), equidistant grid ties,
+    and clouds of more than one KNN_BLOCK rows."""
+    kind = draw(st.sampled_from(["random", "duplicates", "grid", "blocks"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "random":
+        points = rng.uniform(0.0, 1.0, size=(draw(st.integers(1, 80)), 3))
+    elif kind == "duplicates":
+        base = rng.uniform(0.0, 1.0, size=(draw(st.integers(1, 20)), 3))
+        points = base[rng.integers(len(base), size=draw(st.integers(1, 60)))]
+    elif kind == "grid":
+        shape = [draw(st.integers(1, 5)) for _ in range(3)]
+        points = np.argwhere(np.ones(shape)) * 0.01
+        points = points[rng.permutation(len(points))]
+    else:
+        n = draw(st.integers(KNN_BLOCK + 1, KNN_BLOCK + 200))
+        points = np.round(rng.uniform(0.0, 1.0, size=(n, 3)), 1)  # coarse lattice: ties and duplicates
+    n = len(points)
+    k = draw(st.one_of(st.integers(1, min(n, 24)), st.integers(1, n)))
+    return points, k
+
+
 class TestPointCloud:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -31,6 +56,20 @@ class TestPointCloud:
     def test_curvature_range_enforced(self):
         with pytest.raises(ValueError):
             PointCloud(np.zeros((1, 3)), curvatures=np.array([1.5]))
+
+    @pytest.mark.parametrize("array", ["points", "normals", "curvatures", "confidences"])
+    def test_non_finite_rejected_by_name(self, array):
+        arrays = {
+            "points": np.zeros((2, 3)),
+            "normals": np.tile([0.0, 0.0, 1.0], (2, 1)),
+            "curvatures": np.zeros(2),
+            "confidences": np.ones(2),
+        }
+        for bad in (np.nan, np.inf):
+            arrays[array] = arrays[array].copy()
+            arrays[array].flat[-1] = bad
+            with pytest.raises(ValueError, match=f"{array} contain non-finite"):
+                PointCloud(**arrays)
 
     def test_arrays_read_only(self):
         cloud = grid_cloud(4, 4)
@@ -65,14 +104,28 @@ class TestSpatialIndex:
             got, _ = index.knn(q, 12)
             np.testing.assert_array_equal(got, self.brute_force_knn(points, q, 12))
 
-    def test_knn_all_matches_per_point_queries(self):
-        points = random_points(120, seed=5)
+    @given(knn_clouds())
+    @example((np.repeat(random_points(7, seed=1), 3, axis=0)[::-1].copy(), 4))  # duplicates
+    @example((grid_cloud(6, 6, spacing=0.01).points, 5))  # equidistant ties
+    @example((random_points(10, seed=2), 10))  # k = n
+    @example((random_points(KNN_BLOCK + 77, seed=3), 12))  # several row blocks
+    @settings(max_examples=60, deadline=None)
+    def test_knn_all_matches_per_point_queries(self, cloud_and_k):
+        points, k = cloud_and_k
         index = SpatialIndex(points)
-        all_idx, all_d = index.knn_all(6)
+        all_idx, all_d = index.knn_all(k)
+        assert all_idx.shape == all_d.shape == (len(points), k)
         for i in range(len(points)):
-            idx, d = index.knn(points[i], 6)
+            idx, d = index.knn(points[i], k)
             np.testing.assert_array_equal(all_idx[i], idx)
-            np.testing.assert_allclose(all_d[i], d)
+            np.testing.assert_array_equal(all_d[i], d)
+
+    def test_duplicates_push_self_out_of_column_0(self):
+        # three copies of each point: the later copies see a lower-index twin first
+        points = np.repeat(random_points(7, seed=1), 3, axis=0)
+        idx, dist = SpatialIndex(points).knn_all(4)
+        assert np.any(idx[:, 0] != np.arange(len(points)))
+        assert np.all(dist[:, :3] == 0.0)
 
     def test_radius_sorted_and_complete(self):
         points = grid_cloud(5, 5, spacing=0.01).points

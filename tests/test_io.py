@@ -32,6 +32,14 @@ class TestXYZ:
             load_cloud(path)
         assert "line 1" in str(err.value)
 
+    def test_non_finite_record_cites_line(self, tmp_path):
+        path = tmp_path / "nan.xyz"
+        path.write_text("# scan\n0 0 0\n\nnan 0 0\n1 inf 0\n")
+        with pytest.raises(CloudParseError) as err:
+            load_cloud(path)
+        assert err.value.line == 4
+        assert "non-finite" in str(err.value)
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.xyz"
         path.write_text("# nothing\n")
@@ -99,6 +107,15 @@ class TestPLY:
         with pytest.raises(CloudParseError) as err:
             load_cloud(path)
         assert "line 8" in str(err.value)
+
+    def test_non_finite_record_cites_line(self, tmp_path):
+        # header is 11 lines, so vertex rows start at line 12
+        path = tmp_path / "inf.ply"
+        path.write_text(PLY_WITH_NORMALS.replace("1 0 0 1 0 0", "1 0 0 nan 0 0"))
+        with pytest.raises(CloudParseError) as err:
+            load_cloud(path)
+        assert err.value.line == 13
+        assert "non-finite" in str(err.value)
 
     def test_zero_vertices_rejected(self, tmp_path):
         path = tmp_path / "z.ply"
