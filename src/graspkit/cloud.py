@@ -139,6 +139,13 @@ class SpatialIndex:
     def __len__(self) -> int:
         return len(self._points)
 
+    @property
+    def points(self) -> np.ndarray:
+        """Read-only view of the indexed points."""
+        view = self._points.view()
+        view.setflags(write=False)
+        return view
+
     def _order(self, query: np.ndarray, candidates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         diff = self._points[candidates] - query
         d2 = diff[:, 0] ** 2 + diff[:, 1] ** 2 + diff[:, 2] ** 2
@@ -162,12 +169,8 @@ class SpatialIndex:
         idx, d = self._order(query, candidates)
         return idx[:k], d[:k]
 
-    def knn_all(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """k-NN of every indexed point against the cloud itself.
-
-        Returns (indices, distances) of shape (n, k), row i equal to
-        ``knn(points[i], k)``. Each query point is its own nearest neighbor
-        (distance 0) unless a duplicate point with a lower index exists.
+    def _knn_rows(self, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Exact k-NN (indices, distances) of every row of ``queries`` (m, 3).
 
         Rows are computed in blocks of KNN_BLOCK: per block, the KNN_SLACK
         extra tree neighbours of each row are ordered by (d², index). A row
@@ -180,10 +183,10 @@ class SpatialIndex:
         if not 1 <= k <= n:
             raise ValueError(f"k must be in [1, {n}], got {k}")
         m = min(k + KNN_SLACK, n)
-        out_idx = np.empty((n, k), dtype=np.intp)
-        out_d = np.empty((n, k), dtype=np.float64)
-        for start in range(0, n, KNN_BLOCK):
-            query = self._points[start : start + KNN_BLOCK]
+        out_idx = np.empty((len(queries), k), dtype=np.intp)
+        out_d = np.empty((len(queries), k), dtype=np.float64)
+        for start in range(0, len(queries), KNN_BLOCK):
+            query = queries[start : start + KNN_BLOCK]
             _, cand = self._tree.query(query, k=m)
             # ascending index first, so the stable sort by d² breaks ties by index
             cand = np.sort(cand.reshape(len(query), m), axis=1)
@@ -199,6 +202,23 @@ class SpatialIndex:
                     out_idx[start + i], out_d[start + i] = self.knn(query[i], k)
         return out_idx, out_d
 
+    def knn_all(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """k-NN of every indexed point against the cloud itself.
+
+        Returns (indices, distances) of shape (n, k), row i equal to
+        ``knn(points[i], k)``. Each query point is its own nearest neighbor
+        (distance 0) unless a duplicate point with a lower index exists.
+        """
+        return self._knn_rows(self._points, k)
+
+    def nearest_many(self, queries) -> np.ndarray:
+        """Index of the nearest indexed point to each row of ``queries`` (m, 3).
+
+        Entry i equals ``knn(queries[i], 1)``'s index: the lowest index among
+        exactly equidistant points.
+        """
+        return self._knn_rows(_as_points(queries, "queries"), 1)[0][:, 0]
+
     def radius(self, query, r: float) -> tuple[np.ndarray, np.ndarray]:
         """All indices within distance ``r`` of ``query`` (sorted, tie-broken)."""
         query = np.asarray(query, dtype=np.float64)
@@ -208,7 +228,7 @@ class SpatialIndex:
         return self._order(query, candidates)
 
     def nearest(self, query) -> int:
-        return int(self.knn(query, 1)[0][0])
+        return int(self.nearest_many(np.reshape(query, (1, 3)))[0])
 
 
 def voxel_downsample(cloud: PointCloud, voxel: float) -> PointCloud:

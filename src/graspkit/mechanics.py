@@ -4,6 +4,10 @@ Contacts are point contacts with friction. Each carries a right-handed
 orthonormal frame whose Z axis is the inward surface normal; the grasp map
 stacks per-contact wrench blocks [R; skew(p - origin) R] into a 6 x 3k
 matrix mapping contact-frame forces to the net object wrench.
+
+``stacked_rotations``, ``stacked_grasp_maps`` and ``stacked_force_closure``
+build many frames, maps and closure tests at once; the one-grasp functions
+are one-row calls of them, so both round identically.
 """
 
 from __future__ import annotations
@@ -23,9 +27,7 @@ class ContactFrame:
     def __post_init__(self):
         if self.mu <= 0:
             raise ValueError(f"mu must be positive, got {self.mu}")
-        R = np.asarray(self.rotation, dtype=np.float64)
-        if not np.allclose(R.T @ R, np.eye(3), atol=1e-9) or abs(np.linalg.det(R) - 1.0) > 1e-9:
-            raise ValueError("rotation must be orthonormal with determinant +1")
+        _check_rotations(np.asarray(self.rotation, dtype=np.float64))
 
     @property
     def inward_normal(self) -> np.ndarray:
@@ -50,38 +52,51 @@ class GraspMap:
 
 
 def skew(p: np.ndarray) -> np.ndarray:
-    return np.array(
-        [
-            [0.0, -p[2], p[1]],
-            [p[2], 0.0, -p[0]],
-            [-p[1], p[0], 0.0],
-        ]
-    )
+    """Cross-product matrices: skew(p) @ v == p x v, for p of shape (..., 3)."""
+    p = np.asarray(p, dtype=np.float64)
+    S = np.zeros(p.shape + (3,))
+    S[..., 0, 1], S[..., 0, 2] = -p[..., 2], p[..., 1]
+    S[..., 1, 0], S[..., 1, 2] = p[..., 2], -p[..., 0]
+    S[..., 2, 0], S[..., 2, 1] = -p[..., 1], p[..., 0]
+    return S
+
+
+def _check_rotations(R: np.ndarray) -> None:
+    RtR = np.swapaxes(R, -1, -2) @ R
+    if not np.allclose(RtR, np.eye(3), atol=1e-9) or np.any(np.abs(np.linalg.det(R) - 1.0) > 1e-9):
+        raise ValueError("rotation must be orthonormal with determinant +1")
+
+
+def stacked_rotations(inward_normals) -> np.ndarray:
+    """(..., 3, 3) contact rotations, one per row of ``inward_normals`` (..., 3).
+
+    Column Z is the normalized inward normal. Column X is the normalized
+    rejection of global +X from the normal, falling back to +Y when the
+    normal is nearly parallel to X (|n . x| > 0.9); Y = Z x X completes the
+    right-handed set. Raises ValueError when any normal is zero or not unit
+    length, or when any result is not a proper rotation. Each row rounds
+    exactly like a one-row call, so stacking never changes a bit.
+    """
+    n = np.asarray(inward_normals, dtype=np.float64)
+    norm = np.sqrt(np.vecdot(n, n))[..., np.newaxis]
+    if np.any(norm < 1e-12):
+        raise ValueError("inward normal must be nonzero")
+    if np.any(np.abs(norm - 1.0) > 1e-6):
+        raise ValueError("inward normal must be unit length")
+    n = n / norm
+    ref = np.where(np.abs(n[..., :1]) > 0.9, (0.0, 1.0, 0.0), (1.0, 0.0, 0.0))
+    x = ref - np.vecdot(ref, n)[..., np.newaxis] * n
+    x = x / np.sqrt(np.vecdot(x, x))[..., np.newaxis]
+    R = np.stack([x, np.cross(n, x), n], axis=-1)
+    _check_rotations(R)
+    return R
 
 
 def build_contact_frame(contact, inward_normal, mu: float = 0.5) -> ContactFrame:
-    """Frame at ``contact`` with Z along the inward normal.
-
-    The X axis is the normalized rejection of global +X from the normal,
-    falling back to +Y when the normal is nearly parallel to X; Y completes
-    the right-handed set.
-    """
-    n = np.asarray(inward_normal, dtype=np.float64)
-    norm = np.linalg.norm(n)
-    if norm < 1e-12:
-        raise ValueError("inward normal must be nonzero")
-    if abs(norm - 1.0) > 1e-6:
-        raise ValueError("inward normal must be unit length")
-    n = n / norm
-    ref = np.array([1.0, 0.0, 0.0])
-    if abs(n @ ref) > 0.9:
-        ref = np.array([0.0, 1.0, 0.0])
-    x = ref - (ref @ n) * n
-    x = x / np.linalg.norm(x)
-    y = np.cross(n, x)
+    """Frame at ``contact`` with Z along the inward normal (see ``stacked_rotations``)."""
     return ContactFrame(
         origin=np.asarray(contact, dtype=np.float64),
-        rotation=np.column_stack([x, y, n]),
+        rotation=stacked_rotations(inward_normal),
         mu=mu,
     )
 
@@ -101,17 +116,72 @@ def contact_wrench(frame: ContactFrame, f, object_origin) -> np.ndarray:
     return np.concatenate([world_force, torque])
 
 
+def stacked_grasp_maps(contacts, rotations, object_origin) -> np.ndarray:
+    """(T, 6, 3k) grasp maps from contact points (T, k, 3) and rotations (T, k, 3, 3).
+
+    Contact c fills columns 3c..3c+2 with the block [R; skew(p - o) R], the
+    same products a one-map ``build_grasp_map`` call computes.
+    """
+    contacts = np.asarray(contacts, dtype=np.float64)
+    rotations = np.asarray(rotations, dtype=np.float64)
+    arm = contacts - np.asarray(object_origin, dtype=np.float64)
+    blocks = np.concatenate([rotations, skew(arm) @ rotations], axis=-2)  # (T, k, 6, 3)
+    T, k = contacts.shape[:2]
+    return blocks.transpose(0, 2, 1, 3).reshape(T, 6, 3 * k)
+
+
 def build_grasp_map(contacts, object_origin) -> GraspMap:
     """Assemble the 6 x 3k grasp map, one [R; skew(p - o) R] block per contact."""
     contacts = tuple(contacts)
     if not contacts:
         raise ValueError("grasp map needs at least one contact")
     origin = np.asarray(object_origin, dtype=np.float64)
-    blocks = []
-    for frame in contacts:
-        R = frame.rotation
-        blocks.append(np.vstack([R, skew(frame.origin - origin) @ R]))
-    return GraspMap(G=np.hstack(blocks), contacts=contacts, object_origin=origin)
+    G = stacked_grasp_maps(
+        [[frame.origin for frame in contacts]], [[frame.rotation for frame in contacts]], origin
+    )[0]
+    return GraspMap(G=G, contacts=contacts, object_origin=origin)
+
+
+def stacked_force_closure(
+    G,
+    contacts,
+    inward_normals,
+    mu: float,
+    sigma_min_threshold: float = 0.01,
+    mode: str = "soft-pinch",
+    torque_scale: float = 1.0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``force_closure`` of T two-contact grasps at once.
+
+    ``G`` is (T, 6, 6), ``contacts`` and unit ``inward_normals`` are
+    (T, 2, 3). One stacked SVD gives every grasp's singular values; the
+    cone test runs on all rows. Returns (closure (T,) bool, sigma_min (T,)),
+    row t equal to a one-grasp call.
+    """
+    if mu <= 0:
+        raise ValueError(f"mu must be positive, got {mu}")
+    if mode not in ("soft-pinch", "strict"):
+        raise ValueError(f"unknown closure mode {mode!r}")
+    if torque_scale <= 0:
+        raise ValueError("torque_scale must be positive")
+    scaled = np.array(G, dtype=np.float64)
+    scaled[:, 3:, :] /= torque_scale
+    singular = np.linalg.svd(scaled, compute_uv=False)  # descending per row
+    considered = singular[:, :5] if mode == "soft-pinch" else singular
+    sigma_min = considered[:, -1]
+
+    contacts = np.asarray(contacts, dtype=np.float64)
+    normals = np.asarray(inward_normals, dtype=np.float64)
+    axis = contacts[:, 1] - contacts[:, 0]
+    width = np.sqrt(np.vecdot(axis, axis))
+    apart = width >= 1e-12
+    axis = axis / np.where(apart, width, 1.0)[:, np.newaxis]
+    cos_limit = math.cos(math.atan(mu))
+    admissible = (np.vecdot(axis, normals[:, 0]) >= cos_limit - 1e-12) & (
+        np.vecdot(-axis, normals[:, 1]) >= cos_limit - 1e-12
+    )
+    closure = apart & admissible & np.all(considered > sigma_min_threshold, axis=1)
+    return closure, sigma_min
 
 
 def force_closure(
@@ -134,26 +204,14 @@ def force_closure(
     """
     if len(gm.contacts) != 2:
         raise ValueError("force_closure is defined for exactly 2 contacts")
-    if mode not in ("soft-pinch", "strict"):
-        raise ValueError(f"unknown closure mode {mode!r}")
-    if torque_scale <= 0:
-        raise ValueError("torque_scale must be positive")
-    scaled = gm.G.copy()
-    scaled[3:, :] /= torque_scale
-    singular = np.linalg.svd(scaled, compute_uv=False)  # descending
-    considered = singular[:5] if mode == "soft-pinch" else singular
-    sigma_min = float(considered[-1])
-
     a, b = gm.contacts
-    axis = b.origin - a.origin
-    width = np.linalg.norm(axis)
-    if width < 1e-12:
-        return False, sigma_min
-    axis = axis / width
-    half_angle = math.atan(mu)
-    cos_limit = math.cos(half_angle)
-    admissible = (axis @ a.inward_normal >= cos_limit - 1e-12) and (
-        (-axis) @ b.inward_normal >= cos_limit - 1e-12
+    closure, sigma_min = stacked_force_closure(
+        gm.G[np.newaxis],
+        [[a.origin, b.origin]],
+        [[a.inward_normal, b.inward_normal]],
+        mu,
+        sigma_min_threshold,
+        mode=mode,
+        torque_scale=torque_scale,
     )
-    closure = bool(admissible and np.all(considered > sigma_min_threshold))
-    return closure, sigma_min
+    return bool(closure[0]), float(sigma_min[0])

@@ -5,6 +5,15 @@ them back to the nearest cloud point, rebuilds the grasp map with the
 stored normals at the snapped points and re-runs the closure check. The
 RNG is Philox (counter-based) keyed by (seed, trial), so the per-trial
 outcome vector is reproducible and independent of execution order.
+
+All trials are evaluated as arrays: the offsets of every trial are drawn
+up front, the 2 x trials perturbed points are snapped with one
+``SpatialIndex.nearest_many`` call, and the frames, grasp maps and closure
+tests of the trials whose contacts stay apart are built as stacks with one
+SVD call. Each step rounds row by row exactly as a one-trial computation
+does (same draws, same (distance, index) tie-break, same per-row products
+and LAPACK call), so the per-trial outcomes are bit-identical to evaluating
+the trials one at a time.
 """
 
 from __future__ import annotations
@@ -15,7 +24,11 @@ import numpy as np
 
 from .candidates import GraspCandidate
 from .cloud import PointCloud, SpatialIndex
-from .mechanics import build_contact_frame, build_grasp_map, force_closure
+from .mechanics import stacked_force_closure, stacked_grasp_maps, stacked_rotations
+
+# Not called here since trials are batched; the names stay in this module
+# because perfbench/tracing.py wraps them as module attributes.
+from .mechanics import build_grasp_map, force_closure  # noqa: F401
 
 RNG_ALGORITHM = "philox"
 
@@ -81,9 +94,23 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(np.uint64(seed), np.uint64(trial))))
 
 
-def _snap_index(contact, index: SpatialIndex, sigma: float, rng: np.random.Generator) -> int:
-    offset = rng.standard_normal(3) * sigma
-    return index.nearest(np.asarray(contact, dtype=np.float64) + offset)
+def trial_normals(seed: int, trials: int, count: int) -> np.ndarray:
+    """(trials, count) standard normals, row t equal to
+    ``trial_rng(seed, t).standard_normal(count)``.
+
+    One Philox generator is re-keyed per trial through its ``state`` setter:
+    a fresh generator's state (counter 0, empty buffer) with the key
+    replaced by (seed, t).
+    """
+    bit_generator = np.random.Philox(key=(np.uint64(seed), np.uint64(0)))
+    generator = np.random.Generator(bit_generator)
+    fresh = bit_generator.state  # a snapshot: later draws do not change it
+    out = np.empty((trials, count))
+    for trial in range(trials):
+        fresh["state"]["key"] = np.array([seed, trial], dtype=np.uint64)
+        bit_generator.state = fresh
+        generator.standard_normal(out=out[trial])
+    return out
 
 
 def perturb_and_snap(contact, cloud, sigma: float, rng: np.random.Generator) -> np.ndarray:
@@ -93,8 +120,8 @@ def perturb_and_snap(contact, cloud, sigma: float, rng: np.random.Generator) -> 
     advances deterministically (three draws) even when sigma is 0.
     """
     index = cloud if isinstance(cloud, SpatialIndex) else SpatialIndex(cloud)
-    points = cloud.points if isinstance(cloud, PointCloud) else index._points
-    return points[_snap_index(contact, index, sigma, rng)]
+    offset = rng.standard_normal(3) * sigma
+    return index.points[index.nearest(np.asarray(contact, dtype=np.float64) + offset)]
 
 
 def robust_force_closure(
@@ -117,28 +144,22 @@ def robust_force_closure(
     origin = cloud.centroid()
     torque_scale = max(cloud.bounding_radius(), 1e-12)
 
-    outcomes = []
-    for trial in range(spec.trials):
-        rng = trial_rng(spec.seed, trial)
-        ia = _snap_index(candidate.contact_a, index, sigma, rng)
-        ib = _snap_index(candidate.contact_b, index, sigma, rng)
-        if ia == ib:
-            outcomes.append(False)
-            continue
-        pa, pb = cloud.points[ia], cloud.points[ib]
-        na, nb = -cloud.normals[ia], -cloud.normals[ib]
-        frames = (
-            build_contact_frame(pa, na, mu),
-            build_contact_frame(pb, nb, mu),
-        )
-        gm = build_grasp_map(frames, origin)
-        closure, _ = force_closure(
-            gm, mu, spec.threshold, mode=mode, torque_scale=torque_scale
-        )
-        outcomes.append(closure)
+    # trial t perturbs contact a with draws 0-2 of its stream and b with 3-5
+    contacts = np.array([candidate.contact_a, candidate.contact_b], dtype=np.float64)
+    offsets = trial_normals(spec.seed, spec.trials, 6).reshape(spec.trials, 2, 3) * sigma
+    snapped = index.nearest_many((contacts + offsets).reshape(-1, 3)).reshape(spec.trials, 2)
+    apart = snapped[:, 0] != snapped[:, 1]  # coincident snaps are failures
+    points = cloud.points[snapped[apart]]
+    rotations = stacked_rotations(-cloud.normals[snapped[apart]])
+    G = stacked_grasp_maps(points, rotations, origin)
+    closure, _ = stacked_force_closure(
+        G, points, rotations[..., 2], mu, spec.threshold, mode=mode, torque_scale=torque_scale
+    )
+    outcomes = np.zeros(spec.trials, dtype=bool)
+    outcomes[apart] = closure
     return RobustnessReport(
-        probability=sum(outcomes) / spec.trials,
-        per_trial=tuple(outcomes),
+        probability=int(outcomes.sum()) / spec.trials,
+        per_trial=tuple(outcomes.tolist()),
         sigma=spec.sigma,
         effective_sigma=sigma,
         sigma_mode=spec.sigma_mode,

@@ -16,7 +16,11 @@ from scipy.optimize import minimize
 
 from .candidates import GraspCandidate
 from .cloud import PointCloud
-from .mechanics import GraspMap, build_contact_frame, build_grasp_map, force_closure
+from .mechanics import ContactFrame, GraspMap, stacked_force_closure, stacked_grasp_maps, stacked_rotations
+
+# Not called here since candidates are scored as stacks; the names stay in
+# this module because perfbench/tracing.py wraps them as module attributes.
+from .mechanics import build_grasp_map, force_closure  # noqa: F401
 
 
 def octant_axis_bases() -> np.ndarray:
@@ -306,46 +310,6 @@ class RankedCandidates:
         return self.reports[0] if self.reports else None
 
 
-def score_candidate(
-    candidate: GraspCandidate,
-    object_origin,
-    torque_scale: float,
-    index: int = 0,
-    mu: float = 0.5,
-    sigma_min_threshold: float = 0.01,
-    closure_mode: str = "soft-pinch",
-    f_ex_magnitude: float = 1.0,
-    f_normal_cap: float | None = None,
-) -> GraspReport:
-    frames = (
-        build_contact_frame(candidate.contact_a, candidate.normal_a, mu),
-        build_contact_frame(candidate.contact_b, candidate.normal_b, mu),
-    )
-    gm = build_grasp_map(frames, object_origin)
-    closure, sigma_min = force_closure(
-        gm, mu, sigma_min_threshold, mode=closure_mode, torque_scale=torque_scale
-    )
-    problem = StabilityProblem(
-        grasp_map=gm, mu=mu, f_ex_magnitude=f_ex_magnitude, f_normal_cap=f_normal_cap
-    )
-    result = solve_stability(problem)
-    origin = np.asarray(object_origin, dtype=np.float64)
-    axis_com = float(
-        np.linalg.norm(np.cross(origin - candidate.contact_a, candidate.grasp_axis))
-    )
-    return GraspReport(
-        candidate=candidate,
-        candidate_index=index,
-        closure=closure,
-        sigma_min=sigma_min,
-        stability_cost=result.cost,
-        converged=result.converged,
-        forces=result.optimal_f,
-        mode=closure_mode,
-        axis_com_distance=axis_com,
-    )
-
-
 def rank_candidates(
     candidates,
     cloud: PointCloud,
@@ -368,20 +332,35 @@ def rank_candidates(
         raise ValueError("rank_candidates needs at least one candidate")
     origin = cloud.centroid()
     scale = max(cloud.bounding_radius(), 1e-12)
-    reports = [
-        score_candidate(
-            c,
-            origin,
-            scale,
-            index=i,
+    contacts = np.array([(c.contact_a, c.contact_b) for c in candidates], dtype=np.float64)
+    rotations = stacked_rotations([(c.normal_a, c.normal_b) for c in candidates])
+    G = stacked_grasp_maps(contacts, rotations, origin)
+    closure, sigma_min = stacked_force_closure(
+        G, contacts, rotations[..., 2], mu, sigma_min_threshold, mode=closure_mode, torque_scale=scale
+    )
+    reports = []
+    for i, c in enumerate(candidates):
+        frames = tuple(ContactFrame(contacts[i, j], rotations[i, j], mu) for j in (0, 1))
+        problem = StabilityProblem(
+            grasp_map=GraspMap(G=G[i], contacts=frames, object_origin=origin),
             mu=mu,
-            sigma_min_threshold=sigma_min_threshold,
-            closure_mode=closure_mode,
             f_ex_magnitude=f_ex_magnitude,
             f_normal_cap=f_normal_cap,
         )
-        for i, c in enumerate(candidates)
-    ]
+        result = solve_stability(problem)
+        reports.append(
+            GraspReport(
+                candidate=c,
+                candidate_index=i,
+                closure=bool(closure[i]),
+                sigma_min=float(sigma_min[i]),
+                stability_cost=result.cost,
+                converged=result.converged,
+                forces=result.optimal_f,
+                mode=closure_mode,
+                axis_com_distance=float(np.linalg.norm(np.cross(origin - c.contact_a, c.grasp_axis))),
+            )
+        )
     reports.sort(
         key=lambda r: (
             not r.closure,

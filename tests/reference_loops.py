@@ -1,18 +1,21 @@
-"""Scalar reference implementations of the vectorized neighbour-layer steps.
+"""Scalar reference implementations of the vectorized neighbour layer and
+of the batched robustness evaluator.
 
-These are the straightforward per-row / per-voxel / per-neighbour loops the
-library used before its array versions. Tests assert that the library's
+These are the straightforward per-row / per-voxel / per-neighbour / per-trial
+loops the library used before its array versions. Tests assert that the library's
 output equals theirs bit for bit (``np.array_equal``), so every rounding
 choice of the vectorized code (summation order, dot products, tie-breaks)
 is pinned to these loops.
 """
 
+import math
 from collections import deque
 
 import numpy as np
 
 from graspkit.cloud import PointCloud, SpatialIndex
 from graspkit.regions import REFIT_INTERVAL, DegenerateFitError, RegionGrowingParams, fit_plane_lsq
+from graspkit.robustness import trial_rng
 
 
 def outlier_mean_distances(cloud: PointCloud, k: int) -> np.ndarray:
@@ -121,3 +124,83 @@ def grow_regions(
                     since_refit = 0
         raw_regions.append(members)
     return raw_regions
+
+
+def contact_rotation(inward_normal) -> np.ndarray:
+    """Contact rotation of one inward normal (columns X, Y, Z = normal)."""
+    n = np.asarray(inward_normal, dtype=np.float64)
+    norm = np.linalg.norm(n)
+    if norm < 1e-12:
+        raise ValueError("inward normal must be nonzero")
+    if abs(norm - 1.0) > 1e-6:
+        raise ValueError("inward normal must be unit length")
+    n = n / norm
+    ref = np.array([1.0, 0.0, 0.0])
+    if abs(n @ ref) > 0.9:
+        ref = np.array([0.0, 1.0, 0.0])
+    x = ref - (ref @ n) * n
+    x = x / np.linalg.norm(x)
+    y = np.cross(n, x)
+    R = np.column_stack([x, y, n])
+    if not np.allclose(R.T @ R, np.eye(3), atol=1e-9) or abs(np.linalg.det(R) - 1.0) > 1e-9:
+        raise ValueError("rotation must be orthonormal with determinant +1")
+    return R
+
+
+def grasp_map(points, rotations, object_origin) -> np.ndarray:
+    """6 x 3k grasp map, one [R; skew(p - o) R] block per contact."""
+    origin = np.asarray(object_origin, dtype=np.float64)
+    blocks = []
+    for p, R in zip(points, rotations):
+        arm = np.asarray(p, dtype=np.float64) - origin
+        skew = np.array([[0.0, -arm[2], arm[1]], [arm[2], 0.0, -arm[0]], [-arm[1], arm[0], 0.0]])
+        blocks.append(np.vstack([R, skew @ R]))
+    return np.hstack(blocks)
+
+
+def force_closure(G, points, rotations, mu, threshold=0.01, mode="soft-pinch", torque_scale=1.0):
+    """(closure, sigma_min) of one two-contact grasp map."""
+    if mu <= 0:
+        raise ValueError(f"mu must be positive, got {mu}")
+    if mode not in ("soft-pinch", "strict"):
+        raise ValueError(f"unknown closure mode {mode!r}")
+    scaled = G.copy()
+    scaled[3:, :] /= torque_scale
+    singular = np.linalg.svd(scaled, compute_uv=False)
+    considered = singular[:5] if mode == "soft-pinch" else singular
+    sigma_min = float(considered[-1])
+    axis = np.asarray(points[1], dtype=np.float64) - points[0]
+    width = np.linalg.norm(axis)
+    if width < 1e-12:
+        return False, sigma_min
+    axis = axis / width
+    cos_limit = math.cos(math.atan(mu))
+    admissible = (axis @ rotations[0][:, 2] >= cos_limit - 1e-12) and (
+        (-axis) @ rotations[1][:, 2] >= cos_limit - 1e-12
+    )
+    return bool(admissible and np.all(considered > threshold)), sigma_min
+
+
+def robust_force_closure_loop(candidate, cloud: PointCloud, spec, mu=0.5, mode="soft-pinch") -> tuple[bool, ...]:
+    """Per-trial outcomes, one trial at a time: a fresh Philox generator per
+    trial, one exact nearest-point query per contact, scalar mechanics."""
+    if cloud.normals is None:
+        raise ValueError("robust_force_closure requires cloud normals")
+    index = SpatialIndex(cloud)
+    sigma = spec.effective_sigma(cloud)
+    origin = cloud.centroid()
+    torque_scale = max(cloud.bounding_radius(), 1e-12)
+    outcomes = []
+    for trial in range(spec.trials):
+        rng = trial_rng(spec.seed, trial)
+        ia = int(index.knn(np.asarray(candidate.contact_a, dtype=np.float64) + rng.standard_normal(3) * sigma, 1)[0][0])
+        ib = int(index.knn(np.asarray(candidate.contact_b, dtype=np.float64) + rng.standard_normal(3) * sigma, 1)[0][0])
+        if ia == ib:
+            outcomes.append(False)
+            continue
+        points = (cloud.points[ia], cloud.points[ib])
+        rotations = (contact_rotation(-cloud.normals[ia]), contact_rotation(-cloud.normals[ib]))
+        G = grasp_map(points, rotations, origin)
+        closure, _ = force_closure(G, points, rotations, mu, spec.threshold, mode, torque_scale)
+        outcomes.append(closure)
+    return tuple(outcomes)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from graspkit.cloud import (
     KNN_BLOCK,
+    KNN_SLACK,
     PointCloud,
     SpatialIndex,
     estimate_normals_curvatures,
@@ -42,6 +43,38 @@ def knn_clouds(draw):
     n = len(points)
     k = draw(st.one_of(st.integers(1, min(n, 24)), st.integers(1, n)))
     return points, k
+
+
+@st.composite
+def nearest_queries(draw):
+    """(points, queries) whose queries tie exactly: midpoints of dyadic grid
+    cells (equidistant from 2, 4 or 8 points), centres of 24 equidistant
+    points (more ties than tree candidates), duplicate points, a 1-point
+    cloud, clouds smaller than 1 + KNN_SLACK, and more than one KNN_BLOCK of
+    queries."""
+    kind = draw(st.sampled_from(["midpoints", "shell", "duplicates", "single", "small", "blocks"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spacing = 2.0**-6  # dyadic: grid points, midpoints and their differences are exact
+    if kind == "shell":
+        # the 24 integer vectors of squared length 5, plus farther points
+        cube = np.argwhere(np.ones((7, 7, 7))) - 3
+        points = cube[np.isin(np.einsum("ij,ij->i", cube, cube), [5, 6, 9])] * spacing
+        points = points[rng.permutation(len(points))]
+        queries = rng.integers(-1, 2, size=(draw(st.integers(1, 5)), 3)) * spacing
+        queries[0] = 0.0
+    elif kind in ("midpoints", "blocks"):
+        shape = [draw(st.integers(1, 6)) for _ in range(3)]
+        points = np.argwhere(np.ones(shape)) * spacing
+        points = points[rng.permutation(len(points))]
+        n_queries = draw(st.integers(KNN_BLOCK + 1, KNN_BLOCK + 300)) if kind == "blocks" else draw(st.integers(1, 80))
+        cells = rng.integers(-1, max(shape) + 1, size=(n_queries, 3))
+        queries = (cells + rng.choice([0.0, 0.5], size=(n_queries, 3))) * spacing
+    else:
+        n = {"duplicates": 30, "single": 1, "small": KNN_SLACK}[kind]
+        base = rng.uniform(0.0, 1.0, size=(draw(st.integers(1, n)), 3))
+        points = base[rng.integers(len(base), size=draw(st.integers(1, 2 * n)))] if kind == "duplicates" else base
+        queries = np.vstack([points, rng.uniform(-0.5, 1.5, size=(draw(st.integers(1, 40)), 3))])
+    return points, queries
 
 
 class TestPointCloud:
@@ -119,6 +152,24 @@ class TestSpatialIndex:
             idx, d = index.knn(points[i], k)
             np.testing.assert_array_equal(all_idx[i], idx)
             np.testing.assert_array_equal(all_d[i], d)
+
+    @given(nearest_queries())
+    @settings(max_examples=60, deadline=None)
+    def test_nearest_many_matches_per_point_queries(self, points_and_queries):
+        points, queries = points_and_queries
+        index = SpatialIndex(points)
+        got = index.nearest_many(queries)
+        assert got.shape == (len(queries),)
+        np.testing.assert_array_equal(got, [index.nearest(q) for q in queries])
+        np.testing.assert_array_equal(got, [index.knn(q, 1)[0][0] for q in queries])
+
+    def test_points_property_is_read_only(self):
+        points = random_points(5, seed=4)
+        index = SpatialIndex(points)
+        np.testing.assert_array_equal(index.points, points)
+        with pytest.raises(ValueError):
+            index.points[0, 0] = 1.0
+        assert points.flags.writeable
 
     def test_duplicates_push_self_out_of_column_0(self):
         # three copies of each point: the later copies see a lower-index twin first

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_loops as ref
 from graspkit.mechanics import (
     build_contact_frame,
     build_grasp_map,
@@ -12,6 +13,9 @@ from graspkit.mechanics import (
     force_closure,
     in_friction_cone,
     skew,
+    stacked_force_closure,
+    stacked_grasp_maps,
+    stacked_rotations,
 )
 
 
@@ -268,3 +272,85 @@ def test_friction_cone_matches_direct_evaluation():
         f = rng.normal(size=3) * rng.choice([0.01, 1.0, 100.0])
         direct = f[2] >= 0 and math.sqrt(f[0] ** 2 + f[1] ** 2) <= mu * f[2]
         assert in_friction_cone(f, mu) == direct
+
+
+def branch_normals() -> np.ndarray:
+    """Unit normals on both sides of the +X/+Y reference switch (|n_x| > 0.9)."""
+    out = [np.eye(3)[i] * sign for i in range(3) for sign in (1.0, -1.0)]
+    for nx in (0.9, np.nextafter(0.9, 1.0), np.nextafter(0.9, 0.0)):
+        for sign in (1.0, -1.0):
+            out.append([sign * nx, np.sqrt(1.0 - nx * nx), 0.0])
+            out.append([sign * nx, 0.0, -np.sqrt(1.0 - nx * nx)])
+    return np.array(out)
+
+
+class TestStackedMechanics:
+    """The stacked frame, grasp-map and closure builders equal the one-row
+    library calls and the scalar reference formulas bit for bit."""
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_rows_equal_scalar_calls(self, seed):
+        rng = np.random.default_rng(seed)
+        normals = rng.normal(size=(64, 3))
+        normals = np.vstack([normals / np.linalg.norm(normals, axis=1, keepdims=True), branch_normals()])
+        normals = normals[rng.permutation(len(normals))].reshape(-1, 2, 3)
+        points = rng.normal(size=normals.shape) * 0.05
+        # half the grasps antipodal-ish, so both closure outcomes occur
+        axis = points[:, 1] - points[:, 0]
+        axis /= np.linalg.norm(axis, axis=1, keepdims=True)
+        half = len(points) // 2
+        normals[:half] = np.stack([axis[:half], -axis[:half]], axis=1) + rng.normal(size=(half, 2, 3)) * 0.2
+        normals[:half] /= np.linalg.norm(normals[:half], axis=2, keepdims=True)
+        origin = rng.normal(size=3) * 0.01
+
+        R = stacked_rotations(normals)
+        G = stacked_grasp_maps(points, R, origin)
+        outcomes = {}
+        for mode in ("soft-pinch", "strict"):
+            outcomes[mode] = stacked_force_closure(G, points, R[..., 2], 0.5, 0.01, mode=mode, torque_scale=0.1)
+        assert outcomes["soft-pinch"][0].any() and not outcomes["soft-pinch"][0].all()
+        for t in range(len(points)):
+            frames = [build_contact_frame(points[t, j], normals[t, j]) for j in (0, 1)]
+            ref_R = [ref.contact_rotation(n) for n in normals[t]]
+            assert np.array_equal(R[t], [f.rotation for f in frames])
+            assert np.array_equal(R[t], ref_R)
+            gm = build_grasp_map(frames, origin)
+            assert np.array_equal(G[t], gm.G)
+            assert np.array_equal(G[t], ref.grasp_map(points[t], ref_R, origin))
+            for mode, (closure, sigma_min) in outcomes.items():
+                one = force_closure(gm, 0.5, 0.01, mode=mode, torque_scale=0.1)
+                assert one == (closure[t], sigma_min[t])
+                assert one == ref.force_closure(G[t], points[t], ref_R, 0.5, 0.01, mode, 0.1)
+
+    def test_branch_normals_pick_reference_axis(self):
+        normals = branch_normals()
+        R = stacked_rotations(normals)
+        np.testing.assert_array_equal(R[..., 2], normals)
+        switched = np.abs(normals[:, 0]) > 0.9
+        assert switched.sum() == 6  # +-X and the three +-nextafter(0.9, 1) rows
+        # the X axis is the rejection of the reference axis: in its plane with
+        # the normal, on its positive side
+        refs = np.where(switched[:, np.newaxis], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0])
+        x = R[..., 0]
+        np.testing.assert_allclose(np.einsum("ij,ij->i", x, np.cross(refs, normals)), 0.0, atol=1e-12)
+        assert np.all(np.einsum("ij,ij->i", x, refs) > 0.0)
+
+    @pytest.mark.parametrize(
+        "normal, match",
+        [([0.0, 0.0, 0.0], "nonzero"), ([0.0, 0.0, 0.5], "unit length"), ([0.0, 0.0, 1.0 + 1e-5], "unit length")],
+    )
+    def test_one_bad_normal_rejects_the_stack(self, normal, match):
+        normals = np.tile([0.0, 0.0, 1.0], (5, 2, 1))
+        normals[3, 1] = normal
+        with pytest.raises(ValueError, match=match):
+            stacked_rotations(normals)
+
+    @pytest.mark.parametrize("mu", [0.0, -0.5])
+    def test_nonpositive_mu_rejected(self, mu):
+        gm = antipodal_sphere_map()
+        points = np.array([[[-1.0, 0, 0], [1.0, 0, 0]]])
+        with pytest.raises(ValueError, match="mu must be positive"):
+            stacked_force_closure(gm.G[np.newaxis], points, [[[1.0, 0, 0], [-1.0, 0, 0]]], mu)
+        with pytest.raises(ValueError, match="mu must be positive"):
+            force_closure(gm, mu)

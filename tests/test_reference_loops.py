@@ -1,7 +1,7 @@
-"""The vectorized outlier filter, voxel grid and region growth equal their
-scalar reference loops (``reference_loops.py``) bit for bit, on the corpus
-clouds, on 3x-density jittered scans of the same shapes and on hand-made
-edge cases."""
+"""The vectorized outlier filter, voxel grid, region growth and robustness
+evaluator equal their scalar reference loops (``reference_loops.py``) bit
+for bit, on the corpus clouds, on 3x-density jittered scans of the same
+shapes and on hand-made edge cases."""
 
 import dataclasses
 
@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 import reference_loops as ref
+from graspkit.candidates import GraspCandidate
 from graspkit.cloud import PointCloud, SpatialIndex, remove_statistical_outliers, voxel_downsample
-from graspkit.planner import PlannerConfig, preprocess
+from graspkit.planner import PlannerConfig, plan, preprocess
 from graspkit.regions import RegionGrowingParams, _grow_regions
+from graspkit.robustness import PerturbationSpec, robust_force_closure
 from graspkit.shapes import corpus_standard, generate
 
 CONFIG = PlannerConfig()
@@ -99,3 +101,65 @@ def test_refit_in_the_middle_of_a_neighbour_row():
     want = ref.grow_regions(cloud, params, hoods, refits)
     assert any(0 < col < length - 1 for col, length in refits)
     assert [r.tolist() for r in _grow_regions(cloud, params, hoods)] == want
+
+
+@pytest.fixture(scope="module")
+def best_grasps():
+    """name -> (corpus cloud, planned best candidate) for every plannable object."""
+    out = {}
+    for name, spec in corpus_standard().items():
+        cloud = generate(spec)
+        best = plan(cloud, CONFIG).best
+        if best is not None:
+            out[name] = (cloud, best.candidate)
+    assert len(out) == 9
+    return out
+
+
+def assert_robust_matches_loop(candidate, cloud, spec, mode=CONFIG.closure_mode):
+    report = robust_force_closure(candidate, cloud, spec, mu=CONFIG.mu, mode=mode)
+    want = ref.robust_force_closure_loop(candidate, cloud, spec, mu=CONFIG.mu, mode=mode)
+    assert report.per_trial == want
+    assert report.probability == sum(want) / spec.trials
+    return report
+
+
+@pytest.mark.parametrize("name", [n for n in OBJECTS if n != "clamp_c_open"])
+def test_robust_force_closure_matches_loop(best_grasps, name):
+    cloud, candidate = best_grasps[name]
+    for sigma in (0.02, 0.05, 0.1):
+        for seed in (0, 1, 2):
+            spec = PerturbationSpec(sigma=sigma, trials=100, seed=seed, sigma_mode="relative")
+            assert_robust_matches_loop(candidate, cloud, spec)
+
+
+def test_robust_edge_cases_match_loop(best_grasps):
+    cloud, candidate = best_grasps["box_foam_brick"]
+    relative = dict(sigma_mode="relative")
+    assert all(assert_robust_matches_loop(candidate, cloud, PerturbationSpec(0.0, trials=20, seed=3)).per_trial)
+    assert_robust_matches_loop(candidate, cloud, PerturbationSpec(0.1, trials=50, seed=4, **relative), mode="strict")
+    assert len(assert_robust_matches_loop(candidate, cloud, PerturbationSpec(0.1, trials=1, seed=6, **relative)).per_trial) == 1
+    # one-point cloud: every trial snaps both contacts to the same point
+    single = PointCloud(np.zeros((1, 3)), normals=np.array([[0.0, 0.0, 1.0]]))
+    report = assert_robust_matches_loop(candidate, single, PerturbationSpec(0.5, trials=10, seed=1))
+    assert not any(report.per_trial)
+
+
+@pytest.mark.parametrize("nx", [1.0, 0.9, np.nextafter(0.9, 1.0), np.nextafter(0.9, 0.0)])
+def test_robust_matches_loop_at_the_reference_axis_switch(nx):
+    # two 8 x 8 plates at x = -/+2 cm whose stored normals have |n_x| = nx,
+    # so every snapped contact's inward normal sits on one side of the
+    # |n . x| > 0.9 switch; with tilted normals the cone test passes for
+    # some trials only
+    ys, zs = np.meshgrid(np.arange(8) * 0.004 - 0.014, np.arange(8) * 0.004 - 0.014)
+    plate = np.column_stack([np.zeros(64), ys.ravel(), zs.ravel()])
+    points = np.vstack([plate - [0.02, 0.0, 0.0], plate + [0.02, 0.0, 0.0]])
+    t = np.sqrt(1.0 - nx * nx)
+    normals = np.vstack([np.tile([-nx, t, 0.0], (64, 1)), np.tile([nx, t, 0.0], (64, 1))])
+    cloud = PointCloud(points, normals)
+    axis = np.array([1.0, 0.0, 0.0])
+    candidate = GraspCandidate(
+        contact_a=-0.02 * axis, contact_b=0.02 * axis, normal_a=axis, normal_b=-axis, grasp_axis=axis, width=0.04
+    )
+    for mode in ("soft-pinch", "strict"):
+        assert_robust_matches_loop(candidate, cloud, PerturbationSpec(0.1, trials=200, seed=2, sigma_mode="relative"), mode)

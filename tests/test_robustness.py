@@ -9,6 +9,7 @@ from graspkit.robustness import (
     PerturbationSpec,
     perturb_and_snap,
     robust_force_closure,
+    trial_normals,
     trial_rng,
 )
 
@@ -60,6 +61,16 @@ class TestPerturbAndSnap:
             xs.append(snapped[0])
         std = np.std(xs)
         assert abs(std - sigma) / sigma < 0.15
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+def test_trial_normals_equal_per_trial_generators(seed):
+    draws = trial_normals(seed, 50, 6)
+    for trial in range(50):
+        rng = trial_rng(seed, trial)
+        # two 3-draw calls, as a per-trial perturbation of two contacts makes them
+        expected = np.concatenate([rng.standard_normal(3), rng.standard_normal(3)])
+        np.testing.assert_array_equal(draws[trial], expected)
 
 
 class TestRobustForceClosure:
@@ -145,6 +156,13 @@ class TestRobustForceClosure:
         candidate = axis_candidate(cloud, [-0.01, 0, 0], [0.01, 0, 0])
         with pytest.raises(ValueError):
             robust_force_closure(candidate, cloud, PerturbationSpec(sigma=0.0))
+
+    @pytest.mark.parametrize("kwargs", [{"mu": 0.0}, {"mu": -1.0}, {"mode": "loose"}])
+    def test_invalid_mu_or_mode_rejected(self, kwargs):
+        cloud = grid_cloud(5, 5, spacing=0.01)
+        candidate = axis_candidate(cloud, cloud.points[0], cloud.points[-1])
+        with pytest.raises(ValueError):
+            robust_force_closure(candidate, cloud, PerturbationSpec(sigma=0.0, trials=3), **kwargs)
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(ValueError):
