@@ -1,18 +1,21 @@
-"""Grasp scoring by constrained minimization of the octant pseudo-force cost.
+"""Grasp scoring: force closure plus the octant pseudo-force stability optimum.
 
-The cost compares the squared object-wrench magnitude q = f^T G^T G f
+The stability cost compares the squared object-wrench magnitude q = f^T G^T G f
 against the squared magnitudes of 24 pseudo disturbance forces (three
 signed axis vectors per spatial octant) and sums the per-octant products
-of differences. Minimizing over friction-cone-feasible, norm-capped
-contact forces gives a scalar stability score per candidate.
+of differences. All 24 have the squared magnitude f_ex^2, so the cost is
+8 (q - f_ex^2)^3, which rises with q >= 0. The zero force has q = 0 and lies
+inside every friction cone and under the norm cap, so it is the feasible
+minimiser of least norm and the optimum is -8 f_ex^6 on every grasp, whatever
+its geometry. ``solve_stability`` returns it in closed form, and
+``rank_candidates`` therefore ranks by geometry alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .candidates import GraspCandidate
 from .cloud import PointCloud
@@ -38,8 +41,6 @@ class StabilityProblem:
     mu: float = 0.5
     f_ex_magnitude: float = 1.0
     f_normal_cap: float | None = None  # defaults to 2 * f_ex_magnitude
-    octant_bases: np.ndarray = field(default_factory=octant_axis_bases)
-    objective: str = "scalar"  # "wrench" is an experimental cancellation form
 
     def __post_init__(self):
         if self.f_ex_magnitude <= 0:
@@ -48,8 +49,12 @@ class StabilityProblem:
         if cap <= 0:
             raise ValueError("f_normal_cap must be positive")
         object.__setattr__(self, "f_normal_cap", float(cap))
-        if self.objective not in ("scalar", "wrench"):
-            raise ValueError(f"unknown objective {self.objective!r}")
+
+    @property
+    def octant_bases(self) -> np.ndarray:
+        """(8, 3, 3) octant axis bases; fixed, because the closed-form optimum
+        relies on all 24 pseudo forces having the same magnitude."""
+        return octant_axis_bases()
 
     @property
     def n_contacts(self) -> int:
@@ -71,7 +76,6 @@ class StabilityResult:
     cost: float
     converged: bool
     iterations: int
-    constraint_violation: float
 
 
 def stability_cost(f, problem: StabilityProblem) -> float:
@@ -80,8 +84,6 @@ def stability_cost(f, problem: StabilityProblem) -> float:
     if f.shape != (problem.dim,):
         raise ValueError(f"force vector must have length {problem.dim}, got {f.shape}")
     G = problem.grasp_map.G
-    if problem.objective == "wrench":
-        return _wrench_cost(f, problem)
     w = G @ f
     q = float(w @ w)
     m = problem.pseudo_force_sq_magnitudes()
@@ -98,8 +100,6 @@ def stability_cost_grad(f, problem: StabilityProblem) -> np.ndarray:
     """Analytic gradient of stability_cost with respect to the stacked forces."""
     f = np.asarray(f, dtype=np.float64)
     G = problem.grasp_map.G
-    if problem.objective == "wrench":
-        return _wrench_cost_grad(f, problem)
     w = G @ f
     q = float(w @ w)
     m = problem.pseudo_force_sq_magnitudes()
@@ -115,146 +115,25 @@ def stability_cost_grad(f, problem: StabilityProblem) -> np.ndarray:
     return dcost_dq * 2.0 * (G.T @ w)
 
 
-def _external_wrenches(problem: StabilityProblem) -> np.ndarray:
-    """(8, 3, 6) pseudo wrenches: forces at the object origin, zero torque."""
-    scaled = problem.f_ex_magnitude * problem.octant_bases
-    wrenches = np.zeros((8, 3, 6))
-    wrenches[:, :, :3] = scaled
-    return wrenches
-
-
-def _wrench_cost(f: np.ndarray, problem: StabilityProblem) -> float:
-    # Experimental reading: drive the contact wrench to cancel each pseudo
-    # disturbance wrench, product-of-residuals per octant.
-    w = problem.grasp_map.G @ f
-    total = 0.0
-    for octant in _external_wrenches(problem):
-        product = 1.0
-        for ex in octant:
-            r = w + ex
-            product *= float(r @ r)
-        total += product
-    return total
-
-
-def _wrench_cost_grad(f: np.ndarray, problem: StabilityProblem) -> np.ndarray:
-    G = problem.grasp_map.G
-    w = G @ f
-    grad_w = np.zeros(6)
-    for octant in _external_wrenches(problem):
-        residuals = [w + ex for ex in octant]
-        sq = [float(r @ r) for r in residuals]
-        for j in range(len(octant)):
-            others = 1.0
-            for l in range(len(octant)):
-                if l != j:
-                    others *= sq[l]
-            grad_w += others * 2.0 * residuals[j]
-    return G.T @ grad_w
-
-
-def _constraints(problem: StabilityProblem) -> list[dict]:
-    """Per-contact smoothed cone, normal non-negativity and norm cap."""
-    cons = []
-    mu2 = problem.mu**2
-    cap2 = problem.f_normal_cap**2
-    for c in range(problem.n_contacts):
-        base = 3 * c
-
-        def cone(f, base=base):
-            fx, fy, fz = f[base : base + 3]
-            return mu2 * fz * fz - fx * fx - fy * fy
-
-        def cone_jac(f, base=base):
-            out = np.zeros_like(f)
-            fx, fy, fz = f[base : base + 3]
-            out[base : base + 3] = (-2.0 * fx, -2.0 * fy, 2.0 * mu2 * fz)
-            return out
-
-        def normal(f, base=base):
-            return f[base + 2]
-
-        def normal_jac(f, base=base):
-            out = np.zeros_like(f)
-            out[base + 2] = 1.0
-            return out
-
-        def cap(f, base=base):
-            fc = f[base : base + 3]
-            return cap2 - float(fc @ fc)
-
-        def cap_jac(f, base=base):
-            out = np.zeros_like(f)
-            out[base : base + 3] = -2.0 * f[base : base + 3]
-            return out
-
-        cons.append({"type": "ineq", "fun": cone, "jac": cone_jac})
-        cons.append({"type": "ineq", "fun": normal, "jac": normal_jac})
-        cons.append({"type": "ineq", "fun": cap, "jac": cap_jac})
-    return cons
-
-
 def constraint_violation(f, problem: StabilityProblem) -> float:
-    """Largest violation of any feasibility constraint at ``f`` (0 when feasible)."""
-    worst = 0.0
-    for con in _constraints(problem):
-        worst = max(worst, -min(0.0, float(con["fun"](f))))
-    return worst
+    """Largest violation at ``f`` of any contact's friction cone (mu^2 fz^2 >= fx^2 + fy^2),
+    normal non-negativity or norm cap (0 when feasible)."""
+    fc = np.asarray(f, dtype=np.float64).reshape(-1, 3)
+    fx, fy, fz = fc.T
+    cone = problem.mu**2 * fz * fz - fx * fx - fy * fy
+    cap = problem.f_normal_cap**2 - np.vecdot(fc, fc)
+    return float(max(0.0, -np.concatenate([cone, fz, cap]).min()))
 
 
-def default_initial_forces(problem: StabilityProblem) -> np.ndarray:
-    """Pure normal force per contact at the pseudo-force magnitude (cap permitting)."""
-    f0 = np.zeros(problem.dim)
-    f0[2::3] = min(problem.f_ex_magnitude, problem.f_normal_cap)
-    return f0
+def solve_stability(problem: StabilityProblem) -> StabilityResult:
+    """The stability optimum in closed form: f = 0, the feasible minimiser of least norm.
 
-
-def project_into_cone(f, problem: StabilityProblem) -> np.ndarray:
-    """Clamp each contact force into its friction cone and under the norm cap."""
-    f = np.array(f, dtype=np.float64)
-    for c in range(problem.n_contacts):
-        fc = f[3 * c : 3 * c + 3]
-        if fc[2] < 0:
-            fc[2] = 0.0
-        tangential = np.hypot(fc[0], fc[1])
-        limit = problem.mu * fc[2]
-        if tangential > limit:
-            scale = 0.0 if tangential == 0 else limit / tangential
-            fc[0] *= scale
-            fc[1] *= scale
-        norm = np.linalg.norm(fc)
-        if norm > problem.f_normal_cap:
-            fc *= problem.f_normal_cap / norm
-        f[3 * c : 3 * c + 3] = fc
-    return f
-
-
-def solve_stability(problem: StabilityProblem, f0=None) -> StabilityResult:
-    """Locally minimize the stability cost over feasible contact forces.
-
-    Deterministic: a fixed initial point (projected into the feasible set if
-    supplied), analytic gradients, SLSQP with ftol 1e-10 and at most 200
-    iterations, no restarts. Non-convergence is reported on the result, not
-    raised.
+    The cost is 8 (q - f_ex^2)^3 with q = |G f|^2 >= 0 (module docstring), so
+    no feasible force beats q = 0, and f = 0 reaches it on every grasp map,
+    degenerate ones included. No optimiser runs; ``iterations`` is 0.
     """
-    x0 = default_initial_forces(problem) if f0 is None else project_into_cone(f0, problem)
-    res = minimize(
-        stability_cost,
-        x0,
-        args=(problem,),
-        jac=stability_cost_grad,
-        method="SLSQP",
-        constraints=_constraints(problem),
-        options={"maxiter": 200, "ftol": 1e-10},
-    )
-    violation = constraint_violation(res.x, problem)
-    return StabilityResult(
-        optimal_f=np.asarray(res.x, dtype=np.float64),
-        cost=float(res.fun),
-        converged=bool(res.success) and violation <= 1e-6,
-        iterations=int(res.nit),
-        constraint_violation=violation,
-    )
+    f = np.zeros(problem.dim)
+    return StabilityResult(optimal_f=f, cost=stability_cost(f, problem), converged=True, iterations=0)
 
 
 @dataclass(frozen=True)
@@ -321,11 +200,13 @@ def rank_candidates(
 ) -> RankedCandidates:
     """Score every candidate and sort best-first.
 
-    Sort key: closure winners first, then ascending stability cost, then
-    ascending distance between the grasp axis and the object centroid (the
-    near-center preference that separates otherwise-tied grasps on curved
-    objects), then width, then candidate index. An all-failing batch is
-    still returned, flagged with ``no_closure``.
+    Sort key: closure winners first, then ascending distance between the
+    grasp axis and the object centroid (the near-center preference that
+    separates otherwise-tied grasps on curved objects), then width, then
+    candidate index. The stability optimum is the same on every grasp
+    (module docstring), so it is solved once and reported on each candidate
+    without entering the key. An all-failing batch is still returned,
+    flagged with ``no_closure``.
     """
     candidates = list(candidates)
     if not candidates:
@@ -338,38 +219,26 @@ def rank_candidates(
     closure, sigma_min = stacked_force_closure(
         G, contacts, rotations[..., 2], mu, sigma_min_threshold, mode=closure_mode, torque_scale=scale
     )
-    reports = []
-    for i, c in enumerate(candidates):
-        frames = tuple(ContactFrame(contacts[i, j], rotations[i, j], mu) for j in (0, 1))
-        problem = StabilityProblem(
-            grasp_map=GraspMap(G=G[i], contacts=frames, object_origin=origin),
-            mu=mu,
-            f_ex_magnitude=f_ex_magnitude,
-            f_normal_cap=f_normal_cap,
-        )
-        result = solve_stability(problem)
-        reports.append(
-            GraspReport(
-                candidate=c,
-                candidate_index=i,
-                closure=bool(closure[i]),
-                sigma_min=float(sigma_min[i]),
-                stability_cost=result.cost,
-                converged=result.converged,
-                forces=result.optimal_f,
-                mode=closure_mode,
-                axis_com_distance=float(np.linalg.norm(np.cross(origin - c.contact_a, c.grasp_axis))),
-            )
-        )
-    reports.sort(
-        key=lambda r: (
-            not r.closure,
-            r.stability_cost,
-            r.axis_com_distance,
-            r.candidate.width,
-            r.candidate_index,
-        )
+    frames = tuple(ContactFrame(contacts[0, j], rotations[0, j], mu) for j in (0, 1))
+    optimum = solve_stability(
+        StabilityProblem(GraspMap(G[0], frames, origin), mu, f_ex_magnitude, f_normal_cap)
     )
+    optimum.optimal_f.flags.writeable = False  # shared by every report
+    reports = [
+        GraspReport(
+            candidate=c,
+            candidate_index=i,
+            closure=bool(closure[i]),
+            sigma_min=float(sigma_min[i]),
+            stability_cost=optimum.cost,
+            converged=optimum.converged,
+            forces=optimum.optimal_f,
+            mode=closure_mode,
+            axis_com_distance=float(np.linalg.norm(np.cross(origin - c.contact_a, c.grasp_axis))),
+        )
+        for i, c in enumerate(candidates)
+    ]
+    reports.sort(key=lambda r: (not r.closure, r.axis_com_distance, r.candidate.width, r.candidate_index))
     return RankedCandidates(
         reports=tuple(reports), no_closure=not any(r.closure for r in reports)
     )

@@ -1,21 +1,27 @@
 """Scalar reference implementations of the vectorized neighbour layer and
-of the batched robustness evaluator.
+of the batched robustness evaluator, and the SLSQP stability solver.
 
 These are the straightforward per-row / per-voxel / per-neighbour / per-trial
 loops the library used before its array versions. Tests assert that the library's
 output equals theirs bit for bit (``np.array_equal``), so every rounding
 choice of the vectorized code (summation order, dot products, tie-breaks)
 is pinned to these loops.
+
+``solve_stability_slsqp`` is the iterative solver the library ran per
+candidate before it computed the stability optimum in closed form. Tests
+assert that the closed form is never worse than it.
 """
 
 import math
 from collections import deque
 
 import numpy as np
+from scipy.optimize import minimize
 
 from graspkit.cloud import PointCloud, SpatialIndex
 from graspkit.regions import REFIT_INTERVAL, DegenerateFitError, RegionGrowingParams, fit_plane_lsq
 from graspkit.robustness import trial_rng
+from graspkit.stability import StabilityProblem, StabilityResult, stability_cost, stability_cost_grad
 
 
 def outlier_mean_distances(cloud: PointCloud, k: int) -> np.ndarray:
@@ -204,3 +210,106 @@ def robust_force_closure_loop(candidate, cloud: PointCloud, spec, mu=0.5, mode="
         closure, _ = force_closure(G, points, rotations, mu, spec.threshold, mode, torque_scale)
         outcomes.append(closure)
     return tuple(outcomes)
+
+
+def _constraints(problem: StabilityProblem) -> list[dict]:
+    """Per-contact smoothed cone, normal non-negativity and norm cap."""
+    cons = []
+    mu2 = problem.mu**2
+    cap2 = problem.f_normal_cap**2
+    for c in range(problem.n_contacts):
+        base = 3 * c
+
+        def cone(f, base=base):
+            fx, fy, fz = f[base : base + 3]
+            return mu2 * fz * fz - fx * fx - fy * fy
+
+        def cone_jac(f, base=base):
+            out = np.zeros_like(f)
+            fx, fy, fz = f[base : base + 3]
+            out[base : base + 3] = (-2.0 * fx, -2.0 * fy, 2.0 * mu2 * fz)
+            return out
+
+        def normal(f, base=base):
+            return f[base + 2]
+
+        def normal_jac(f, base=base):
+            out = np.zeros_like(f)
+            out[base + 2] = 1.0
+            return out
+
+        def cap(f, base=base):
+            fc = f[base : base + 3]
+            return cap2 - float(fc @ fc)
+
+        def cap_jac(f, base=base):
+            out = np.zeros_like(f)
+            out[base : base + 3] = -2.0 * f[base : base + 3]
+            return out
+
+        cons.append({"type": "ineq", "fun": cone, "jac": cone_jac})
+        cons.append({"type": "ineq", "fun": normal, "jac": normal_jac})
+        cons.append({"type": "ineq", "fun": cap, "jac": cap_jac})
+    return cons
+
+
+def constraint_violation(f, problem: StabilityProblem) -> float:
+    """Largest violation of any feasibility constraint at ``f`` (0 when feasible)."""
+    worst = 0.0
+    for con in _constraints(problem):
+        worst = max(worst, -min(0.0, float(con["fun"](f))))
+    return worst
+
+
+def default_initial_forces(problem: StabilityProblem) -> np.ndarray:
+    """Pure normal force per contact at the pseudo-force magnitude (cap permitting)."""
+    f0 = np.zeros(problem.dim)
+    f0[2::3] = min(problem.f_ex_magnitude, problem.f_normal_cap)
+    return f0
+
+
+def project_into_cone(f, problem: StabilityProblem) -> np.ndarray:
+    """Clamp each contact force into its friction cone and under the norm cap."""
+    f = np.array(f, dtype=np.float64)
+    for c in range(problem.n_contacts):
+        fc = f[3 * c : 3 * c + 3]
+        if fc[2] < 0:
+            fc[2] = 0.0
+        tangential = np.hypot(fc[0], fc[1])
+        limit = problem.mu * fc[2]
+        if tangential > limit:
+            scale = 0.0 if tangential == 0 else limit / tangential
+            fc[0] *= scale
+            fc[1] *= scale
+        norm = np.linalg.norm(fc)
+        if norm > problem.f_normal_cap:
+            fc *= problem.f_normal_cap / norm
+        f[3 * c : 3 * c + 3] = fc
+    return f
+
+
+def solve_stability_slsqp(problem: StabilityProblem, f0=None) -> StabilityResult:
+    """Locally minimize the stability cost over feasible contact forces.
+
+    Deterministic: a fixed initial point (projected into the feasible set if
+    supplied), analytic gradients, SLSQP with ftol 1e-10 and at most 200
+    iterations, no restarts. Non-convergence is reported on the result, not
+    raised.
+    """
+    x0 = default_initial_forces(problem) if f0 is None else project_into_cone(f0, problem)
+    res = minimize(
+        stability_cost,
+        x0,
+        args=(problem,),
+        jac=stability_cost_grad,
+        method="SLSQP",
+        constraints=_constraints(problem),
+        options={"maxiter": 200, "ftol": 1e-10},
+    )
+    violation = constraint_violation(res.x, problem)
+    return StabilityResult(
+        optimal_f=np.asarray(res.x, dtype=np.float64),
+        cost=float(res.fun),
+        converged=bool(res.success) and violation <= 1e-6,
+        iterations=int(res.nit),
+    )

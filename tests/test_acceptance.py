@@ -79,11 +79,11 @@ def test_criterion_1_closure_probability_grid(corpus_runs, config):
 
 
 def test_criterion_2_planning_latency(corpus_runs):
-    """Median planning time across the corpus stays under 5 seconds."""
+    """Median planning time across the corpus stays under 1 second."""
     times = [run["seconds"] for run in corpus_runs.values()]
     median = statistics.median(times)
     print(f"criterion 2: median={median:.2f}s max={max(times):.2f}s")
-    assert median <= 5.0
+    assert median <= 1.0
 
 
 def test_criterion_3_determinism(corpus_runs, config):

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_loops as ref
 from graspkit.candidates import GraspCandidate
 from graspkit.mechanics import GraspMap, build_contact_frame, build_grasp_map
-from graspkit.planner import PlannerConfig, plan
-from graspkit.shapes import ShapeSpec, generate
+from graspkit.planner import PlannerConfig, plan, preprocess
+from graspkit.shapes import ShapeSpec, corpus_standard, generate
 from graspkit.stability import (
     StabilityProblem,
     constraint_violation,
-    default_initial_forces,
     octant_axis_bases,
     rank_candidates,
     solve_stability,
@@ -163,6 +165,8 @@ class TestSolve:
         assert result.cost == pytest.approx(-8.0, abs=1e-6)
 
     def test_degenerate_zero_map_returns_initial_point(self):
+        """On a zero grasp map every force is optimal; the result is still a
+        feasible minimiser with G f = 0 and cost -8."""
         frames = (
             build_contact_frame([0, 0, 0], [0.0, 0, 1]),
             build_contact_frame([1, 0, 0], [0.0, 0, -1]),
@@ -171,13 +175,9 @@ class TestSolve:
         problem = StabilityProblem(grasp_map=gm)
         result = solve_stability(problem)
         assert result.converged
-        np.testing.assert_allclose(result.optimal_f, default_initial_forces(problem), atol=1e-12)
-
-    def test_infeasible_start_projected(self):
-        problem = antipodal_problem()
-        bad_start = np.array([5.0, 5.0, -1.0, 9.0, 0.0, 0.5])
-        result = solve_stability(problem, f0=bad_start)
-        assert result.constraint_violation <= 1e-6
+        np.testing.assert_array_equal(gm.G @ result.optimal_f, np.zeros(6))
+        assert constraint_violation(result.optimal_f, problem) == 0.0
+        assert result.cost == -8.0
 
     def test_feasibility_of_converged_solutions(self):
         for seed in range(25):
@@ -214,29 +214,6 @@ class TestSolve:
                 stability_cost(sample_feasible(problem, rng), problem) for _ in range(2000)
             )
             assert result.cost <= best + 1e-6
-
-
-class TestExperimentalWrenchObjective:
-    def test_runs_and_differs_from_scalar(self):
-        gm = antipodal_problem().grasp_map
-        scalar = StabilityProblem(grasp_map=gm, objective="scalar")
-        wrench = StabilityProblem(grasp_map=gm, objective="wrench")
-        f = np.array([0.0, 0, 1.0, 0, 0, 1.0])
-        assert stability_cost(f, scalar) != stability_cost(f, wrench)
-
-    def test_gradient_matches_fd(self):
-        gm = random_problem(3).grasp_map
-        problem = StabilityProblem(grasp_map=gm, objective="wrench")
-        rng = np.random.default_rng(5)
-        f = sample_feasible(problem, rng)
-        grad = stability_cost_grad(f, problem)
-        h = 1e-6
-        fd = np.empty_like(grad)
-        for i in range(len(f)):
-            e = np.zeros_like(f)
-            e[i] = h
-            fd[i] = (stability_cost(f + e, problem) - stability_cost(f - e, problem)) / (2 * h)
-        assert np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1.0) < 1e-5
 
 
 def make_candidate(pa, pb):
@@ -307,3 +284,67 @@ class TestRankCandidates:
             np.cross(centroid - best.candidate.contact_a, best.candidate.grasp_axis)
         )
         assert d < 0.004
+
+
+class TestClosedFormOracle:
+    """The closed-form optimum is never worse than the SLSQP solver it
+    replaced (``reference_loops.solve_stability_slsqp``), and the array
+    ``constraint_violation`` equals the loop it replaced."""
+
+    def test_no_worse_than_slsqp_on_random_problems(self):
+        for seed in range(50):
+            problem = random_problem(seed)
+            assert solve_stability(problem).cost <= ref.solve_stability_slsqp(problem).cost + 1e-12
+
+    def test_no_worse_than_slsqp_on_corpus_candidates(self):
+        config = PlannerConfig()
+        planned = 0
+        for spec in corpus_standard().values():
+            cloud = generate(spec)
+            origin = preprocess(cloud, config).centroid()
+            reports = plan(cloud, config).all_reports
+            planned += bool(reports)
+            for r in reports:
+                c = r.candidate
+                frames = [
+                    build_contact_frame(c.contact_a, c.normal_a, config.mu),
+                    build_contact_frame(c.contact_b, c.normal_b, config.mu),
+                ]
+                problem = StabilityProblem(
+                    grasp_map=build_grasp_map(frames, origin),
+                    mu=config.mu,
+                    f_ex_magnitude=config.f_ex_magnitude,
+                    f_normal_cap=config.f_normal_cap,
+                )
+                closed = solve_stability(problem)
+                assert r.stability_cost == closed.cost
+                assert closed.cost <= ref.solve_stability_slsqp(problem).cost + 1e-12
+        assert planned == 9
+
+    def test_constraint_violation_matches_reference_loop(self):
+        rng = np.random.default_rng(59)
+        for seed in range(20):
+            problem = random_problem(seed)
+            feasible = sample_feasible(problem, rng)
+            violating = rng.normal(size=6) * 3.0  # cone, sign and cap violations
+            over_cap = np.array([0, 0, 5.0, 0, 0, 0])
+            for f in (feasible, violating, over_cap):
+                assert constraint_violation(f, problem) == ref.constraint_violation(f, problem)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.floats(0.01, 100.0),
+        cap=st.one_of(st.none(), st.floats(1e-9, 100.0)),
+        mu=st.floats(0.05, 2.0),
+    )
+    def test_feasible_and_no_worse_than_sampled_forces(self, seed, m, cap, mu):
+        gm = random_problem(seed, mu=mu).grasp_map
+        problem = StabilityProblem(grasp_map=gm, mu=mu, f_ex_magnitude=m, f_normal_cap=cap)
+        result = solve_stability(problem)
+        assert result.converged
+        assert constraint_violation(result.optimal_f, problem) == 0.0
+        assert result.cost == stability_cost(result.optimal_f, problem)
+        rng = np.random.default_rng(seed)
+        for _ in range(1000):
+            assert result.cost <= stability_cost(sample_feasible(problem, rng), problem)
