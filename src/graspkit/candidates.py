@@ -8,6 +8,7 @@ alongside their 2D coordinates instead of ever inverting it.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -110,35 +111,35 @@ def find_antiparallel_pairs(
     Output is sorted by ascending antiparallel angle, ties by region indices.
     """
     regions = list(regions)
-    pairs = []
-    for i in range(len(regions)):
-        for j in range(i + 1, len(regions)):
-            a, b = regions[i], regions[j]
-            cos_dev = float(np.clip(a.plane_normal @ -b.plane_normal, -1.0, 1.0))
-            angle = float(np.degrees(np.arccos(cos_dev)))
-            if angle > max_angle_deg:
-                continue
-            direction = a.plane_normal - b.plane_normal
-            norm = np.linalg.norm(direction)
-            if norm < 1e-12:
-                continue
-            common = direction / norm
-            separation = abs(float((a.centroid - b.centroid) @ common))
-            if not 0.0 < separation <= max_width:
-                continue
-            pairs.append(
-                RegionPair(
-                    region_a=a,
-                    region_b=b,
-                    common_normal=common,
-                    antiparallel_angle_deg=angle,
-                    separation=separation,
-                    index_a=i,
-                    index_b=j,
-                )
-            )
-    pairs.sort(key=lambda p: (p.antiparallel_angle_deg, p.index_a, p.index_b))
-    return pairs
+    if len(regions) < 2:
+        return []
+    normals = np.array([r.plane_normal for r in regions])
+    centroids = np.array([r.centroid for r in regions])
+    # every (i < j) in row-major order, so a stable sort by angle breaks ties by (i, j)
+    first, second = np.triu_indices(len(regions), 1)
+    cos_dev = np.clip(np.vecdot(normals[first], -normals[second]), -1.0, 1.0)
+    angle = np.degrees(np.arccos(cos_dev))
+    near = angle <= max_angle_deg
+    first, second, angle = first[near], second[near], angle[near]
+    direction = normals[first] - normals[second]
+    norm = np.sqrt(np.vecdot(direction, direction))
+    distinct = norm >= 1e-12
+    first, second, angle = first[distinct], second[distinct], angle[distinct]
+    common = direction[distinct] / norm[distinct, np.newaxis]
+    separation = np.abs(np.vecdot(centroids[first] - centroids[second], common))
+    fits = (separation > 0.0) & (separation <= max_width)
+    return [
+        RegionPair(
+            region_a=regions[first[t]],
+            region_b=regions[second[t]],
+            common_normal=common[t],
+            antiparallel_angle_deg=float(angle[t]),
+            separation=float(separation[t]),
+            index_a=int(first[t]),
+            index_b=int(second[t]),
+        )
+        for t in np.flatnonzero(fits)[np.argsort(angle[fits], kind="stable")]
+    ]
 
 
 def plane_frame(normal: np.ndarray) -> PlaneFrame:
@@ -194,12 +195,19 @@ def _halton(index: int, base: int) -> float:
     return result
 
 
+@functools.cache
+def _halton_table(count: int) -> np.ndarray:
+    """Read-only (count, 2) table of the (2,3)-Halton points 0 .. count - 1."""
+    table = np.array([[_halton(i, 2), _halton(i, 3)] for i in range(count)])
+    table.setflags(write=False)
+    return table
+
+
 def _sample_locations(box: Box2D, count: int) -> np.ndarray:
     """Box center first, then a (2,3)-Halton sweep of the box interior."""
-    locs = [box.center]
-    for i in range(1, count):
-        locs.append(box.lo + box.size * np.array([_halton(i, 2), _halton(i, 3)]))
-    return np.array(locs)
+    locs = box.lo + box.size * _halton_table(count)
+    locs[0] = box.center
+    return locs
 
 
 def _nearest_member(

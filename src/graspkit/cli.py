@@ -50,7 +50,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("eval", help="robust force-closure metric for a stored grasp")
     p.add_argument("--input", required=True)
-    p.add_argument("--grasp", required=True, help="JSON with contact_a/contact_b")
+    p.add_argument("--grasp", required=True, help="JSON with contact_a/contact_b, or a `plan` report")
     p.add_argument("--config", default=None)
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument("--trials", type=int, default=100)
@@ -137,10 +137,15 @@ def _with_normals(cloud: PointCloud, config: PlannerConfig) -> PointCloud:
 
 def _cmd_eval(args) -> int:
     config = _load_config(args.config)
-    cloud = _with_normals(load_cloud(args.input), config)
     grasp_data = json.loads(Path(args.grasp).read_text())
     if isinstance(grasp_data, list):
         grasp_data = grasp_data[0]
+    elif "best" in grasp_data:  # a `plan` report: evaluate its best grasp
+        if grasp_data["best"] is None:
+            print(f"error: the plan has no best grasp (result {grasp_data.get('result_code')})", file=sys.stderr)
+            return EXIT_NO_CANDIDATES
+        grasp_data = grasp_data["best"]
+    cloud = _with_normals(load_cloud(args.input), config)
     candidate = _candidate_from_json(grasp_data, cloud)
     spec = PerturbationSpec(
         sigma=args.sigma,

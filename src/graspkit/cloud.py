@@ -17,8 +17,10 @@ from scipy.spatial import cKDTree
 logger = logging.getLogger(__name__)
 
 UNIT_NORM_TOL = 1e-6
-# knn_all: rows per block (bounds its scratch memory) and extra tree neighbours per row
+# _knn_rows: rows per block (bounds its scratch memory), and the extra tree
+# neighbours per row of its first and of its widest round
 KNN_BLOCK = 1024
+KNN_FIRST_SLACK = 2
 KNN_SLACK = 8
 
 
@@ -135,6 +137,8 @@ class SpatialIndex:
         if len(self._points) == 0:
             raise ValueError("cannot index an empty cloud")
         self._tree = cKDTree(self._points)
+        # contiguous coordinate columns: d² of gathered candidates without strided reads
+        self._columns = np.ascontiguousarray(self._points.T)
 
     def __len__(self) -> int:
         return len(self._points)
@@ -172,35 +176,53 @@ class SpatialIndex:
     def _knn_rows(self, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Exact k-NN (indices, distances) of every row of ``queries`` (m, 3).
 
-        Rows are computed in blocks of KNN_BLOCK: per block, the KNN_SLACK
-        extra tree neighbours of each row are ordered by (d², index). A row
-        is exact when its farthest candidate lies strictly beyond the k-th
-        (relative 1e-8 in d², well above the tree's round-off and ``knn``'s
-        1e-9 ball inflation), so no point outside the candidates can tie
-        into the first k. The few other rows take the per-point ``knn``.
+        Rows are resolved in rounds. The first takes k + KNN_FIRST_SLACK tree
+        candidates per row, the rows it leaves unresolved are queried again
+        together with k + KNN_SLACK, and the rows still unresolved take the
+        per-point ``knn``. A round orders each row's candidates by (d², index)
+        and accepts the row when its farthest candidate lies strictly beyond
+        the k-th (relative 1e-8 in d², well above the tree's round-off and
+        ``knn``'s 1e-9 ball inflation), so no point outside the candidates can
+        tie into the first k.
         """
         n = len(self._points)
         if not 1 <= k <= n:
             raise ValueError(f"k must be in [1, {n}], got {k}")
-        m = min(k + KNN_SLACK, n)
+        out_idx, out_d, rows = self._candidate_rows(queries, k, min(k + KNN_FIRST_SLACK, n))
+        if len(rows):
+            idx, d, unresolved = self._candidate_rows(queries[rows], k, min(k + KNN_SLACK, n))
+            out_idx[rows], out_d[rows] = idx, d
+            for i in rows[unresolved]:
+                out_idx[i], out_d[i] = self.knn(queries[i], k)
+        return out_idx, out_d
+
+    def _candidate_rows(self, queries: np.ndarray, k: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One round of ``_knn_rows`` with m tree candidates per row, in blocks
+        of KNN_BLOCK rows: (indices, distances, positions of the rows whose
+        first k candidates are not proven exact)."""
+        n = len(self._points)
+        x, y, z = self._columns
         out_idx = np.empty((len(queries), k), dtype=np.intp)
         out_d = np.empty((len(queries), k), dtype=np.float64)
+        unresolved = np.zeros(len(queries), dtype=bool)
         for start in range(0, len(queries), KNN_BLOCK):
             query = queries[start : start + KNN_BLOCK]
             _, cand = self._tree.query(query, k=m)
             # ascending index first, so the stable sort by d² breaks ties by index
             cand = np.sort(cand.reshape(len(query), m), axis=1)
-            diff = self._points[cand] - query[:, np.newaxis, :]
-            d2 = diff[..., 0] ** 2 + diff[..., 1] ** 2 + diff[..., 2] ** 2
+            d2 = (
+                (x[cand] - query[:, 0, np.newaxis]) ** 2
+                + (y[cand] - query[:, 1, np.newaxis]) ** 2
+                + (z[cand] - query[:, 2, np.newaxis]) ** 2
+            )
             order = np.argsort(d2, axis=1, kind="stable")
             cand = np.take_along_axis(cand, order, axis=1)
             d2 = np.take_along_axis(d2, order, axis=1)
             out_idx[start : start + len(query)] = cand[:, :k]
             out_d[start : start + len(query)] = np.sqrt(d2[:, :k])
             if m < n:
-                for i in np.flatnonzero(d2[:, -1] <= d2[:, k - 1] * (1.0 + 1e-8)):
-                    out_idx[start + i], out_d[start + i] = self.knn(query[i], k)
-        return out_idx, out_d
+                unresolved[start : start + len(query)] = d2[:, -1] <= d2[:, k - 1] * (1.0 + 1e-8)
+        return out_idx, out_d, np.flatnonzero(unresolved)
 
     def knn_all(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """k-NN of every indexed point against the cloud itself.

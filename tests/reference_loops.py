@@ -1,11 +1,14 @@
-"""Scalar reference implementations of the vectorized neighbour layer and
-of the batched robustness evaluator, and the SLSQP stability solver.
+"""Scalar reference implementations of the vectorized neighbour layer, of
+region pairing and of the batched robustness evaluator, and the SLSQP
+stability solver.
 
-These are the straightforward per-row / per-voxel / per-neighbour / per-trial
-loops the library used before its array versions. Tests assert that the library's
-output equals theirs bit for bit (``np.array_equal``), so every rounding
-choice of the vectorized code (summation order, dot products, tie-breaks)
-is pinned to these loops.
+These are the straightforward per-row / per-voxel / per-neighbour / per-pair /
+per-trial loops the library used before its array versions. Tests assert that
+the library's output equals theirs bit for bit (``np.array_equal``), so every
+rounding choice of the vectorized code (summation order, dot products,
+tie-breaks) is pinned to these loops. ``knn_rows`` is the single-round
+k + KNN_SLACK neighbour table the library resolved every row with before it
+began with k + 2 candidates.
 
 ``solve_stability_slsqp`` is the iterative solver the library ran per
 candidate before it computed the stability optimum in closed form. Tests
@@ -18,10 +21,81 @@ from collections import deque
 import numpy as np
 from scipy.optimize import minimize
 
-from graspkit.cloud import PointCloud, SpatialIndex
+from graspkit.candidates import RegionPair, _halton
+from graspkit.cloud import KNN_BLOCK, KNN_SLACK, PointCloud, SpatialIndex
 from graspkit.regions import REFIT_INTERVAL, DegenerateFitError, RegionGrowingParams, fit_plane_lsq
 from graspkit.robustness import trial_rng
 from graspkit.stability import StabilityProblem, StabilityResult, stability_cost, stability_cost_grad
+
+
+def knn_rows(index: SpatialIndex, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact k-NN of every row of ``queries``: k + KNN_SLACK tree candidates per
+    row ordered by (d², index), the per-point ``knn`` for rows whose farthest
+    candidate does not lie strictly beyond the k-th."""
+    n = len(index._points)
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be in [1, {n}], got {k}")
+    m = min(k + KNN_SLACK, n)
+    out_idx = np.empty((len(queries), k), dtype=np.intp)
+    out_d = np.empty((len(queries), k), dtype=np.float64)
+    for start in range(0, len(queries), KNN_BLOCK):
+        query = queries[start : start + KNN_BLOCK]
+        _, cand = index._tree.query(query, k=m)
+        # ascending index first, so the stable sort by d² breaks ties by index
+        cand = np.sort(cand.reshape(len(query), m), axis=1)
+        diff = index._points[cand] - query[:, np.newaxis, :]
+        d2 = diff[..., 0] ** 2 + diff[..., 1] ** 2 + diff[..., 2] ** 2
+        order = np.argsort(d2, axis=1, kind="stable")
+        cand = np.take_along_axis(cand, order, axis=1)
+        d2 = np.take_along_axis(d2, order, axis=1)
+        out_idx[start : start + len(query)] = cand[:, :k]
+        out_d[start : start + len(query)] = np.sqrt(d2[:, :k])
+        if m < n:
+            for i in np.flatnonzero(d2[:, -1] <= d2[:, k - 1] * (1.0 + 1e-8)):
+                out_idx[start + i], out_d[start + i] = index.knn(query[i], k)
+    return out_idx, out_d
+
+
+def find_antiparallel_pairs(regions, max_angle_deg: float = 15.0, max_width: float = 0.085) -> list[RegionPair]:
+    """Region pairs with antiparallel normals, one (i, j) pair at a time."""
+    regions = list(regions)
+    pairs = []
+    for i in range(len(regions)):
+        for j in range(i + 1, len(regions)):
+            a, b = regions[i], regions[j]
+            cos_dev = float(np.clip(a.plane_normal @ -b.plane_normal, -1.0, 1.0))
+            angle = float(np.degrees(np.arccos(cos_dev)))
+            if angle > max_angle_deg:
+                continue
+            direction = a.plane_normal - b.plane_normal
+            norm = np.linalg.norm(direction)
+            if norm < 1e-12:
+                continue
+            common = direction / norm
+            separation = abs(float((a.centroid - b.centroid) @ common))
+            if not 0.0 < separation <= max_width:
+                continue
+            pairs.append(
+                RegionPair(
+                    region_a=a,
+                    region_b=b,
+                    common_normal=common,
+                    antiparallel_angle_deg=angle,
+                    separation=separation,
+                    index_a=i,
+                    index_b=j,
+                )
+            )
+    pairs.sort(key=lambda p: (p.antiparallel_angle_deg, p.index_a, p.index_b))
+    return pairs
+
+
+def sample_locations(box, count: int) -> np.ndarray:
+    """Box center first, then a (2,3)-Halton sweep of the box interior, one row at a time."""
+    locs = [box.center]
+    for i in range(1, count):
+        locs.append(box.lo + box.size * np.array([_halton(i, 2), _halton(i, 3)]))
+    return np.array(locs)
 
 
 def outlier_mean_distances(cloud: PointCloud, k: int) -> np.ndarray:

@@ -80,6 +80,37 @@ class TestEvalCommand:
         assert report["rng"] == "philox"
 
 
+    def test_eval_reads_a_plan_report(self, box_ply, tmp_path):
+        plan_out = tmp_path / "plan.json"
+        assert cli_main(["plan", "--input", str(box_ply), "--output", str(plan_out)]) == EXIT_OK
+        best = json.loads(plan_out.read_text())["best"]
+        grasp = tmp_path / "grasp.json"
+        grasp.write_text(json.dumps({"contact_a": best["contact_a"], "contact_b": best["contact_b"]}))
+        outs = []
+        for source in (plan_out, grasp):
+            out = tmp_path / f"eval-{source.stem}.json"
+            code = cli_main(
+                ["eval", "--input", str(box_ply), "--grasp", str(source), "--sigma", "0.02",
+                 "--trials", "20", "--sigma-mode", "relative", "--output", str(out)]
+            )
+            assert code == EXIT_OK
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
+    def test_eval_of_a_plan_without_best_exits_no_candidates(self, tmp_path, capsys):
+        shell = tmp_path / "shell.ply"
+        save_cloud_ply(generate(corpus_standard()["clamp_c_open"]), shell)
+        plan_out = tmp_path / "plan.json"
+        assert cli_main(["plan", "--input", str(shell), "--output", str(plan_out)]) == EXIT_NO_CANDIDATES
+        out = tmp_path / "eval.json"
+        code = cli_main(
+            ["eval", "--input", str(shell), "--grasp", str(plan_out), "--sigma", "0.02", "--output", str(out)]
+        )
+        assert code == EXIT_NO_CANDIDATES
+        assert "no best grasp (result no-candidates)" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestBenchmarkCommand:
     def test_grid_structure(self, tmp_path):
         out = tmp_path / "grid.csv"

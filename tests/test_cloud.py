@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from graspkit.cloud import (
     KNN_BLOCK,
+    KNN_FIRST_SLACK,
     KNN_SLACK,
     PointCloud,
     SpatialIndex,
@@ -162,6 +163,77 @@ class TestSpatialIndex:
         assert got.shape == (len(queries),)
         np.testing.assert_array_equal(got, [index.nearest(q) for q in queries])
         np.testing.assert_array_equal(got, [index.knn(q, 1)[0][0] for q in queries])
+
+    def query_rounds(self, monkeypatch, index, run):
+        """(tree query widths, per-point knn calls) of ``run()`` on ``index``."""
+        widths, fallbacks = [], []
+        tree = index._tree
+
+        class TreeSpy:
+            def query(self, x, k):
+                widths.append(k)
+                return tree.query(x, k=k)
+
+            def query_ball_point(self, x, r):
+                return tree.query_ball_point(x, r)
+
+        knn = SpatialIndex.knn
+
+        def counted_knn(self, query, k):
+            fallbacks.append(k)
+            return knn(self, query, k)
+
+        monkeypatch.setattr(index, "_tree", TreeSpy())
+        monkeypatch.setattr(SpatialIndex, "knn", counted_knn)
+        out = run()
+        monkeypatch.undo()
+        return out, widths, len(fallbacks)
+
+    def test_jittered_cloud_resolves_in_the_first_round(self, monkeypatch):
+        index = SpatialIndex(random_points(500, seed=5))
+        (idx, d), widths, fallbacks = self.query_rounds(monkeypatch, index, lambda: index.knn_all(12))
+        assert widths == [12 + KNN_FIRST_SLACK] and fallbacks == 0
+        for i in range(0, 500, 7):
+            np.testing.assert_array_equal(idx[i], index.knn(index.points[i], 12)[0])
+            np.testing.assert_array_equal(d[i], index.knn(index.points[i], 12)[1])
+
+    def test_lattice_ties_need_the_second_round(self, monkeypatch):
+        # interior points of a cubic lattice have 6 neighbours at exactly one
+        # spacing, so k = 5 ties past k + 2 candidates but not past k + 8
+        index = SpatialIndex(np.argwhere(np.ones((6, 6, 6))) * 0.01)
+        (idx, d), widths, fallbacks = self.query_rounds(monkeypatch, index, lambda: index.knn_all(5))
+        assert widths == [5 + KNN_FIRST_SLACK, 5 + KNN_SLACK] and fallbacks == 0
+        for i in range(len(index)):
+            got, dist = index.knn(index.points[i], 5)
+            np.testing.assert_array_equal(idx[i], got)
+            np.testing.assert_array_equal(d[i], dist)
+
+    def test_equidistant_shell_takes_the_per_point_query(self, monkeypatch):
+        # the 24 integer vectors of squared length 5: more ties than k + 8 candidates
+        cube = np.argwhere(np.ones((7, 7, 7))) - 3
+        points = cube[np.isin(np.einsum("ij,ij->i", cube, cube), [5, 6])] * 2.0**-6
+        index = SpatialIndex(points)
+        queries = np.array([[0.0, 0.0, 0.0], [3.0, 3.0, 3.0]])
+        got, widths, fallbacks = self.query_rounds(monkeypatch, index, lambda: index.nearest_many(queries))
+        # the last width is the fallback's own tree query
+        assert widths == [1 + KNN_FIRST_SLACK, 1 + KNN_SLACK, 1] and fallbacks == 1
+        shell = np.flatnonzero(np.einsum("ij,ij->i", points, points) == 5 * 2.0**-12)
+        assert len(shell) == 24 and got[0] == shell.min()
+        np.testing.assert_array_equal(got, [index.knn(q, 1)[0][0] for q in queries])
+
+    @pytest.mark.parametrize("n, k", [(1, 1), (4, 2), (5, 3), (9, 7), (12, 12)])
+    def test_clouds_within_the_first_round_take_one_query(self, monkeypatch, n, k):
+        # n <= k + 2: every point is a candidate of every row, so no row needs
+        # checking; the last point duplicates the first
+        points = random_points(n, seed=n)
+        points[-1] = points[0]
+        index = SpatialIndex(points)
+        (idx, d), widths, fallbacks = self.query_rounds(monkeypatch, index, lambda: index.knn_all(k))
+        assert widths == [min(k + KNN_FIRST_SLACK, len(index))] and fallbacks == 0
+        for i in range(len(index)):
+            got, dist = index.knn(index.points[i], k)
+            np.testing.assert_array_equal(idx[i], got)
+            np.testing.assert_array_equal(d[i], dist)
 
     def test_points_property_is_read_only(self):
         points = random_points(5, seed=4)

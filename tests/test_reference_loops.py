@@ -1,18 +1,27 @@
-"""The vectorized outlier filter, voxel grid, region growth and robustness
-evaluator equal their scalar reference loops (``reference_loops.py``) bit
-for bit, on the corpus clouds, on 3x-density jittered scans of the same
-shapes and on hand-made edge cases."""
+"""The vectorized outlier filter, voxel grid, kNN tables, region growth,
+region pairing, sample locations and robustness evaluator equal their
+scalar reference loops (``reference_loops.py``) bit for bit, on the corpus
+clouds, on 3x-density jittered scans of the same shapes and on hand-made
+edge cases."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
 import reference_loops as ref
-from graspkit.candidates import GraspCandidate
+from graspkit.candidates import (
+    Box2D,
+    GraspCandidate,
+    _sample_locations,
+    find_antiparallel_pairs,
+    overlap_region,
+    project_to_common_plane,
+)
 from graspkit.cloud import PointCloud, SpatialIndex, remove_statistical_outliers, voxel_downsample
-from graspkit.planner import PlannerConfig, plan, preprocess
-from graspkit.regions import RegionGrowingParams, _grow_regions
+from graspkit.planner import PlannerConfig, plan, prepare, preprocess
+from graspkit.regions import PlanarRegion, RegionGrowingParams, _grow_regions, segment
 from graspkit.robustness import PerturbationSpec, robust_force_closure
 from graspkit.shapes import corpus_standard, generate
 
@@ -36,6 +45,107 @@ def clouds():
         scan = generate(dataclasses.replace(spec, density=spec.density * 3.0, jitter=3e-4, seed=i))
         out[name] = (generate(spec), PointCloud(scan.points))
     return out
+
+
+def posed_corpus(seed: int) -> dict[str, PointCloud]:
+    """name -> corpus cloud in the seeded rigid pose of the benchmark's corpus
+    workload: one of the 24 axis-keeping rotations and a shift of whole
+    voxels, drawn from Philox keyed by (seed, object index)."""
+    rotations = []
+    for perm in itertools.permutations(range(3)):
+        for signs in itertools.product((1.0, -1.0), repeat=3):
+            m = np.zeros((3, 3))
+            m[range(3), perm] = signs
+            if np.linalg.det(m) > 0:
+                rotations.append(m)
+    out = {}
+    for i, (name, spec) in enumerate(corpus_standard().items()):
+        rng = np.random.Generator(np.random.Philox(key=(np.uint64(seed), np.uint64(i))))
+        rotation = rotations[rng.integers(len(rotations))]
+        shift = rng.integers(-25, 26, 3) * CONFIG.voxel_size
+        cloud = generate(spec)
+        normals = cloud.normals @ rotation.T
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        out[name] = PointCloud(cloud.points @ rotation.T + shift, normals, cloud.curvatures)
+    return out
+
+
+@pytest.fixture(scope="module")
+def table_clouds(clouds):
+    """name -> (seed-1 posed corpus cloud, points-only 3x jittered scan)."""
+    return {name: (cloud, clouds[name][1]) for name, cloud in posed_corpus(1).items()}
+
+
+@pytest.mark.parametrize("name", OBJECTS)
+def test_knn_tables_match_single_round_loop(table_clouds, name):
+    # the raw table of the outlier filter and the post-voxel table of normals and segmentation
+    for cloud in table_clouds[name]:
+        for points, k in (
+            (cloud, CONFIG.outlier_k + 1),
+            (preprocess(cloud, CONFIG), max(CONFIG.normals_k, CONFIG.region_k_neighbors)),
+        ):
+            index = SpatialIndex(points)
+            idx, dist = index.knn_all(k)
+            want_idx, want_dist = ref.knn_rows(index, index.points, k)
+            assert np.array_equal(idx, want_idx)
+            assert np.array_equal(dist, want_dist)
+
+
+def assert_pairs_equal(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.index_a, a.index_b) == (b.index_a, b.index_b)
+        assert a.region_a is b.region_a and a.region_b is b.region_b
+        assert type(a.antiparallel_angle_deg) is type(b.antiparallel_angle_deg) is float
+        assert type(a.separation) is type(b.separation) is float
+        assert a.antiparallel_angle_deg == b.antiparallel_angle_deg
+        assert a.separation == b.separation
+        assert np.array_equal(a.common_normal, b.common_normal)
+
+
+@pytest.mark.parametrize("name", OBJECTS)
+def test_pairs_and_sample_locations_match_loops(table_clouds, name):
+    for cloud in table_clouds[name]:
+        prepared, neighbors = prepare(cloud, CONFIG)
+        regions = segment(prepared, CONFIG.region_params(), neighbors).regions
+        for subset in (regions, regions[:1], regions[:0]):
+            assert_pairs_equal(
+                find_antiparallel_pairs(subset, CONFIG.max_pair_angle_deg, CONFIG.max_width),
+                ref.find_antiparallel_pairs(subset, CONFIG.max_pair_angle_deg, CONFIG.max_width),
+            )
+        for pair in find_antiparallel_pairs(regions, CONFIG.max_pair_angle_deg, CONFIG.max_width):
+            box = overlap_region(*project_to_common_plane(pair, prepared)[:2])
+            if box is not None:
+                count = max(32, 4 * CONFIG.candidates_per_pair)
+                assert np.array_equal(_sample_locations(box, count), ref.sample_locations(box, count))
+
+
+def test_pairs_with_ties_and_degenerate_directions_match_loop():
+    def region(normal, centroid):
+        n = np.asarray(normal, dtype=np.float64)
+        c = np.asarray(centroid, dtype=np.float64)
+        return PlanarRegion(np.arange(3), n / np.linalg.norm(n), float(n @ c), c, 0.0, (0.0, 0.0))
+
+    # a cube's six faces (three pairs at exactly 0 degrees, sorted by index),
+    # a face coplanar with the +z face (separation 0), a copy of the +x face
+    # (equal normals: no common normal) and a tilted face 10 cm away
+    regions = [region(n, 0.02 * np.asarray(n)) for n in np.vstack([np.eye(3), -np.eye(3)])]
+    regions += [region((0.0, 0.0, -1.0), (0.01, 0.0, 0.02)), regions[0], region((-1.0, 0.1, 0.0), (-0.1, 0.0, 0.0))]
+    for max_angle in (0.0, 15.0, 180.0):
+        for max_width in (0.04, 0.085, 1.0):
+            got = find_antiparallel_pairs(regions, max_angle, max_width)
+            assert_pairs_equal(got, ref.find_antiparallel_pairs(regions, max_angle, max_width))
+    tied = find_antiparallel_pairs(regions, 0.0, 0.085)
+    assert [(p.index_a, p.index_b) for p in tied] == [(0, 3), (1, 4), (2, 5), (3, 7)]
+
+
+def test_sample_locations_match_loop_on_random_boxes():
+    rng = np.random.default_rng(8)
+    for _ in range(50):
+        lo = rng.normal(size=2)
+        box = Box2D(lo=lo, hi=lo + rng.uniform(0.0, 0.1, 2))
+        for count in (1, 2, 32, 47):
+            assert np.array_equal(_sample_locations(box, count), ref.sample_locations(box, count))
 
 
 @pytest.mark.parametrize("name", OBJECTS)
@@ -131,6 +241,25 @@ def test_robust_force_closure_matches_loop(best_grasps, name):
         for seed in (0, 1, 2):
             spec = PerturbationSpec(sigma=sigma, trials=100, seed=seed, sigma_mode="relative")
             assert_robust_matches_loop(candidate, cloud, spec)
+
+
+def test_nearest_many_matches_single_round_loop(best_grasps, monkeypatch):
+    # the perturbed contact points of robust_force_closure calls, captured at the index
+    calls = []
+    nearest_many = SpatialIndex.nearest_many
+
+    def spy(index, queries):
+        calls.append((index, np.array(queries)))
+        return nearest_many(index, queries)
+
+    monkeypatch.setattr(SpatialIndex, "nearest_many", spy)
+    for cloud, candidate in best_grasps.values():
+        for sigma in (0.02, 0.1):
+            spec = PerturbationSpec(sigma=sigma, trials=100, seed=1, sigma_mode="relative")
+            robust_force_closure(candidate, cloud, spec, mu=CONFIG.mu, mode=CONFIG.closure_mode)
+    assert len(calls) == 2 * len(best_grasps)
+    for index, queries in calls:
+        assert np.array_equal(nearest_many(index, queries), ref.knn_rows(index, queries, 1)[0][:, 0])
 
 
 def test_robust_edge_cases_match_loop(best_grasps):
