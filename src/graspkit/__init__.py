@@ -21,13 +21,13 @@ from .mechanics import (
     GraspMap,
     build_contact_frame,
     build_grasp_map,
-    contact_wrench,
     force_closure,
     in_friction_cone,
 )
+from .planner import VERSION as __version__
 from .planner import PlannerConfig, PlanResult, load_config, plan
 from .regions import PlanarRegion, RegionGrowingParams, Segmentation, fit_plane_lsq, segment
-from .robustness import PerturbationSpec, RobustnessReport, perturb_and_snap, robust_force_closure
+from .robustness import PerturbationSpec, RobustnessReport, robust_force_closure
 from .shapes import ShapeSpec, corpus_standard, generate
 from .stability import (
     GraspReport,
@@ -37,5 +37,3 @@ from .stability import (
     solve_stability,
     stability_cost,
 )
-
-__version__ = "0.1.0"

@@ -9,7 +9,6 @@ alongside their 2D coordinates instead of ever inverting it.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,24 +80,8 @@ class GraspCandidate:
     normal_b: np.ndarray
     grasp_axis: np.ndarray
     width: float
-    source: RegionPair | None = None
     contact_index_a: int = -1
     contact_index_b: int = -1
-
-    def to_json_dict(self) -> dict:
-        pair_angle = self.source.antiparallel_angle_deg if self.source else None
-        return {
-            "contact_a": list(self.contact_a),
-            "contact_b": list(self.contact_b),
-            "normal_a": list(self.normal_a),
-            "normal_b": list(self.normal_b),
-            "width": self.width,
-            "pair_angle_deg": pair_angle,
-        }
-
-
-def candidates_to_json(candidates: list[GraspCandidate]) -> str:
-    return json.dumps([c.to_json_dict() for c in candidates], indent=2, sort_keys=True)
 
 
 def find_antiparallel_pairs(
@@ -214,23 +197,18 @@ def _nearest_member(
     sample: np.ndarray,
     proj: np.ndarray,
     member_indices: np.ndarray,
-    confidences: np.ndarray | None,
     max_dist: float,
 ) -> int | None:
-    """Cloud index of the member whose projection best matches ``sample``.
+    """Cloud index of the member whose projection lies nearest ``sample``.
 
-    Candidates must project within ``max_dist``; among those the one with the
-    lowest distance/confidence score wins, ties by ascending cloud index.
+    Candidates must project within ``max_dist``; among those the nearest
+    wins, ties by ascending cloud index.
     """
     d = np.linalg.norm(proj - sample, axis=1)
     eligible = np.flatnonzero(d <= max_dist)
     if len(eligible) == 0:
         return None
-    score = d[eligible]
-    if confidences is not None:
-        conf = np.maximum(confidences[member_indices[eligible]], 1e-12)
-        score = score / conf
-    order = np.lexsort((member_indices[eligible], score))
+    order = np.lexsort((member_indices[eligible], d[eligible]))
     return int(member_indices[eligible[order[0]]])
 
 
@@ -247,8 +225,7 @@ def make_candidates(
     Sample locations start at the overlap centroid and continue along a
     deterministic low-discrepancy sweep. At each location the nearest member
     of each region (projected within ``distance_threshold``) becomes a
-    contact; pairs wider than ``max_width`` are dropped. When the cloud
-    carries per-point confidences, nearest means lowest distance/confidence.
+    contact; pairs wider than ``max_width`` are dropped.
     """
     # Evaluate in a canonical region order so that swapping the pair yields
     # the same candidates with contacts swapped.
@@ -270,8 +247,8 @@ def make_candidates(
     for sample in _sample_locations(box, max(32, 4 * n_per_pair)):
         if len(out) >= n_per_pair:
             break
-        ia = _nearest_member(sample, proj_a, idx_a, cloud.confidences, distance_threshold)
-        ib = _nearest_member(sample, proj_b, idx_b, cloud.confidences, distance_threshold)
+        ia = _nearest_member(sample, proj_a, idx_a, distance_threshold)
+        ib = _nearest_member(sample, proj_b, idx_b, distance_threshold)
         if ia is None or ib is None or ia == ib or (ia, ib) in seen:
             continue
         seen.add((ia, ib))
@@ -288,7 +265,6 @@ def make_candidates(
             normal_b=normal_b,
             grasp_axis=delta / width,
             width=width,
-            source=pair,
             contact_index_a=ia,
             contact_index_b=ib,
         )
@@ -309,7 +285,6 @@ def _swap_candidate(c: GraspCandidate) -> GraspCandidate:
         normal_b=c.normal_a,
         grasp_axis=-c.grasp_axis,
         width=c.width,
-        source=c.source,
         contact_index_a=c.contact_index_b,
         contact_index_b=c.contact_index_a,
     )

@@ -50,7 +50,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("eval", help="robust force-closure metric for a stored grasp")
     p.add_argument("--input", required=True)
-    p.add_argument("--grasp", required=True, help="JSON with contact_a/contact_b, or a `plan` report")
+    p.add_argument("--grasp", required=True, help="JSON object with contact_a/contact_b, or a `plan` report")
     p.add_argument("--config", default=None)
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument("--trials", type=int, default=100)
@@ -74,10 +74,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_config(path: str | None) -> PlannerConfig:
-    return load_config(path) if path else load_config(None)
-
-
 def _write_or_print(text: str, output: str | None) -> None:
     if output:
         Path(output).write_text(text)
@@ -86,7 +82,7 @@ def _write_or_print(text: str, output: str | None) -> None:
 
 
 def _cmd_plan(args) -> int:
-    config = _load_config(args.config)
+    config = load_config(args.config)
     cloud = load_cloud(args.input)
     result = plan(cloud, config)
     _write_or_print(result.to_json(), args.output)
@@ -95,7 +91,7 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_segment(args) -> int:
-    config = _load_config(args.config)
+    config = load_config(args.config)
     cloud, neighbors = planner_mod.prepare(load_cloud(args.input), config)
     if cloud.normals is None or cloud.curvatures is None:
         print("error: cloud too small to segment", file=sys.stderr)
@@ -105,16 +101,30 @@ def _cmd_segment(args) -> int:
     return EXIT_OK if len(segmentation) else EXIT_NO_CANDIDATES
 
 
-def _candidate_from_json(data: dict, cloud: PointCloud) -> GraspCandidate:
-    contact_a = np.asarray(data["contact_a"], dtype=np.float64)
-    contact_b = np.asarray(data["contact_b"], dtype=np.float64)
+def _grasp_vector(data: dict, field: str) -> np.ndarray:
+    """``data[field]`` as 3 finite numbers; a ValueError naming the field otherwise."""
+    value = data.get(field)
+    numbers = isinstance(value, list) and len(value) == 3 and all(type(v) in (int, float) for v in value)
+    if not numbers or not np.isfinite(value).all():
+        raise ValueError(f"grasp field {field!r} must be a list of 3 finite numbers, got {value!r}")
+    return np.array(value, dtype=np.float64)
+
+
+def _candidate_from_json(data, cloud: PointCloud) -> GraspCandidate:
+    """The grasp of a ``--grasp`` JSON object: ``contact_a`` and ``contact_b``,
+    plus ``normal_a`` and ``normal_b`` (inward) or neither, in which case the
+    negated cloud normals nearest the contacts are used."""
+    if not isinstance(data, dict):
+        raise ValueError(f"grasp must be a JSON object with 'contact_a' and 'contact_b', got {data!r}")
+    contact_a = _grasp_vector(data, "contact_a")
+    contact_b = _grasp_vector(data, "contact_b")
     delta = contact_b - contact_a
     width = float(np.linalg.norm(delta))
     if width <= 0:
         raise ValueError("grasp contacts coincide")
-    if "normal_a" in data and "normal_b" in data:
-        normal_a = np.asarray(data["normal_a"], dtype=np.float64)
-        normal_b = np.asarray(data["normal_b"], dtype=np.float64)
+    if "normal_a" in data or "normal_b" in data:
+        normal_a = _grasp_vector(data, "normal_a")
+        normal_b = _grasp_vector(data, "normal_b")
     else:
         index = SpatialIndex(cloud)
         normal_a = -cloud.normals[index.nearest(contact_a)]
@@ -136,11 +146,9 @@ def _with_normals(cloud: PointCloud, config: PlannerConfig) -> PointCloud:
 
 
 def _cmd_eval(args) -> int:
-    config = _load_config(args.config)
+    config = load_config(args.config)
     grasp_data = json.loads(Path(args.grasp).read_text())
-    if isinstance(grasp_data, list):
-        grasp_data = grasp_data[0]
-    elif "best" in grasp_data:  # a `plan` report: evaluate its best grasp
+    if isinstance(grasp_data, dict) and "best" in grasp_data:  # a `plan` report: evaluate its best grasp
         if grasp_data["best"] is None:
             print(f"error: the plan has no best grasp (result {grasp_data.get('result_code')})", file=sys.stderr)
             return EXIT_NO_CANDIDATES
@@ -162,7 +170,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_benchmark(args) -> int:
-    config = _load_config(args.config)
+    config = load_config(args.config)
     sigmas = tuple(float(s) for s in args.sigmas.split(",") if s.strip())
     if not sigmas:
         print("error: no sigmas given", file=sys.stderr)

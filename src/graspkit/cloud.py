@@ -38,7 +38,7 @@ def _check_finite(arr: np.ndarray, name: str) -> None:
 
 @dataclass(frozen=True)
 class PointCloud:
-    """Ordered 3D points with optional per-point normals, curvatures, confidences.
+    """Ordered 3D points with optional per-point normals and curvatures.
 
     Invariants enforced at construction: every array is finite, optional
     attribute arrays match the point count, normals are unit length within
@@ -49,7 +49,6 @@ class PointCloud:
     points: np.ndarray
     normals: np.ndarray | None = None
     curvatures: np.ndarray | None = None
-    confidences: np.ndarray | None = None
 
     def __post_init__(self):
         points = _as_points(self.points, "points")
@@ -73,26 +72,12 @@ class PointCloud:
             if np.any(curv < 0.0) or np.any(curv > 1.0):
                 raise ValueError("curvatures must lie in [0, 1]")
             object.__setattr__(self, "curvatures", curv)
-        if self.confidences is not None:
-            conf = np.ascontiguousarray(self.confidences, dtype=np.float64)
-            if conf.shape != (n,):
-                raise ValueError("confidences length does not match points")
-            _check_finite(conf, "confidences")
-            object.__setattr__(self, "confidences", conf)
-        for arr in (self.points, self.normals, self.curvatures, self.confidences):
+        for arr in (self.points, self.normals, self.curvatures):
             if arr is not None:
                 arr.setflags(write=False)
 
     def __len__(self) -> int:
         return len(self.points)
-
-    @property
-    def has_normals(self) -> bool:
-        return self.normals is not None
-
-    @property
-    def has_curvatures(self) -> bool:
-        return self.curvatures is not None
 
     def centroid(self) -> np.ndarray:
         if len(self) == 0:
@@ -112,7 +97,6 @@ class PointCloud:
             points=self.points[idx],
             normals=None if self.normals is None else self.normals[idx],
             curvatures=None if self.curvatures is None else self.curvatures[idx],
-            confidences=None if self.confidences is None else self.confidences[idx],
         )
 
     def with_attrs(self, normals=None, curvatures=None) -> "PointCloud":
@@ -120,12 +104,11 @@ class PointCloud:
             points=self.points,
             normals=self.normals if normals is None else normals,
             curvatures=self.curvatures if curvatures is None else curvatures,
-            confidences=self.confidences,
         )
 
 
 class SpatialIndex:
-    """k-NN / radius queries over a fixed cloud with deterministic tie-breaks.
+    """k-NN queries over a fixed cloud with deterministic tie-breaks.
 
     Results are sorted by ascending distance; exact distance ties are broken
     by ascending point index, so queries are reproducible bit for bit.
@@ -150,12 +133,6 @@ class SpatialIndex:
         view.setflags(write=False)
         return view
 
-    def _order(self, query: np.ndarray, candidates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        diff = self._points[candidates] - query
-        d2 = diff[:, 0] ** 2 + diff[:, 1] ** 2 + diff[:, 2] ** 2
-        order = np.lexsort((candidates, d2))
-        return candidates[order], np.sqrt(d2[order])
-
     def knn(self, query, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Indices and distances of the k nearest points to ``query``."""
         query = np.asarray(query, dtype=np.float64)
@@ -170,8 +147,10 @@ class SpatialIndex:
         candidates = np.asarray(
             self._tree.query_ball_point(query, dk * (1.0 + 1e-9) + 1e-300), dtype=np.intp
         )
-        idx, d = self._order(query, candidates)
-        return idx[:k], d[:k]
+        diff = self._points[candidates] - query
+        d2 = diff[:, 0] ** 2 + diff[:, 1] ** 2 + diff[:, 2] ** 2
+        order = np.lexsort((candidates, d2))[:k]
+        return candidates[order], np.sqrt(d2[order])
 
     def _knn_rows(self, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Exact k-NN (indices, distances) of every row of ``queries`` (m, 3).
@@ -241,14 +220,6 @@ class SpatialIndex:
         """
         return self._knn_rows(_as_points(queries, "queries"), 1)[0][:, 0]
 
-    def radius(self, query, r: float) -> tuple[np.ndarray, np.ndarray]:
-        """All indices within distance ``r`` of ``query`` (sorted, tie-broken)."""
-        query = np.asarray(query, dtype=np.float64)
-        candidates = np.asarray(self._tree.query_ball_point(query, r), dtype=np.intp)
-        if len(candidates) == 0:
-            return candidates, np.empty(0)
-        return self._order(query, candidates)
-
     def nearest(self, query) -> int:
         return int(self.nearest_many(np.reshape(query, (1, 3)))[0])
 
@@ -258,7 +229,7 @@ def voxel_downsample(cloud: PointCloud, voxel: float) -> PointCloud:
 
     Output order is lexicographic in integer voxel coordinates. Normals are
     the renormalized mean of member normals (falling back to the lowest-index
-    member when the mean vanishes); curvatures and confidences average.
+    member when the mean vanishes); curvatures average.
     """
     if voxel <= 0:
         raise ValueError(f"voxel size must be positive, got {voxel}")
@@ -276,7 +247,6 @@ def voxel_downsample(cloud: PointCloud, voxel: float) -> PointCloud:
     points = np.empty((len(starts), 3))
     normals = np.empty((len(starts), 3)) if cloud.normals is not None else None
     curvatures = np.empty(len(starts)) if cloud.curvatures is not None else None
-    confidences = np.empty(len(starts)) if cloud.confidences is not None else None
     # One bucket per member count: a (voxels, count) member matrix whose
     # rows are ascending original indices. mean(axis=1) sums each voxel in
     # the same order as a per-voxel mean (rows of points in sequence, a 1-D
@@ -295,9 +265,7 @@ def voxel_downsample(cloud: PointCloud, voxel: float) -> PointCloud:
             normals[voxels] = mean_n / norm[:, np.newaxis]
         if curvatures is not None:
             curvatures[voxels] = np.clip(cloud.curvatures[members].mean(axis=1), 0.0, 1.0)
-        if confidences is not None:
-            confidences[voxels] = cloud.confidences[members].mean(axis=1)
-    return PointCloud(points, normals, curvatures, confidences)
+    return PointCloud(points, normals, curvatures)
 
 
 def remove_statistical_outliers(cloud: PointCloud, k: int = 12, std_ratio: float = 2.0) -> PointCloud:

@@ -42,14 +42,6 @@ class GraspMap:
     contacts: tuple[ContactFrame, ...]
     object_origin: np.ndarray
 
-    def to_json_dict(self) -> dict:
-        return {
-            "rows": 6,
-            "cols": self.G.shape[1],
-            "data_row_major": [float(v) for v in self.G.reshape(-1)],
-            "object_origin": [float(v) for v in self.object_origin],
-        }
-
 
 def skew(p: np.ndarray) -> np.ndarray:
     """Cross-product matrices: skew(p) @ v == p x v, for p of shape (..., 3)."""
@@ -105,15 +97,6 @@ def in_friction_cone(f, mu: float) -> bool:
     """Coulomb cone test: tangential magnitude at most mu times normal, fz >= 0."""
     f = np.asarray(f, dtype=np.float64)
     return bool(f[2] >= 0.0 and math.hypot(f[0], f[1]) <= mu * f[2])
-
-
-def contact_wrench(frame: ContactFrame, f, object_origin) -> np.ndarray:
-    """Object wrench [force; torque] of contact-frame force ``f``."""
-    f = np.asarray(f, dtype=np.float64)
-    origin = np.asarray(object_origin, dtype=np.float64)
-    world_force = frame.rotation @ f
-    torque = np.cross(frame.origin - origin, world_force)
-    return np.concatenate([world_force, torque])
 
 
 def stacked_grasp_maps(contacts, rotations, object_origin) -> np.ndarray:

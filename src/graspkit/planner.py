@@ -13,7 +13,7 @@ import json
 import logging
 import os
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -212,17 +212,19 @@ def _hash_cloud(cloud: PointCloud) -> str:
 
 
 def preprocess(cloud: PointCloud, config: PlannerConfig) -> PointCloud:
-    """Outlier filter, then voxel downsample, then fill in missing attributes."""
+    """Outlier filter, voxel downsample, then PCA normals and curvatures unless the
+    cloud carries both (a PLY from ``graspkit synth`` has normals only, so they are re-estimated)."""
     return prepare(cloud, config)[0]
 
 
 def prepare(cloud: PointCloud, config: PlannerConfig) -> tuple[PointCloud, np.ndarray | None]:
     """``preprocess`` plus the k-NN table of the prepared points, or None.
 
-    When normals are estimated, one ``knn_all`` table of the post-voxel
-    points with max(normals_k, region_k_neighbors) columns (at most n) is
-    built, and normal estimation and segmentation each take its first k
-    columns. Otherwise ``segment`` builds its own table.
+    When normals are estimated (the cloud lacks normals or curvatures, so a
+    loaded PLY with normals qualifies too), one ``knn_all`` table of the
+    post-voxel points with max(normals_k, region_k_neighbors) columns (at
+    most n) is built, and normal estimation and segmentation each take its
+    first k columns. Otherwise ``segment`` builds its own table.
     """
     out = cloud
     if len(out) >= config.outlier_k + 1:

@@ -10,7 +10,7 @@ small number of locally planar patches instead of fragmenting.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,17 +50,14 @@ class RegionGrowingParams:
 class PlanarRegion:
     """A segmented patch with its total least-squares plane fit.
 
-    The plane is n . x = d. ``plane_normal`` is oriented to agree with the
-    member points' stored normals (outward for well-oriented clouds), which
-    downstream antiparallel pairing relies on.
+    The plane is n . x = n . centroid. ``plane_normal`` is oriented to agree
+    with the member points' stored normals (outward for well-oriented
+    clouds), which downstream antiparallel pairing relies on.
     """
 
     point_indices: np.ndarray
     plane_normal: np.ndarray
-    plane_offset: float
     centroid: np.ndarray
-    rms_residual: float
-    extent: tuple[float, float]
 
     def __len__(self) -> int:
         return len(self.point_indices)
@@ -118,39 +115,16 @@ def fit_plane_lsq(points: np.ndarray) -> tuple[np.ndarray, float, float]:
     return normal, offset, rms
 
 
-def _in_plane_extent(points: np.ndarray, normal: np.ndarray) -> tuple[float, float]:
-    """Principal half-lengths of the points projected into the plane."""
-    centered = points - points.mean(axis=0)
-    tangential = centered - np.outer(centered @ normal, normal)
-    cov = tangential.T @ tangential / len(points)
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    half = []
-    for col in (2, 1):  # two largest in-plane directions
-        coords = tangential @ eigvecs[:, col]
-        half.append(float((coords.max() - coords.min()) / 2.0))
-    return (half[0], half[1])
-
-
 def _finish_region(cloud: PointCloud, members: np.ndarray) -> PlanarRegion:
     idx = np.sort(members)
     pts = cloud.points[idx]
-    normal, offset, _ = fit_plane_lsq(pts)
+    normal, _, _ = fit_plane_lsq(pts)
     # Align the fitted normal with the members' stored orientation so that
     # opposite faces of an object keep opposite region normals.
     mean_member_normal = cloud.normals[idx].mean(axis=0)
     if normal @ mean_member_normal < 0:
         normal = -normal
-        offset = -offset
-    residuals = pts @ normal - offset
-    rms = float(np.sqrt(np.mean(residuals**2)))
-    return PlanarRegion(
-        point_indices=idx,
-        plane_normal=normal,
-        plane_offset=offset,
-        centroid=pts.mean(axis=0),
-        rms_residual=rms,
-        extent=_in_plane_extent(pts, normal),
-    )
+    return PlanarRegion(point_indices=idx, plane_normal=normal, centroid=pts.mean(axis=0))
 
 
 def _grow_regions(cloud: PointCloud, params: RegionGrowingParams, hoods: np.ndarray) -> list[np.ndarray]:

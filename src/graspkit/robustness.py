@@ -113,17 +113,6 @@ def trial_normals(seed: int, trials: int, count: int) -> np.ndarray:
     return out
 
 
-def perturb_and_snap(contact, cloud, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """Nearest cloud point to contact + per-axis N(0, sigma^2) offsets.
-
-    ``cloud`` may be a PointCloud or a prebuilt SpatialIndex; the RNG state
-    advances deterministically (three draws) even when sigma is 0.
-    """
-    index = cloud if isinstance(cloud, SpatialIndex) else SpatialIndex(cloud)
-    offset = rng.standard_normal(3) * sigma
-    return index.points[index.nearest(np.asarray(contact, dtype=np.float64) + offset)]
-
-
 def robust_force_closure(
     candidate: GraspCandidate,
     cloud: PointCloud,

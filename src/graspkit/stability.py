@@ -175,15 +175,6 @@ class RankedCandidates:
     reports: tuple[GraspReport, ...]
     no_closure: bool
 
-    def __len__(self) -> int:
-        return len(self.reports)
-
-    def __iter__(self):
-        return iter(self.reports)
-
-    def __getitem__(self, i):
-        return self.reports[i]
-
     @property
     def best(self) -> GraspReport | None:
         return self.reports[0] if self.reports else None

@@ -130,7 +130,6 @@ def voxel_downsample(cloud: PointCloud, voxel: float) -> PointCloud:
     points = np.empty((len(starts), 3))
     normals = np.empty((len(starts), 3)) if cloud.normals is not None else None
     curvatures = np.empty(len(starts)) if cloud.curvatures is not None else None
-    confidences = np.empty(len(starts)) if cloud.confidences is not None else None
     for j, (a, b) in enumerate(zip(starts, ends)):
         members = order[a:b]
         points[j] = cloud.points[members].mean(axis=0)
@@ -143,9 +142,7 @@ def voxel_downsample(cloud: PointCloud, voxel: float) -> PointCloud:
                 normals[j] = mean_n / norm
         if curvatures is not None:
             curvatures[j] = np.clip(cloud.curvatures[members].mean(), 0.0, 1.0)
-        if confidences is not None:
-            confidences[j] = cloud.confidences[members].mean()
-    return PointCloud(points, normals, curvatures, confidences)
+    return PointCloud(points, normals, curvatures)
 
 
 def grow_regions(

@@ -1,12 +1,9 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graspkit.candidates import (
-    candidates_to_json,
     find_antiparallel_pairs,
     make_candidates,
     overlap_region,
@@ -217,41 +214,15 @@ class TestMakeCandidates:
         assert cand.normal_a @ (cand.contact_b - cand.contact_a) > 0
         assert cand.normal_b @ (cand.contact_a - cand.contact_b) > 0
 
-    def test_confidence_weighting_prefers_trusted_points(self):
-        cloud = parallel_grid_cloud(gap=0.05)
-        # distrust the exact centroid-nearest point of the lower grid
-        seg = segment(cloud)
-        pair = find_antiparallel_pairs(seg.regions, 10.0, 0.1)[0]
-        baseline = make_candidates(pair, cloud, n_per_pair=1, max_width=0.1)[0]
-        conf = np.ones(len(cloud))
-        conf[baseline.contact_index_a] = 1e-6
-        weighted_cloud = PointCloud(cloud.points, cloud.normals, cloud.curvatures, conf)
-        seg2 = segment(weighted_cloud)
-        pair2 = find_antiparallel_pairs(seg2.regions, 10.0, 0.1)[0]
-        cand = make_candidates(pair2, weighted_cloud, n_per_pair=1, max_width=0.1)[0]
-        assert cand.contact_index_a != baseline.contact_index_a
-
     def test_deterministic(self, sphere_cloud):
         seg = segment(sphere_cloud)
         pairs = find_antiparallel_pairs(seg.regions, 15.0, 0.085)
-        a = [make_candidates(p, sphere_cloud, 5, 0.085, min_points=20) for p in pairs]
-        b = [make_candidates(p, sphere_cloud, 5, 0.085, min_points=20) for p in pairs]
-        assert json.loads(candidates_to_json(sum(a, []))) == json.loads(
-            candidates_to_json(sum(b, []))
-        )
-
-    def test_json_export_fields(self):
-        cloud = parallel_grid_cloud(gap=0.05)
-        seg = segment(cloud)
-        pair = find_antiparallel_pairs(seg.regions, 10.0, 0.1)[0]
-        cands = make_candidates(pair, cloud, n_per_pair=2, max_width=0.1)
-        records = json.loads(candidates_to_json(cands))
-        for rec in records:
-            assert set(rec) == {
-                "contact_a",
-                "contact_b",
-                "normal_a",
-                "normal_b",
-                "width",
-                "pair_angle_deg",
-            }
+        a = sum((make_candidates(p, sphere_cloud, 5, 0.085, min_points=20) for p in pairs), [])
+        b = sum((make_candidates(p, sphere_cloud, 5, 0.085, min_points=20) for p in pairs), [])
+        assert len(a) == len(b) > 0
+        for ca, cb in zip(a, b):
+            for field in ("contact_a", "contact_b", "normal_a", "normal_b", "grasp_axis"):
+                assert getattr(ca, field).tobytes() == getattr(cb, field).tobytes()
+            assert (ca.width, ca.contact_index_a, ca.contact_index_b) == (
+                cb.width, cb.contact_index_a, cb.contact_index_b
+            )

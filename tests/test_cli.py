@@ -110,6 +110,24 @@ class TestEvalCommand:
         assert "no best grasp (result no-candidates)" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[]", "JSON object with 'contact_a'"),
+            ("3", "JSON object with 'contact_a'"),
+            ('{"foo": 1}', "grasp field 'contact_a' must be a list of 3 finite numbers"),
+            ('{"contact_a": [NaN, 0, 0], "contact_b": [0.05, 0, 0]}', "grasp field 'contact_a' must be a list of 3 finite numbers"),
+            ('{"contact_a": [0, 0, 0], "contact_b": [0.05, 0]}', "grasp field 'contact_b' must be a list of 3 finite numbers"),
+        ],
+        ids=["list", "number", "no-contacts", "nan-contact", "short-contact"],
+    )
+    def test_malformed_grasp_is_an_error_naming_the_field(self, box_ply, tmp_path, capsys, text, message):
+        grasp = tmp_path / "grasp.json"
+        grasp.write_text(text)
+        code = cli_main(["eval", "--input", str(box_ply), "--grasp", str(grasp), "--sigma", "0.02"])
+        assert code == 1
+        assert message in capsys.readouterr().err
+
 
 class TestBenchmarkCommand:
     def test_grid_structure(self, tmp_path):

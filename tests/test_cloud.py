@@ -91,13 +91,12 @@ class TestPointCloud:
         with pytest.raises(ValueError):
             PointCloud(np.zeros((1, 3)), curvatures=np.array([1.5]))
 
-    @pytest.mark.parametrize("array", ["points", "normals", "curvatures", "confidences"])
+    @pytest.mark.parametrize("array", ["points", "normals", "curvatures"])
     def test_non_finite_rejected_by_name(self, array):
         arrays = {
             "points": np.zeros((2, 3)),
             "normals": np.tile([0.0, 0.0, 1.0], (2, 1)),
             "curvatures": np.zeros(2),
-            "confidences": np.ones(2),
         }
         for bad in (np.nan, np.inf):
             arrays[array] = arrays[array].copy()
@@ -249,14 +248,6 @@ class TestSpatialIndex:
         idx, dist = SpatialIndex(points).knn_all(4)
         assert np.any(idx[:, 0] != np.arange(len(points)))
         assert np.all(dist[:, :3] == 0.0)
-
-    def test_radius_sorted_and_complete(self):
-        points = grid_cloud(5, 5, spacing=0.01).points
-        index = SpatialIndex(points)
-        idx, dist = index.radius(points[12], 0.0101)
-        assert idx[0] == 12
-        assert np.all(np.diff(dist) >= 0)
-        assert len(idx) == 5  # self + 4 axis neighbors
 
 
 class TestVoxelDownsample:

@@ -9,7 +9,6 @@ import reference_loops as ref
 from graspkit.mechanics import (
     build_contact_frame,
     build_grasp_map,
-    contact_wrench,
     force_closure,
     in_friction_cone,
     skew,
@@ -81,30 +80,6 @@ class TestFrictionCone:
         assert in_friction_cone(f, 0.7) == in_friction_cone(alpha * f, 0.7)
 
 
-class TestContactWrench:
-    def test_no_moment_arm(self):
-        frame = build_contact_frame([0, 0, 0], [0.0, 0, 1])
-        w = contact_wrench(frame, [0, 0, 1], [0, 0, 0])
-        np.testing.assert_allclose(w, [0, 0, 1, 0, 0, 0], atol=1e-12)
-
-    def test_unit_moment_arm(self):
-        frame = build_contact_frame([1, 0, 0], [0.0, 0, 1])
-        w = contact_wrench(frame, [0, 0, 1], [0, 0, 0])
-        np.testing.assert_allclose(w, [0, 0, 1, 0, -1, 0], atol=1e-12)
-
-    @given(st.integers(min_value=0, max_value=2**32 - 1))
-    @settings(max_examples=200, deadline=None)
-    def test_torque_is_cross_product(self, seed):
-        rng = np.random.default_rng(seed)
-        frame = build_contact_frame(rng.normal(size=3), random_unit(rng))
-        f = rng.normal(size=3)
-        origin = rng.normal(size=3)
-        w = contact_wrench(frame, f, origin)
-        force = frame.rotation @ f
-        np.testing.assert_allclose(w[:3], force, atol=1e-12)
-        np.testing.assert_allclose(w[3:], np.cross(frame.origin - origin, force), atol=1e-12)
-
-
 class TestGraspMap:
     def test_single_contact_identity(self):
         frame = build_contact_frame([0, 0, 0], [0.0, 0, 1])
@@ -173,12 +148,6 @@ class TestGraspMap:
         w1 = build_grasp_map(frames, origin + t).G @ f
         np.testing.assert_allclose(w1[:3], w0[:3], atol=1e-9)
         np.testing.assert_allclose(w1[3:], w0[3:] - np.cross(t, w0[:3]), atol=1e-9)
-
-    def test_json_export_shape(self):
-        gm = antipodal_sphere_map()
-        data = gm.to_json_dict()
-        assert data["rows"] == 6 and data["cols"] == 6
-        assert len(data["data_row_major"]) == 36
 
 
 class TestForceClosure:

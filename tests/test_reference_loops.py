@@ -30,7 +30,7 @@ OBJECTS = list(corpus_standard())
 
 
 def assert_clouds_equal(got: PointCloud, want: PointCloud):
-    for attr in ("points", "normals", "curvatures", "confidences"):
+    for attr in ("points", "normals", "curvatures"):
         a, b = getattr(got, attr), getattr(want, attr)
         assert (a is None) == (b is None), attr
         if a is not None:
@@ -124,7 +124,7 @@ def test_pairs_with_ties_and_degenerate_directions_match_loop():
     def region(normal, centroid):
         n = np.asarray(normal, dtype=np.float64)
         c = np.asarray(centroid, dtype=np.float64)
-        return PlanarRegion(np.arange(3), n / np.linalg.norm(n), float(n @ c), c, 0.0, (0.0, 0.0))
+        return PlanarRegion(np.arange(3), n / np.linalg.norm(n), c)
 
     # a cube's six faces (three pairs at exactly 0 degrees, sorted by index),
     # a face coplanar with the +z face (separation 0), a copy of the +x face
@@ -173,12 +173,12 @@ def test_voxel_with_cancelling_normals_takes_lowest_index_member():
     normals = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 0.0, 1.0], [-1.0, 0.0, 0.0]])
     points = np.array([[0.1, 0.1, 0.1], [0.2, 0.2, 0.2], [0.3, 0.3, 0.3], [0.4, 0.4, 0.4]])
     # all four points fall in voxel (0, 0, 0) of size 0.5, and their normals cancel
-    cloud = PointCloud(points, normals, curvatures=np.full(4, 0.25), confidences=np.arange(4.0))
+    cloud = PointCloud(points, normals, curvatures=np.full(4, 0.25))
     out = voxel_downsample(cloud, 0.5)
     assert_clouds_equal(out, ref.voxel_downsample(cloud, 0.5))
     assert np.array_equal(out.normals, [[1.0, 0.0, 0.0]])
     # reversed order: the lowest-index member is now the -x one
-    rev = PointCloud(points[::-1], normals[::-1], np.full(4, 0.25), np.arange(4.0))
+    rev = PointCloud(points[::-1], normals[::-1], np.full(4, 0.25))
     assert np.array_equal(voxel_downsample(rev, 0.5).normals, [[-1.0, 0.0, 0.0]])
 
 
@@ -189,7 +189,7 @@ def test_voxel_of_nine_members_averages_pairwise():
     assert np.add.reduceat(curvatures, [0])[0] != curvatures.sum()
     normals = rng.normal(size=(9, 3))
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    cloud = PointCloud(rng.uniform(0.0, 0.01, (9, 3)), normals, curvatures, confidences=curvatures[::-1])
+    cloud = PointCloud(rng.uniform(0.0, 0.01, (9, 3)), normals, curvatures)
     out = voxel_downsample(cloud, 0.05)
     assert len(out) == 1
     assert_clouds_equal(out, ref.voxel_downsample(cloud, 0.05))

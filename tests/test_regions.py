@@ -81,7 +81,9 @@ class TestSegment:
         seg = segment(cloud)
         assert len(seg) == 1
         assert len(seg[0]) == 400
-        assert seg[0].rms_residual < 1e-9
+        region = seg[0]
+        d = cloud.points[region.point_indices] @ region.plane_normal - region.plane_normal @ region.centroid
+        assert np.sqrt(np.mean(d**2)) < 1e-9
         assert len(seg.residue_indices) == 0
 
     def test_cylinder_side_arc_bound(self):
@@ -130,17 +132,10 @@ class TestSegment:
         total = 0
         for region in seg:
             pts = sphere_cloud.points[region.point_indices]
-            d = np.abs(pts @ region.plane_normal - region.plane_offset)
+            d = np.abs(pts @ region.plane_normal - region.plane_normal @ region.centroid)
             ok += int((d < params.distance_threshold).sum())
             total += len(pts)
         assert ok / total >= 0.90
-
-    def test_rms_recomputable(self, box_cloud):
-        seg = segment(box_cloud)
-        for region in seg:
-            pts = box_cloud.points[region.point_indices]
-            d = pts @ region.plane_normal - region.plane_offset
-            assert region.rms_residual == pytest.approx(float(np.sqrt(np.mean(d**2))), abs=1e-12)
 
     def test_sorted_by_size_then_index(self, box_cloud):
         seg = segment(box_cloud)

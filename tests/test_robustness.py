@@ -7,7 +7,6 @@ from graspkit.mechanics import build_contact_frame, build_grasp_map, force_closu
 from graspkit.planner import PlannerConfig, plan, preprocess
 from graspkit.robustness import (
     PerturbationSpec,
-    perturb_and_snap,
     robust_force_closure,
     trial_normals,
     trial_rng,
@@ -25,42 +24,6 @@ def axis_candidate(cloud, contact_a, contact_b):
         contact_a=contact_a, contact_b=contact_b,
         normal_a=axis, normal_b=-axis, grasp_axis=axis, width=width,
     )
-
-
-class TestPerturbAndSnap:
-    def test_zero_sigma_is_nearest_point(self):
-        cloud = grid_cloud(10, 10, spacing=0.01)
-        rng = trial_rng(0, 0)
-        snapped = perturb_and_snap(cloud.points[42], cloud, 0.0, rng)
-        np.testing.assert_array_equal(snapped, cloud.points[42])
-
-    def test_single_point_cloud_always_snaps_there(self):
-        cloud = PointCloud(np.array([[1.0, 2.0, 3.0]]))
-        for trial in range(5):
-            rng = trial_rng(9, trial)
-            snapped = perturb_and_snap([0.0, 0.0, 0.0], cloud, 0.5, rng)
-            np.testing.assert_array_equal(snapped, [1.0, 2.0, 3.0])
-
-    def test_accepts_prebuilt_index(self):
-        cloud = grid_cloud(5, 5, spacing=0.01)
-        index = SpatialIndex(cloud)
-        rng = trial_rng(1, 1)
-        p = perturb_and_snap(cloud.points[0], index, 0.001, rng)
-        assert any((cloud.points == p).all(axis=1))
-
-    def test_displacement_statistics(self):
-        # dense plane, sigma well above the snap quantization
-        cloud = grid_cloud(220, 220, spacing=0.005)
-        index = SpatialIndex(cloud)
-        sigma = 0.02
-        rng = trial_rng(7, 0)
-        center = np.zeros(3)
-        xs = []
-        for _ in range(10_000):
-            snapped = perturb_and_snap(center, index, sigma, rng)
-            xs.append(snapped[0])
-        std = np.std(xs)
-        assert abs(std - sigma) / sigma < 0.15
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])

@@ -246,7 +246,7 @@ class TestRankCandidates:
     def test_identical_candidates_ordered_by_index(self, box_cloud):
         c = make_candidate([-0.025, 0, 0], [0.025, 0, 0])
         ranked = rank_candidates([c, c], box_cloud)
-        assert [r.candidate_index for r in ranked] == [0, 1]
+        assert [r.candidate_index for r in ranked.reports] == [0, 1]
 
     def test_no_closure_flag(self, box_cloud):
         bad = GraspCandidate(
@@ -259,7 +259,7 @@ class TestRankCandidates:
         )
         ranked = rank_candidates([bad], box_cloud)
         assert ranked.no_closure
-        assert len(ranked) == 1
+        assert len(ranked.reports) == 1
 
     def test_box_best_axis_near_centroid(self):
         """Exhaustively rescoring all reports reproduces the module's ranking."""
