@@ -12,7 +12,7 @@ import numpy as np
 
 from . import planner as planner_mod
 from .candidates import GraspCandidate
-from .cloud import PointCloud, SpatialIndex, estimate_normals_curvatures
+from .cloud import PointCloud, estimate_normals_curvatures
 from .io import load_cloud, save_cloud_ply, save_segmentation_ply
 from .planner import PlannerConfig, load_config, plan
 from .regions import segment
@@ -126,9 +126,8 @@ def _candidate_from_json(data, cloud: PointCloud) -> GraspCandidate:
         normal_a = _grasp_vector(data, "normal_a")
         normal_b = _grasp_vector(data, "normal_b")
     else:
-        index = SpatialIndex(cloud)
-        normal_a = -cloud.normals[index.nearest(contact_a)]
-        normal_b = -cloud.normals[index.nearest(contact_b)]
+        normal_a = -cloud.normals[cloud.index.nearest(contact_a)]
+        normal_b = -cloud.normals[cloud.index.nearest(contact_b)]
     return GraspCandidate(
         contact_a=contact_a,
         contact_b=contact_b,
@@ -153,8 +152,6 @@ def _cmd_eval(args) -> int:
             print(f"error: the plan has no best grasp (result {grasp_data.get('result_code')})", file=sys.stderr)
             return EXIT_NO_CANDIDATES
         grasp_data = grasp_data["best"]
-    cloud = _with_normals(load_cloud(args.input), config)
-    candidate = _candidate_from_json(grasp_data, cloud)
     spec = PerturbationSpec(
         sigma=args.sigma,
         trials=args.trials,
@@ -162,6 +159,8 @@ def _cmd_eval(args) -> int:
         threshold=config.sigma_min_threshold,
         sigma_mode=args.sigma_mode,
     )
+    cloud = _with_normals(load_cloud(args.input), config)
+    candidate = _candidate_from_json(grasp_data, cloud)
     report = robust_force_closure(
         candidate, cloud, spec, mu=config.mu, mode=config.closure_mode
     )
@@ -175,6 +174,16 @@ def _cmd_benchmark(args) -> int:
     if not sigmas:
         print("error: no sigmas given", file=sys.stderr)
         return EXIT_USAGE
+    pspecs = [
+        PerturbationSpec(
+            sigma=sigma,
+            trials=args.trials,
+            seed=args.seed,
+            threshold=config.sigma_min_threshold,
+            sigma_mode=args.sigma_mode,
+        )
+        for sigma in sigmas
+    ]
     rows = []
     for name, spec in corpus_standard().items():
         cloud = generate(spec)
@@ -183,16 +192,10 @@ def _cmd_benchmark(args) -> int:
             rows.append([name] + ["-"] * len(sigmas))
             logger.info("%s: %s", name, result.result_code)
             continue
+        # every sigma evaluates on this one prepared cloud, so they share its index
         prepared = planner_mod.preprocess(cloud, config)
         probs = []
-        for sigma in sigmas:
-            pspec = PerturbationSpec(
-                sigma=sigma,
-                trials=args.trials,
-                seed=args.seed,
-                threshold=config.sigma_min_threshold,
-                sigma_mode=args.sigma_mode,
-            )
+        for pspec in pspecs:
             report = robust_force_closure(
                 result.best.candidate, prepared, pspec, mu=config.mu, mode=config.closure_mode
             )

@@ -4,12 +4,18 @@ All operations are pure: they take immutable clouds and return new clouds.
 Determinism is a hard requirement throughout, so every nearest-neighbor
 query breaks distance ties by ascending point index and every reduction
 runs in a fixed order.
+
+A ``PointCloud`` computes its ``index``, centroid and bounding radius once
+and keeps them as long as the cloud lives (see the class). The planner's
+stages build their own ``SpatialIndex`` of each intermediate cloud instead,
+so planning leaves no tree alive on the caller's input.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -44,6 +50,11 @@ class PointCloud:
     attribute arrays match the point count, normals are unit length within
     1e-6 and curvatures lie in [0, 1]. Arrays are marked read-only; treat
     instances as immutable.
+
+    ``index``, ``centroid()`` and ``bounding_radius()`` are computed on
+    first use and memoized in the instance ``__dict__`` (the fields stay
+    frozen), so repeated evaluations on one cloud share one tree and one
+    reduction of each kind, bit-equal to a fresh computation.
     """
 
     points: np.ndarray
@@ -79,13 +90,29 @@ class PointCloud:
     def __len__(self) -> int:
         return len(self.points)
 
+    @cached_property
+    def index(self) -> "SpatialIndex":
+        """The cloud's ``SpatialIndex``, built on first use."""
+        return SpatialIndex(self)
+
     def centroid(self) -> np.ndarray:
+        """Mean of the points, as a read-only array."""
+        return self._centroid
+
+    @cached_property
+    def _centroid(self) -> np.ndarray:
         if len(self) == 0:
             raise ValueError("empty cloud has no centroid")
-        return self.points.mean(axis=0)
+        centroid = self.points.mean(axis=0)
+        centroid.setflags(write=False)
+        return centroid
 
     def bounding_radius(self) -> float:
         """Radius of the bounding sphere centered at the centroid."""
+        return self._bounding_radius
+
+    @cached_property
+    def _bounding_radius(self) -> float:
         if len(self) == 0:
             raise ValueError("empty cloud has no bounding radius")
         return float(np.linalg.norm(self.points - self.centroid(), axis=1).max())

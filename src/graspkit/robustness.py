@@ -14,16 +14,26 @@ SVD call. Each step rounds row by row exactly as a one-trial computation
 does (same draws, same (distance, index) tie-break, same per-row products
 and LAPACK call), so the per-trial outcomes are bit-identical to evaluating
 the trials one at a time.
+
+What depends only on the cloud or the spec is not recomputed per call: the
+cloud's ``index``, centroid and bounding radius are memoized on the
+``PointCloud`` (and live as long as it does), and ``trial_normals`` keeps
+only its most recent (seed, trials, count) table, read-only, until a call
+with other arguments replaces it. A second call on the same cloud, at any
+sigma, does only the per-trial work; a call on a new cloud builds its tree
+as before.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .candidates import GraspCandidate
-from .cloud import PointCloud, SpatialIndex
+from .cloud import PointCloud
 from .mechanics import stacked_force_closure, stacked_grasp_maps, stacked_rotations
 
 # Not called here since trials are batched; the names stay in this module
@@ -48,8 +58,10 @@ class PerturbationSpec:
     sigma_mode: str = "absolute"
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.sigma_mode not in ("absolute", "relative"):
@@ -94,9 +106,13 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(np.uint64(seed), np.uint64(trial))))
 
 
+# One table: every caller evaluates a single (seed, trials) at a time, and a
+# table's size follows the caller's trial count (48 MB at 10**6 trials).
+@lru_cache(maxsize=1)
 def trial_normals(seed: int, trials: int, count: int) -> np.ndarray:
     """(trials, count) standard normals, row t equal to
-    ``trial_rng(seed, t).standard_normal(count)``.
+    ``trial_rng(seed, t).standard_normal(count)``, as a read-only array
+    shared by consecutive calls with the same arguments.
 
     One Philox generator is re-keyed per trial through its ``state`` setter:
     a fresh generator's state (counter 0, empty buffer) with the key
@@ -110,6 +126,7 @@ def trial_normals(seed: int, trials: int, count: int) -> np.ndarray:
         fresh["state"]["key"] = np.array([seed, trial], dtype=np.uint64)
         bit_generator.state = fresh
         generator.standard_normal(out=out[trial])
+    out.setflags(write=False)
     return out
 
 
@@ -128,7 +145,6 @@ def robust_force_closure(
     """
     if cloud.normals is None:
         raise ValueError("robust_force_closure requires cloud normals")
-    index = SpatialIndex(cloud)
     sigma = spec.effective_sigma(cloud)
     origin = cloud.centroid()
     torque_scale = max(cloud.bounding_radius(), 1e-12)
@@ -136,7 +152,7 @@ def robust_force_closure(
     # trial t perturbs contact a with draws 0-2 of its stream and b with 3-5
     contacts = np.array([candidate.contact_a, candidate.contact_b], dtype=np.float64)
     offsets = trial_normals(spec.seed, spec.trials, 6).reshape(spec.trials, 2, 3) * sigma
-    snapped = index.nearest_many((contacts + offsets).reshape(-1, 3)).reshape(spec.trials, 2)
+    snapped = cloud.index.nearest_many((contacts + offsets).reshape(-1, 3)).reshape(spec.trials, 2)
     apart = snapped[:, 0] != snapped[:, 1]  # coincident snaps are failures
     points = cloud.points[snapped[apart]]
     rotations = stacked_rotations(-cloud.normals[snapped[apart]])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from graspkit.cloud import PointCloud
+from graspkit.cloud import PointCloud, SpatialIndex
 from graspkit.planner import PlannerConfig
 from graspkit.shapes import ShapeSpec, corpus_standard, generate
 
@@ -44,3 +44,17 @@ def sphere_cloud(corpus) -> PointCloud:
 @pytest.fixture(scope="session")
 def unit_sphere_cloud() -> PointCloud:
     return generate(ShapeSpec("sphere", (1.0,), density=2000.0))
+
+
+@pytest.fixture
+def index_builds(monkeypatch) -> list:
+    """The cloud or points of every ``SpatialIndex`` built during the test."""
+    builds = []
+    init = SpatialIndex.__init__
+
+    def spy(self, cloud_or_points):
+        builds.append(cloud_or_points)
+        init(self, cloud_or_points)
+
+    monkeypatch.setattr(SpatialIndex, "__init__", spy)
+    return builds

@@ -129,6 +129,37 @@ class TestEvalCommand:
         assert message in capsys.readouterr().err
 
 
+    def test_eval_builds_one_index(self, box_ply, tmp_path, index_builds):
+        grasp = tmp_path / "grasp.json"
+        grasp.write_text(json.dumps({"contact_a": [-0.025, 0.0, 0.0], "contact_b": [0.025, 0.0, 0.0]}))
+        code = cli_main(
+            ["eval", "--input", str(box_ply), "--grasp", str(grasp), "--sigma", "0.02",
+             "--trials", "20", "--sigma-mode", "relative", "--output", str(tmp_path / "e.json")]
+        )
+        assert code == EXIT_OK
+        assert len(index_builds) == 1
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--seed", "-1", "error: seed must be in [0, 2**64)"),
+            ("--seed", str(2**64), "error: seed must be in [0, 2**64)"),
+            ("--sigma", "nan", "error: sigma must be finite"),
+            ("--sigma", "inf", "error: sigma must be finite"),
+        ],
+        ids=["seed-negative", "seed-2**64", "sigma-nan", "sigma-inf"],
+    )
+    def test_out_of_range_spec_is_an_error_naming_the_field(self, box_ply, tmp_path, capsys, flag, value, message):
+        grasp = tmp_path / "grasp.json"
+        grasp.write_text(json.dumps({"contact_a": [-0.025, 0.0, 0.0], "contact_b": [0.025, 0.0, 0.0]}))
+        args = {"--sigma": "0.02", "--seed": "0", flag: value}
+        argv = ["eval", "--input", str(box_ply), "--grasp", str(grasp), "--output", str(tmp_path / "e.json")]
+        code = cli_main(argv + [f"{name}={v}" for name, v in args.items()])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "e.json").exists()
+
+
 class TestBenchmarkCommand:
     def test_grid_structure(self, tmp_path):
         out = tmp_path / "grid.csv"
@@ -148,6 +179,19 @@ class TestBenchmarkCommand:
             if name == "clamp_c_open":
                 continue
             assert all(0.0 <= float(c) <= 1.0 for c in cells)
+
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [(["--seed=-1"], "error: seed must be"), (["--sigmas", "0.02,nan"], "error: sigma must be finite")],
+        ids=["seed-negative", "sigma-nan"],
+    )
+    def test_out_of_range_spec_exits_before_planning(self, tmp_path, capsys, monkeypatch, args, message):
+        monkeypatch.setattr("graspkit.cli.plan", lambda *a, **k: pytest.fail("planned before validating"))
+        out = tmp_path / "grid.csv"
+        assert cli_main(["benchmark", "--trials", "5", "--output", str(out)] + args) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSynthCommand:

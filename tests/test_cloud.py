@@ -110,6 +110,49 @@ class TestPointCloud:
             cloud.points[0, 0] = 7.0
 
 
+class TestMemoizedState:
+    def test_index_built_once_per_cloud(self, index_builds):
+        cloud = PointCloud(random_points(200, seed=3))
+        index = cloud.index
+        assert all(cloud.index is index for _ in range(5))
+        assert index_builds == [cloud]
+        np.testing.assert_array_equal(index.points, cloud.points)
+        assert index.nearest(cloud.points[17]) == 17
+
+    def test_clouds_do_not_share_an_index(self):
+        a = PointCloud(random_points(50, seed=4))
+        twin = PointCloud(a.points)
+        part = a.select(np.arange(25))
+        assert len({id(a.index), id(twin.index), id(part.index)}) == 3
+        assert len(part.index) == 25
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_centroid_and_radius_bit_equal_to_fresh(self, seed):
+        points = random_points(300, seed=seed, scale=0.1) - 0.3
+        cloud = PointCloud(points)
+        fresh_centroid = points.mean(axis=0)
+        fresh_radius = float(np.linalg.norm(points - fresh_centroid, axis=1).max())
+        for _ in range(2):  # the cold call and the memoized one
+            assert cloud.centroid().tobytes() == fresh_centroid.tobytes()
+            assert cloud.bounding_radius() == fresh_radius
+        assert cloud.centroid() is cloud.centroid()
+
+    def test_centroid_read_only(self):
+        cloud = grid_cloud(4, 4)
+        with pytest.raises(ValueError):
+            cloud.centroid()[0] = 1.0
+
+    def test_empty_cloud_raises_every_time(self):
+        cloud = PointCloud(np.zeros((0, 3)))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="no centroid"):
+                cloud.centroid()
+            with pytest.raises(ValueError, match="no bounding radius"):
+                cloud.bounding_radius()
+            with pytest.raises(ValueError, match="empty cloud"):
+                cloud.index
+
+
 class TestSpatialIndex:
     def brute_force_knn(self, points, query, k):
         diff = points - query

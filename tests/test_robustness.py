@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,7 @@ from graspkit.robustness import (
 )
 
 from conftest import grid_cloud
+from reference_loops import robust_force_closure_loop
 
 
 def axis_candidate(cloud, contact_a, contact_b):
@@ -34,6 +38,23 @@ def test_trial_normals_equal_per_trial_generators(seed):
         # two 3-draw calls, as a per-trial perturbation of two contacts makes them
         expected = np.concatenate([rng.standard_normal(3), rng.standard_normal(3)])
         np.testing.assert_array_equal(draws[trial], expected)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+def test_trial_normals_cached_table_equals_fresh_and_is_read_only(seed):
+    table = trial_normals(seed, 40, 6)
+    assert trial_normals(seed, 40, 6) is table
+    assert table.tobytes() == trial_normals.__wrapped__(seed, 40, 6).tobytes()
+    with pytest.raises(ValueError):
+        table[0, 0] = 1.0
+
+
+def test_trial_normals_keeps_only_the_latest_table():
+    table = weakref.ref(trial_normals(3, 40, 6))
+    assert table() is not None
+    trial_normals(4, 40, 6)
+    gc.collect()
+    assert table() is None
 
 
 class TestRobustForceClosure:
@@ -134,3 +155,70 @@ class TestRobustForceClosure:
             PerturbationSpec(sigma=0.1, trials=0)
         with pytest.raises(ValueError):
             PerturbationSpec(sigma=0.1, sigma_mode="scaled")
+
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"sigma": float("nan")}, "sigma"),
+            ({"sigma": float("inf")}, "sigma"),
+            ({"sigma": 0.1, "seed": -1}, "seed"),
+            ({"sigma": 0.1, "seed": 2**64}, "seed"),
+        ],
+        ids=["sigma-nan", "sigma-inf", "seed-negative", "seed-2**64"],
+    )
+    def test_out_of_range_spec_names_the_field(self, kwargs, field):
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            PerturbationSpec(**kwargs)
+
+    def test_seed_range_ends_accepted(self):
+        assert PerturbationSpec(sigma=0.0, seed=0).seed == 0
+        assert PerturbationSpec(sigma=0.0, seed=2**64 - 1).seed == 2**64 - 1
+
+
+class TestRepeatedEvaluation:
+    """Calls on one cloud share its memoized index, centroid, radius and trial table."""
+
+    SIGMAS = (0.02, 0.05, 0.1)
+
+    @pytest.fixture(scope="class")
+    def grasp(self, box_cloud, default_config):
+        prepared = preprocess(box_cloud, default_config)
+        return plan(box_cloud, default_config).best.candidate, prepared
+
+    @staticmethod
+    def fresh(cloud):
+        return PointCloud(cloud.points, cloud.normals, cloud.curvatures)
+
+    @staticmethod
+    def reports(candidate, cloud, sigmas, seed=9, trials=60):
+        return [
+            robust_force_closure(candidate, cloud, PerturbationSpec(s, trials=trials, seed=seed, sigma_mode="relative"))
+            for s in sigmas
+        ]
+
+    def test_one_index_for_many_calls(self, grasp, index_builds):
+        candidate, prepared = grasp
+        cloud = self.fresh(prepared)
+        for seed in (1, 2):
+            self.reports(candidate, cloud, self.SIGMAS, seed=seed)
+        assert index_builds == [cloud]
+        other = self.fresh(prepared)
+        self.reports(candidate, other, self.SIGMAS[:1])
+        assert index_builds == [cloud, other]
+
+    def test_cold_and_warm_reports_equal(self, grasp):
+        candidate, prepared = grasp
+        warm = self.fresh(prepared)
+        first = self.reports(candidate, warm, self.SIGMAS)
+        assert self.reports(candidate, warm, self.SIGMAS) == first
+        trial_normals.cache_clear()
+        assert self.reports(candidate, self.fresh(prepared), self.SIGMAS) == first
+        assert self.reports(candidate, warm, self.SIGMAS[::-1])[::-1] == first
+
+    def test_warm_cloud_matches_per_trial_oracle(self, grasp):
+        candidate, prepared = grasp
+        warm = self.fresh(prepared)
+        self.reports(candidate, warm, self.SIGMAS)
+        for report in self.reports(candidate, warm, self.SIGMAS):
+            spec = PerturbationSpec(report.sigma, trials=60, seed=9, sigma_mode="relative")
+            assert report.per_trial == robust_force_closure_loop(candidate, self.fresh(prepared), spec)
