@@ -29,11 +29,4 @@ from .planner import PlannerConfig, PlanResult, load_config, plan
 from .regions import PlanarRegion, RegionGrowingParams, Segmentation, fit_plane_lsq, segment
 from .robustness import PerturbationSpec, RobustnessReport, robust_force_closure
 from .shapes import ShapeSpec, corpus_standard, generate
-from .stability import (
-    GraspReport,
-    StabilityProblem,
-    StabilityResult,
-    rank_candidates,
-    solve_stability,
-    stability_cost,
-)
+from .stability import GraspReport, rank_candidates

@@ -6,9 +6,9 @@ query breaks distance ties by ascending point index and every reduction
 runs in a fixed order.
 
 A ``PointCloud`` computes its ``index``, centroid and bounding radius once
-and keeps them as long as the cloud lives (see the class). The planner's
-stages build their own ``SpatialIndex`` of each intermediate cloud instead,
-so planning leaves no tree alive on the caller's input.
+and keeps them as long as the cloud lives (see the class). Planning memoizes
+a tree only on the clouds it derives, so with the default config, whose
+voxel grid always makes a new cloud, it leaves none on the caller's input.
 """
 
 from __future__ import annotations
@@ -127,11 +127,17 @@ class PointCloud:
         )
 
     def with_attrs(self, normals=None, curvatures=None) -> "PointCloud":
-        return PointCloud(
+        """Same points with the given attributes replaced; the memoized ``index``,
+        centroid and radius depend only on the points, so they carry over."""
+        out = PointCloud(
             points=self.points,
             normals=self.normals if normals is None else normals,
             curvatures=self.curvatures if curvatures is None else curvatures,
         )
+        for name in ("index", "_centroid", "_bounding_radius"):
+            if name in self.__dict__:
+                out.__dict__[name] = self.__dict__[name]
+        return out
 
 
 class SpatialIndex:
@@ -332,9 +338,9 @@ def _canonical_sign(v: np.ndarray) -> np.ndarray:
 def neighbor_table(cloud: PointCloud, k: int, neighbors: np.ndarray | None = None) -> np.ndarray:
     """The (n, k) k-NN index table of ``cloud``: the first k columns of
     ``neighbors`` (a ``knn_all`` table of the same points with at least k
-    columns), or a freshly computed one when it is None."""
+    columns), or one computed with ``cloud.index`` when it is None."""
     if neighbors is None:
-        return SpatialIndex(cloud).knn_all(k)[0]
+        return cloud.index.knn_all(k)[0]
     if neighbors.ndim != 2 or len(neighbors) != len(cloud) or neighbors.shape[1] < k:
         raise ValueError(f"neighbor table of shape {neighbors.shape} does not cover {len(cloud)} points x {k}")
     return neighbors[:, :k]

@@ -31,7 +31,7 @@ from .stability import GraspReport, RankedCandidates, rank_candidates
 
 logger = logging.getLogger(__name__)
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 VERSION = "0.1.0"
 ENV_PREFIX = "GRASPKIT_"
 
@@ -61,14 +61,8 @@ class PlannerConfig:
     max_width: float = 0.085
     candidates_per_pair: int = 5
     mu: float = 0.5
-    f_ex_magnitude: float = 1.0
-    f_normal_cap: float = 2.0
     sigma_min_threshold: float = 0.01
     closure_mode: str = "soft-pinch"
-    sigmas: tuple[float, ...] = (0.02, 0.05, 0.1)
-    sigma_mode: str = "relative"
-    trials: int = 100
-    seed: int = 0
 
     def __post_init__(self):
         if self.voxel_size < 0:
@@ -87,18 +81,10 @@ class PlannerConfig:
             raise ValueError("candidates_per_pair must be >= 1")
         if self.mu <= 0:
             raise ValueError("mu must be positive")
-        if self.f_ex_magnitude <= 0 or self.f_normal_cap <= 0:
-            raise ValueError("pseudo-force magnitude and cap must be positive")
         if self.sigma_min_threshold <= 0:
             raise ValueError("sigma_min_threshold must be positive")
         if self.closure_mode not in ("soft-pinch", "strict"):
             raise ValueError(f"unknown closure_mode {self.closure_mode!r}")
-        if self.sigma_mode not in ("absolute", "relative"):
-            raise ValueError(f"unknown sigma_mode {self.sigma_mode!r}")
-        if any(s < 0 for s in self.sigmas):
-            raise ValueError("sigmas must be >= 0")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
         # delegate the region-growing invariants
         self.region_params()
 
@@ -112,13 +98,7 @@ class PlannerConfig:
         )
 
     def to_text(self) -> str:
-        lines = []
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, tuple):
-                value = ",".join(repr(v) for v in value)
-            lines.append(f"{f.name} = {value}")
-        return "\n".join(lines) + "\n"
+        return "".join(f"{f.name} = {getattr(self, f.name)}\n" for f in fields(self))
 
     def sha256(self) -> str:
         return hashlib.sha256(self.to_text().encode()).hexdigest()
@@ -131,18 +111,16 @@ def _coerce(name: str, raw: str, target_type):
         return int(raw)
     if target_type is str:
         return raw
-    if target_type is tuple:
-        return tuple(float(v) for v in raw.split(",") if v.strip())
     raise ValueError(f"cannot parse config key {name!r}")
 
 
 def load_config(path=None, env: bool = True) -> PlannerConfig:
     """Config from a flat key=value file, with GRASPKIT_* environment overrides.
 
-    Lines are ``key = value``; '#' starts a comment. Unknown keys raise.
+    Lines are ``key = value``; '#' starts a comment. Unknown keys raise, and
+    so does a GRASPKIT_* variable that names no key.
     """
-    known = {f.name: (tuple if f.name == "sigmas" else type(getattr(PlannerConfig(), f.name)))
-             for f in fields(PlannerConfig)}
+    known = {f.name: type(f.default) for f in fields(PlannerConfig)}
     values: dict = {}
     if path is not None:
         for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -157,10 +135,12 @@ def load_config(path=None, env: bool = True) -> PlannerConfig:
                 raise ValueError(f"config line {lineno}: unknown key {key!r}")
             values[key] = _coerce(key, value.strip(), known[key])
     if env:
-        for key, target_type in known.items():
-            raw = os.environ.get(ENV_PREFIX + key.upper())
-            if raw is not None:
-                values[key] = _coerce(key, raw, target_type)
+        by_name = {ENV_PREFIX + key.upper(): key for key in known}
+        for name in sorted(n for n in os.environ if n.startswith(ENV_PREFIX)):
+            if name not in by_name:
+                raise ValueError(f"unknown environment override {name}")
+            key = by_name[name]
+            values[key] = _coerce(key, os.environ[name], known[key])
     return PlannerConfig(**values)
 
 
@@ -307,8 +287,6 @@ def plan(cloud: PointCloud, config: PlannerConfig | None = None) -> PlanResult:
         mu=config.mu,
         sigma_min_threshold=config.sigma_min_threshold,
         closure_mode=config.closure_mode,
-        f_ex_magnitude=config.f_ex_magnitude,
-        f_normal_cap=config.f_normal_cap,
     )
     timings["rank"] = (time.perf_counter() - t0) * 1e3
     logger.debug("plan timings (ms): %s", timings)

@@ -8,10 +8,21 @@ from graspkit.io import load_cloud, save_cloud_ply
 from graspkit.shapes import ShapeSpec, corpus_standard, generate
 
 
+BOX = ShapeSpec("box", (0.05, 0.075, 0.05), density=1.2e5)
+
+
 @pytest.fixture(scope="module")
 def box_ply(tmp_path_factory):
     path = tmp_path_factory.mktemp("clouds") / "box.ply"
-    save_cloud_ply(generate(ShapeSpec("box", (0.05, 0.075, 0.05), density=1.2e5)), path)
+    save_cloud_ply(generate(BOX), path)
+    return path
+
+
+@pytest.fixture(scope="module")
+def box_xyz(tmp_path_factory):
+    """The box's points only, so eval estimates the normals."""
+    path = tmp_path_factory.mktemp("clouds") / "box.xyz"
+    np.savetxt(path, generate(BOX).points, fmt="%.17g")
     return path
 
 
@@ -83,11 +94,18 @@ class TestEvalCommand:
     def test_eval_reads_a_plan_report(self, box_ply, tmp_path):
         plan_out = tmp_path / "plan.json"
         assert cli_main(["plan", "--input", str(box_ply), "--output", str(plan_out)]) == EXIT_OK
-        best = json.loads(plan_out.read_text())["best"]
+        report = json.loads(plan_out.read_text())
+        best = report["best"]
         grasp = tmp_path / "grasp.json"
         grasp.write_text(json.dumps({"contact_a": best["contact_a"], "contact_b": best["contact_b"]}))
+        # a schema-1 report: the same grasps plus the constant stability fields and the unset robustness slot
+        report["schema_version"] = 1
+        for r in [report["best"], *report["reports"]]:
+            r.update(stability_cost=-8.0, converged=True, forces=[0.0] * 6, robustness_probability=None)
+        plan_v1 = tmp_path / "plan_v1.json"
+        plan_v1.write_text(json.dumps(report, indent=2, sort_keys=True))
         outs = []
-        for source in (plan_out, grasp):
+        for source in (plan_out, plan_v1, grasp):
             out = tmp_path / f"eval-{source.stem}.json"
             code = cli_main(
                 ["eval", "--input", str(box_ply), "--grasp", str(source), "--sigma", "0.02",
@@ -95,7 +113,7 @@ class TestEvalCommand:
             )
             assert code == EXIT_OK
             outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
+        assert outs[0] == outs[1] == outs[2]
 
     def test_eval_of_a_plan_without_best_exits_no_candidates(self, tmp_path, capsys):
         shell = tmp_path / "shell.ply"
@@ -129,15 +147,18 @@ class TestEvalCommand:
         assert message in capsys.readouterr().err
 
 
-    def test_eval_builds_one_index(self, box_ply, tmp_path, index_builds):
+    @pytest.mark.parametrize("source", ["box_ply", "box_xyz"], ids=["ply", "xyz"])
+    def test_eval_builds_one_index(self, request, source, tmp_path, index_builds):
+        """Normal estimation and the evaluation share one tree."""
+        path = request.getfixturevalue(source)
         grasp = tmp_path / "grasp.json"
         grasp.write_text(json.dumps({"contact_a": [-0.025, 0.0, 0.0], "contact_b": [0.025, 0.0, 0.0]}))
         code = cli_main(
-            ["eval", "--input", str(box_ply), "--grasp", str(grasp), "--sigma", "0.02",
+            ["eval", "--input", str(path), "--grasp", str(grasp), "--sigma", "0.02",
              "--trials", "20", "--sigma-mode", "relative", "--output", str(tmp_path / "e.json")]
         )
         assert code == EXIT_OK
-        assert len(index_builds) == 1
+        assert [len(b) for b in index_builds] == [len(load_cloud(path))]
 
     @pytest.mark.parametrize(
         "flag, value, message",

@@ -126,6 +126,15 @@ class TestMemoizedState:
         assert len({id(a.index), id(twin.index), id(part.index)}) == 3
         assert len(part.index) == 25
 
+    def test_with_attrs_keeps_what_was_computed(self, index_builds):
+        cloud = PointCloud(random_points(60, seed=6, scale=0.1))
+        bare = cloud.with_attrs(curvatures=np.zeros(60))
+        assert not {"index", "_centroid", "_bounding_radius"} & set(bare.__dict__)
+        index, centroid, radius = cloud.index, cloud.centroid(), cloud.bounding_radius()
+        out = cloud.with_attrs(curvatures=np.zeros(60))
+        assert out.index is index and out.centroid() is centroid and out.bounding_radius() == radius
+        assert index_builds == [cloud]
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_centroid_and_radius_bit_equal_to_fresh(self, seed):
         points = random_points(300, seed=seed, scale=0.1) - 0.3

@@ -26,17 +26,27 @@ class TestConfig:
             PlannerConfig(angle_threshold_deg=120.0)
 
     def test_file_round_trip(self, tmp_path):
-        config = PlannerConfig(mu=0.7, trials=50, sigmas=(0.01, 0.02))
+        config = PlannerConfig(mu=0.7, candidates_per_pair=3, closure_mode="strict")
         path = tmp_path / "planner.cfg"
         path.write_text(config.to_text())
         loaded = load_config(path, env=False)
         assert loaded == config
 
-    def test_unknown_key_rejected(self, tmp_path):
+    # trials and f_normal_cap: removed keys, so a config file written for schema 1 fails loudly
+    @pytest.mark.parametrize("line", ["grip_strength = 11", "trials = 100", "f_normal_cap = 2.0"],
+                             ids=["unknown", "trials", "f_normal_cap"])
+    def test_unknown_key_rejected(self, tmp_path, line):
         path = tmp_path / "bad.cfg"
-        path.write_text("grip_strength = 11\n")
+        path.write_text(line + "\n")
         with pytest.raises(ValueError, match="unknown key"):
             load_config(path, env=False)
+
+    @pytest.mark.parametrize("name", ["GRASPKIT_TRIALS", "GRASPKIT_F_NORMAL_CAP"])
+    def test_unknown_env_override_rejected(self, monkeypatch, name):
+        monkeypatch.setenv(name, "7")
+        with pytest.raises(ValueError, match=f"unknown environment override {name}"):
+            load_config(None, env=True)
+        assert load_config(None, env=False) == PlannerConfig()
 
     def test_comments_and_blanks_allowed(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -45,10 +55,10 @@ class TestConfig:
 
     def test_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GRASPKIT_MU", "0.9")
-        monkeypatch.setenv("GRASPKIT_TRIALS", "7")
+        monkeypatch.setenv("GRASPKIT_CANDIDATES_PER_PAIR", "7")
         config = load_config(None, env=True)
         assert config.mu == 0.9
-        assert config.trials == 7
+        assert config.candidates_per_pair == 7
 
     def test_hash_tracks_values(self):
         assert PlannerConfig().sha256() != PlannerConfig(mu=0.6).sha256()
@@ -109,7 +119,22 @@ class TestPlan:
         meta = data["pipeline_metadata"]
         assert meta["config_sha256"] == default_config.sha256()
         assert len(meta["input_sha256"]) == 64
-        assert data["schema_version"] == 1
+        assert data["schema_version"] == 2
+
+    def test_report_keys(self, box_cloud, default_config):
+        data = plan(box_cloud, default_config).to_json_dict()
+        assert set(data) == {"schema_version", "result_code", "best", "reports", "pipeline_metadata"}
+        keys = {"contact_a", "contact_b", "grasp_axis", "width", "closure", "sigma_min", "mode", "axis_com_distance"}
+        assert set(data["best"]) == keys
+        assert all(set(r) == keys for r in data["reports"])
+
+    @pytest.mark.parametrize("normals", [True, False], ids=["analytic-normals", "points-only"])
+    def test_leaves_no_index_on_the_input(self, corpus, default_config, normals):
+        cloud = generate(corpus["box_foam_brick"])
+        if not normals:
+            cloud = PointCloud(cloud.points)
+        assert plan(cloud, default_config).ok
+        assert "index" not in cloud.__dict__
 
     def test_best_is_head_of_reports(self, box_cloud, default_config):
         result = plan(box_cloud, default_config)
