@@ -92,11 +92,11 @@ def _cmd_plan(args) -> int:
 
 def _cmd_segment(args) -> int:
     config = load_config(args.config)
-    cloud, neighbors = planner_mod.prepare(load_cloud(args.input), config)
+    cloud = planner_mod.preprocess(load_cloud(args.input), config)
     if cloud.normals is None or cloud.curvatures is None:
         print("error: cloud too small to segment", file=sys.stderr)
         return EXIT_NO_CANDIDATES
-    segmentation = segment(cloud, config.region_params(), neighbors)
+    segmentation = segment(cloud, config.region_params())
     save_segmentation_ply(cloud, segmentation.region_ids(), args.output)
     return EXIT_OK if len(segmentation) else EXIT_NO_CANDIDATES
 
@@ -141,7 +141,7 @@ def _candidate_from_json(data, cloud: PointCloud) -> GraspCandidate:
 def _with_normals(cloud: PointCloud, config: PlannerConfig) -> PointCloud:
     if cloud.normals is not None:
         return cloud
-    return estimate_normals_curvatures(cloud, k=config.normals_k)
+    return estimate_normals_curvatures(cloud, k=config.k_neighbors)
 
 
 def _cmd_eval(args) -> int:

@@ -6,9 +6,12 @@ query breaks distance ties by ascending point index and every reduction
 runs in a fixed order.
 
 A ``PointCloud`` computes its ``index``, centroid and bounding radius once
-and keeps them as long as the cloud lives (see the class). Planning memoizes
-a tree only on the clouds it derives, so with the default config, whose
-voxel grid always makes a new cloud, it leaves none on the caller's input.
+and keeps them as long as the cloud lives (see the class). The index keeps
+its latest ``knn_all`` table, and ``with_attrs`` hands the index to the
+cloud it returns, so normal estimation and region growth on one state of the
+points read one table. Planning memoizes a tree only on the clouds it
+derives, so with the default config, whose voxel grid always makes a new
+cloud, it leaves none on the caller's input.
 """
 
 from __future__ import annotations
@@ -155,6 +158,7 @@ class SpatialIndex:
         self._tree = cKDTree(self._points)
         # contiguous coordinate columns: d² of gathered candidates without strided reads
         self._columns = np.ascontiguousarray(self._points.T)
+        self._table: tuple[int, np.ndarray, np.ndarray] | None = None  # latest knn_all (k, idx, dist)
 
     def __len__(self) -> int:
         return len(self._points)
@@ -241,9 +245,15 @@ class SpatialIndex:
 
         Returns (indices, distances) of shape (n, k), row i equal to
         ``knn(points[i], k)``. Each query point is its own nearest neighbor
-        (distance 0) unless a duplicate point with a lower index exists.
+        (distance 0) unless a duplicate point with a lower index exists. The
+        latest table is kept read-only and returned again for the same k.
         """
-        return self._knn_rows(self._points, k)
+        if self._table is None or self._table[0] != k:
+            idx, dist = self._knn_rows(self._points, k)
+            idx.setflags(write=False)
+            dist.setflags(write=False)
+            self._table = (k, idx, dist)
+        return self._table[1:]
 
     def nearest_many(self, queries) -> np.ndarray:
         """Index of the nearest indexed point to each row of ``queries`` (m, 3).
@@ -335,32 +345,22 @@ def _canonical_sign(v: np.ndarray) -> np.ndarray:
     return v if v[dominant] >= 0 else -v
 
 
-def neighbor_table(cloud: PointCloud, k: int, neighbors: np.ndarray | None = None) -> np.ndarray:
-    """The (n, k) k-NN index table of ``cloud``: the first k columns of
-    ``neighbors`` (a ``knn_all`` table of the same points with at least k
-    columns), or one computed with ``cloud.index`` when it is None."""
-    if neighbors is None:
-        return cloud.index.knn_all(k)[0]
-    if neighbors.ndim != 2 or len(neighbors) != len(cloud) or neighbors.shape[1] < k:
-        raise ValueError(f"neighbor table of shape {neighbors.shape} does not cover {len(cloud)} points x {k}")
-    return neighbors[:, :k]
-
-
-def estimate_normals_curvatures(cloud: PointCloud, k: int = 16, neighbors: np.ndarray | None = None) -> PointCloud:
+def estimate_normals_curvatures(cloud: PointCloud, k: int = 16) -> PointCloud:
     """PCA normals and surface-variation curvature over k-NN neighborhoods.
 
     The neighborhood of a point is its k nearest cloud points (the point
-    itself included), taken from ``neighbors`` when given (see
-    ``neighbor_table``). The normal is the eigenvector of the smallest
-    covariance eigenvalue, oriented away from the cloud centroid; curvature
-    is lambda_min / (sum of eigenvalues), clamped to [0, 1]. Coincident
-    neighborhoods degrade to normal +Z with curvature 0 and are logged.
+    itself included), from ``cloud.index.knn_all(k)``; the returned cloud
+    shares that index and its table. The normal is the eigenvector of the
+    smallest covariance eigenvalue, oriented away from the cloud centroid;
+    curvature is lambda_min / (sum of eigenvalues), clamped to [0, 1].
+    Coincident neighborhoods degrade to normal +Z with curvature 0 and are
+    logged.
     """
     if k < 3:
         raise ValueError(f"k must be >= 3, got {k}")
     if len(cloud) < k:
         raise ValueError(f"cloud of {len(cloud)} points is too small for k={k}")
-    nbh = cloud.points[neighbor_table(cloud, k, neighbors)]  # (n, k, 3)
+    nbh = cloud.points[cloud.index.knn_all(k)[0]]  # (n, k, 3)
     centered = nbh - nbh.mean(axis=1, keepdims=True)
     cov = np.einsum("nki,nkj->nij", centered, centered) / k
     eigvals, eigvecs = np.linalg.eigh(cov)  # ascending eigenvalues

@@ -1,7 +1,8 @@
 """ASCII PLY and XYZ point-cloud readers plus PLY writers.
 
-Only ASCII formats are handled; binary PLY is rejected up front. Unknown
-vertex properties are ignored on read, and non-vertex elements are skipped.
+Only ASCII formats are handled; binary PLY is rejected up front. PLY vertices
+are read as x, y, z and, when present, nx, ny, nz and curvature; other vertex
+properties are ignored, and non-vertex elements are skipped.
 """
 
 from __future__ import annotations
@@ -123,9 +124,11 @@ def _load_ply(path: Path) -> PointCloud:
         if axis not in props:
             raise CloudParseError(f"vertex element lacks property {axis!r}", lineno)
     has_normals = all(p in props for p in ("nx", "ny", "nz"))
+    # "curvature" is PCL's name for the surface variation lambda_min / sum(lambda)
+    has_curvature = "curvature" in props
+    columns = ["x", "y", "z"] + ["nx", "ny", "nz"] * has_normals + ["curvature"] * has_curvature
 
-    points = np.empty((vertex_spec[1], 3))
-    normals = np.empty((vertex_spec[1], 3)) if has_normals else None
+    values = np.empty((vertex_spec[1], len(columns)))
     cursor = lineno
     for name, count, elem_props in elements:
         if name != "vertex":
@@ -142,15 +145,16 @@ def _load_ply(path: Path) -> PointCloud:
                     f"expected {len(elem_props)} fields, got {len(fields)}", cursor + row + 1
                 )
             try:
-                points[row] = [float(fields[col[a]]) for a in ("x", "y", "z")]
-                if has_normals:
-                    normals[row] = [float(fields[col[a]]) for a in ("nx", "ny", "nz")]
+                values[row] = [float(fields[col[a]]) for a in columns]
             except ValueError:
                 raise CloudParseError(
                     f"non-numeric record {lines[cursor + row]!r}", cursor + row + 1
                 ) from None
         cursor += count
-    _check_finite_rows(points if normals is None else np.hstack([points, normals]), vertex_linenos)
+    _check_finite_rows(values, vertex_linenos)
+    points = values[:, :3]
+    normals = values[:, 3:6] if has_normals else None
+    curvatures = values[:, -1] if has_curvature else None
     if has_normals:
         norms = np.linalg.norm(normals, axis=1)
         if np.any(norms == 0):
@@ -158,7 +162,7 @@ def _load_ply(path: Path) -> PointCloud:
         # renormalize only what needs it, so unit normals round-trip bit-exact
         off = np.abs(norms - 1.0) > 1e-9
         normals[off] /= norms[off, np.newaxis]
-    return PointCloud(points, normals)
+    return PointCloud(points, normals, curvatures)
 
 
 def _fmt(value: float) -> str:
@@ -166,11 +170,14 @@ def _fmt(value: float) -> str:
 
 
 def save_cloud_ply(cloud: PointCloud, path, extra_int_property: tuple[str, np.ndarray] | None = None) -> None:
-    """Write ``cloud`` as ASCII PLY (doubles, optional integer per-vertex property)."""
+    """Write ``cloud`` as ASCII PLY (doubles, optional integer per-vertex property);
+    normals and curvatures are written when the cloud has them."""
     header = ["ply", "format ascii 1.0", f"element vertex {len(cloud)}"]
     header += [f"property double {a}" for a in ("x", "y", "z")]
     if cloud.normals is not None:
         header += [f"property double {a}" for a in ("nx", "ny", "nz")]
+    if cloud.curvatures is not None:
+        header.append("property double curvature")
     if extra_int_property is not None:
         name, values = extra_int_property
         if len(values) != len(cloud):
@@ -183,6 +190,8 @@ def save_cloud_ply(cloud: PointCloud, path, extra_int_property: tuple[str, np.nd
         fields = [_fmt(v) for v in cloud.points[i]]
         if cloud.normals is not None:
             fields += [_fmt(v) for v in cloud.normals[i]]
+        if cloud.curvatures is not None:
+            fields.append(_fmt(cloud.curvatures[i]))
         if extra_int_property is not None:
             fields.append(str(int(extra_int_property[1][i])))
         rows.append(" ".join(fields))

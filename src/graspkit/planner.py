@@ -11,21 +11,14 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
 import time
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-import numpy as np
-
 from .candidates import GraspCandidate, find_antiparallel_pairs, make_candidates
-from .cloud import (
-    PointCloud,
-    SpatialIndex,
-    estimate_normals_curvatures,
-    remove_statistical_outliers,
-    voxel_downsample,
-)
+from .cloud import PointCloud, estimate_normals_curvatures, remove_statistical_outliers, voxel_downsample
 from .regions import RegionGrowingParams, Segmentation, segment
 from .stability import GraspReport, RankedCandidates, rank_candidates
 
@@ -45,17 +38,17 @@ class PlannerConfig:
     """Every pipeline tunable, loadable from a flat key=value file.
 
     Unknown keys are rejected at load time and each value is validated
-    against its stage's invariants.
+    against its stage's invariants. ``k_neighbors`` sizes the one k-NN table
+    that normal estimation and region growth share.
     """
 
     voxel_size: float = 0.002
     outlier_k: int = 12
     outlier_std_ratio: float = 2.0
-    normals_k: int = 16
+    k_neighbors: int = 16
     angle_threshold_deg: float = 15.0
     curvature_threshold: float = 0.05
     distance_threshold: float = 0.005
-    region_k_neighbors: int = 16
     min_region_size: int = 20
     max_pair_angle_deg: float = 15.0
     max_width: float = 0.085
@@ -65,14 +58,15 @@ class PlannerConfig:
     closure_mode: str = "soft-pinch"
 
     def __post_init__(self):
+        for f in fields(self):
+            if type(f.default) is float and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.voxel_size < 0:
             raise ValueError("voxel_size must be >= 0 (0 disables downsampling)")
         if self.outlier_k < 1:
             raise ValueError("outlier_k must be >= 1")
         if self.outlier_std_ratio <= 0:
             raise ValueError("outlier_std_ratio must be positive")
-        if self.normals_k < 3:
-            raise ValueError("normals_k must be >= 3")
         if self.max_pair_angle_deg <= 0:
             raise ValueError("max_pair_angle_deg must be positive")
         if self.max_width <= 0:
@@ -85,17 +79,12 @@ class PlannerConfig:
             raise ValueError("sigma_min_threshold must be positive")
         if self.closure_mode not in ("soft-pinch", "strict"):
             raise ValueError(f"unknown closure_mode {self.closure_mode!r}")
-        # delegate the region-growing invariants
+        # delegate the region-growing invariants, k_neighbors >= 3 among them
         self.region_params()
 
     def region_params(self) -> RegionGrowingParams:
-        return RegionGrowingParams(
-            angle_threshold_deg=self.angle_threshold_deg,
-            curvature_threshold=self.curvature_threshold,
-            distance_threshold=self.distance_threshold,
-            k_neighbors=self.region_k_neighbors,
-            min_region_size=self.min_region_size,
-        )
+        """The region-growing fields, which share their names with the config's."""
+        return RegionGrowingParams(**{f.name: getattr(self, f.name) for f in fields(RegionGrowingParams)})
 
     def to_text(self) -> str:
         return "".join(f"{f.name} = {getattr(self, f.name)}\n" for f in fields(self))
@@ -192,31 +181,18 @@ def _hash_cloud(cloud: PointCloud) -> str:
 
 
 def preprocess(cloud: PointCloud, config: PlannerConfig) -> PointCloud:
-    """Outlier filter, voxel downsample, then PCA normals and curvatures unless the
-    cloud carries both (a PLY from ``graspkit synth`` has normals only, so they are re-estimated)."""
-    return prepare(cloud, config)[0]
-
-
-def prepare(cloud: PointCloud, config: PlannerConfig) -> tuple[PointCloud, np.ndarray | None]:
-    """``preprocess`` plus the k-NN table of the prepared points, or None.
-
-    When normals are estimated (the cloud lacks normals or curvatures, so a
-    loaded PLY with normals qualifies too), one ``knn_all`` table of the
-    post-voxel points with max(normals_k, region_k_neighbors) columns (at
-    most n) is built, and normal estimation and segmentation each take its
-    first k columns. Otherwise ``segment`` builds its own table.
-    """
+    """Outlier filter, voxel downsample, then PCA normals and curvatures over
+    ``k_neighbors`` neighbours unless the cloud carries both (a PLY with normals
+    but no ``curvature`` column gets both re-estimated). The estimated cloud's
+    index keeps that k-NN table, so ``segment`` reads it without a second one."""
     out = cloud
     if len(out) >= config.outlier_k + 1:
         out = remove_statistical_outliers(out, k=config.outlier_k, std_ratio=config.outlier_std_ratio)
     if config.voxel_size > 0:
         out = voxel_downsample(out, config.voxel_size)
-    neighbors = None
-    if (out.normals is None or out.curvatures is None) and len(out) >= config.normals_k:
-        k = min(max(config.normals_k, config.region_k_neighbors), len(out))
-        neighbors, _ = SpatialIndex(out).knn_all(k)
-        out = estimate_normals_curvatures(out, k=config.normals_k, neighbors=neighbors)
-    return out, neighbors
+    if (out.normals is None or out.curvatures is None) and len(out) >= config.k_neighbors:
+        out = estimate_normals_curvatures(out, k=config.k_neighbors)
+    return out
 
 
 def plan(cloud: PointCloud, config: PlannerConfig | None = None) -> PlanResult:
@@ -233,7 +209,7 @@ def plan(cloud: PointCloud, config: PlannerConfig | None = None) -> PlanResult:
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()
-    prepared, neighbors = prepare(cloud, config)
+    prepared = preprocess(cloud, config)
     timings["preprocess"] = (time.perf_counter() - t0) * 1e3
 
     def finish(code: str, reports=(), n_regions=0, n_pairs=0) -> PlanResult:
@@ -255,7 +231,7 @@ def plan(cloud: PointCloud, config: PlannerConfig | None = None) -> PlanResult:
         return finish(RESULT_SEGMENTATION_EMPTY)
 
     t0 = time.perf_counter()
-    segmentation: Segmentation = segment(prepared, config.region_params(), neighbors)
+    segmentation: Segmentation = segment(prepared, config.region_params())
     timings["segment"] = (time.perf_counter() - t0) * 1e3
     if len(segmentation) == 0:
         return finish(RESULT_SEGMENTATION_EMPTY)

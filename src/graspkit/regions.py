@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import PointCloud, _canonical_sign, neighbor_table
+from .cloud import PointCloud, _canonical_sign
 
 logger = logging.getLogger(__name__)
 
@@ -211,9 +211,7 @@ def _grow_regions(cloud: PointCloud, params: RegionGrowingParams, hoods: np.ndar
     return raw_regions
 
 
-def segment(
-    cloud: PointCloud, params: RegionGrowingParams | None = None, neighbors: np.ndarray | None = None
-) -> Segmentation:
+def segment(cloud: PointCloud, params: RegionGrowingParams | None = None) -> Segmentation:
     """Grow planar regions over ``cloud`` (which must carry normals and curvatures).
 
     Seeds are picked at the minimum-curvature available point (ties by lowest
@@ -222,9 +220,9 @@ def segment(
     of the region's incremental plane; joined points below the curvature
     threshold keep growing the front. Regions smaller than min_region_size end
     up in the residue. Output regions are sorted by descending size, ties by
-    lowest member index. The neighbours of a point are the first
-    ``k_neighbors`` columns of ``neighbors`` when given (see
-    ``cloud.neighbor_table``).
+    lowest member index. The neighbours of a point are its row of
+    ``cloud.index.knn_all(k_neighbors)``, the table normal estimation with the
+    same k left on the index.
     """
     params = params or RegionGrowingParams()
     if len(cloud) == 0:
@@ -233,7 +231,7 @@ def segment(
         raise ValueError("segmentation requires normals and curvatures")
 
     n = len(cloud)
-    hoods = neighbor_table(cloud, min(params.k_neighbors, n), neighbors)
+    hoods = cloud.index.knn_all(min(params.k_neighbors, n))[0]
     raw_regions = _grow_regions(cloud, params, hoods)
 
     surviving: list[PlanarRegion] = []

@@ -18,7 +18,7 @@ import numpy as np
 from .cloud import PointCloud
 
 # Neighborhood size assumed when translating principal curvatures into the
-# surface-variation proxy; matches the default normal-estimation k.
+# surface-variation proxy; matches the default PlannerConfig.k_neighbors.
 CURVATURE_PROXY_K = 16
 
 

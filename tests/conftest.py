@@ -58,3 +58,17 @@ def index_builds(monkeypatch) -> list:
 
     monkeypatch.setattr(SpatialIndex, "__init__", spy)
     return builds
+
+
+@pytest.fixture
+def table_builds(monkeypatch) -> list:
+    """The k of every k-NN table (``SpatialIndex._knn_rows`` call) computed during the test."""
+    ks = []
+    knn_rows = SpatialIndex._knn_rows
+
+    def spy(self, queries, k):
+        ks.append(k)
+        return knn_rows(self, queries, k)
+
+    monkeypatch.setattr(SpatialIndex, "_knn_rows", spy)
+    return ks

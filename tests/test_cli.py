@@ -5,6 +5,7 @@ import pytest
 
 from graspkit.cli import EXIT_NO_CANDIDATES, EXIT_OK, EXIT_USAGE, cli_main
 from graspkit.io import load_cloud, save_cloud_ply
+from graspkit.planner import plan
 from graspkit.shapes import ShapeSpec, corpus_standard, generate
 
 
@@ -228,6 +229,14 @@ class TestSynthCommand:
         cloud = load_cloud(out)
         assert len(cloud) > 1000
         assert cloud.normals is not None
+
+    def test_synth_ply_plans_like_its_generated_cloud(self, corpus, tmp_path):
+        # the PLY carries the analytic normals and curvatures, so nothing is re-estimated
+        cloud_path, plan_path = tmp_path / "c.ply", tmp_path / "plan.json"
+        for name, spec in corpus.items():
+            assert cli_main(["synth", "--name", name, "--output", str(cloud_path)]) == EXIT_OK
+            cli_main(["plan", "--input", str(cloud_path), "--output", str(plan_path)])
+            assert plan_path.read_text() == plan(generate(spec)).to_json(), name
 
     def test_unknown_name(self, tmp_path):
         code = cli_main(["synth", "--name", "warp_core", "--output", str(tmp_path / "x.ply")])

@@ -126,14 +126,33 @@ class TestMemoizedState:
         assert len({id(a.index), id(twin.index), id(part.index)}) == 3
         assert len(part.index) == 25
 
-    def test_with_attrs_keeps_what_was_computed(self, index_builds):
+    def test_knn_all_keeps_its_latest_table(self, table_builds):
+        points = random_points(300, seed=7)
+        fresh_idx, fresh_dist = SpatialIndex(points).knn_all(12)
+        index = SpatialIndex(points)
+        idx, dist = index.knn_all(12)
+        again = index.knn_all(12)
+        assert again[0] is idx and again[1] is dist and table_builds == [12, 12]
+        assert idx.tobytes() == fresh_idx.tobytes() and dist.tobytes() == fresh_dist.tobytes()
+        for arr in (idx, dist):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 0
+        # another k replaces the kept table
+        assert index.knn_all(5)[0].shape == (300, 5)
+        replaced = index.knn_all(12)
+        assert replaced[0] is not idx and table_builds == [12, 12, 5, 12]
+        assert replaced[0].tobytes() == fresh_idx.tobytes() and replaced[1].tobytes() == fresh_dist.tobytes()
+
+    def test_with_attrs_keeps_what_was_computed(self, index_builds, table_builds):
         cloud = PointCloud(random_points(60, seed=6, scale=0.1))
         bare = cloud.with_attrs(curvatures=np.zeros(60))
         assert not {"index", "_centroid", "_bounding_radius"} & set(bare.__dict__)
         index, centroid, radius = cloud.index, cloud.centroid(), cloud.bounding_radius()
+        table = index.knn_all(16)
         out = cloud.with_attrs(curvatures=np.zeros(60))
         assert out.index is index and out.centroid() is centroid and out.bounding_radius() == radius
-        assert index_builds == [cloud]
+        assert out.index.knn_all(16)[0] is table[0] and out.index.knn_all(16)[1] is table[1]
+        assert index_builds == [cloud] and table_builds == [16]
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_centroid_and_radius_bit_equal_to_fresh(self, seed):

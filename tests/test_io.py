@@ -117,6 +117,19 @@ class TestPLY:
         assert err.value.line == 13
         assert "non-finite" in str(err.value)
 
+    def test_non_finite_curvature_cites_line(self, tmp_path):
+        text = (
+            PLY_WITH_NORMALS.replace("property float nz\n", "property float nz\nproperty float curvature\n")
+            .replace("0 0 0 0 0 1", "0 0 0 0 0 1 0.25")
+            .replace("1 0 0 1 0 0", "1 0 0 1 0 0 inf")
+        )
+        path = tmp_path / "curv.ply"
+        path.write_text(text)
+        with pytest.raises(CloudParseError) as err:
+            load_cloud(path)
+        assert err.value.line == 14
+        assert "non-finite" in str(err.value)
+
     def test_zero_vertices_rejected(self, tmp_path):
         path = tmp_path / "z.ply"
         path.write_text(
@@ -132,12 +145,13 @@ class TestWriter:
         rng = np.random.default_rng(4)
         normals = rng.normal(size=(40, 3))
         normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-        cloud = PointCloud(rng.uniform(-1, 1, (40, 3)), normals=normals)
+        cloud = PointCloud(rng.uniform(-1, 1, (40, 3)), normals=normals, curvatures=rng.uniform(0, 1, 40))
         path = tmp_path / "rt.ply"
         save_cloud_ply(cloud, path)
         back = load_cloud(path)
         np.testing.assert_array_equal(back.points, cloud.points)
         np.testing.assert_array_equal(back.normals, cloud.normals)
+        np.testing.assert_array_equal(back.curvatures, cloud.curvatures)
 
     def test_segmentation_export_parses(self, tmp_path):
         cloud = PointCloud(np.eye(3))

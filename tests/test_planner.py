@@ -1,3 +1,6 @@
+import math
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -25,6 +28,17 @@ class TestConfig:
         with pytest.raises(ValueError):
             PlannerConfig(angle_threshold_deg=120.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", [f.name for f in fields(PlannerConfig) if type(f.default) is float])
+    def test_non_finite_values_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            PlannerConfig(**{name: value})
+
+    def test_non_finite_env_override_rejected(self, monkeypatch):
+        monkeypatch.setenv("GRASPKIT_MU", "nan")
+        with pytest.raises(ValueError, match="mu must be finite"):
+            load_config(None, env=True)
+
     def test_file_round_trip(self, tmp_path):
         config = PlannerConfig(mu=0.7, candidates_per_pair=3, closure_mode="strict")
         path = tmp_path / "planner.cfg"
@@ -32,16 +46,21 @@ class TestConfig:
         loaded = load_config(path, env=False)
         assert loaded == config
 
-    # trials and f_normal_cap: removed keys, so a config file written for schema 1 fails loudly
-    @pytest.mark.parametrize("line", ["grip_strength = 11", "trials = 100", "f_normal_cap = 2.0"],
-                             ids=["unknown", "trials", "f_normal_cap"])
+    # removed keys, so an older config file fails loudly; k_neighbors replaced the last two
+    @pytest.mark.parametrize(
+        "line",
+        ["grip_strength = 11", "trials = 100", "f_normal_cap = 2.0", "normals_k = 16", "region_k_neighbors = 16"],
+        ids=["unknown", "trials", "f_normal_cap", "normals_k", "region_k_neighbors"],
+    )
     def test_unknown_key_rejected(self, tmp_path, line):
         path = tmp_path / "bad.cfg"
         path.write_text(line + "\n")
         with pytest.raises(ValueError, match="unknown key"):
             load_config(path, env=False)
 
-    @pytest.mark.parametrize("name", ["GRASPKIT_TRIALS", "GRASPKIT_F_NORMAL_CAP"])
+    @pytest.mark.parametrize(
+        "name", ["GRASPKIT_TRIALS", "GRASPKIT_F_NORMAL_CAP", "GRASPKIT_NORMALS_K", "GRASPKIT_REGION_K_NEIGHBORS"]
+    )
     def test_unknown_env_override_rejected(self, monkeypatch, name):
         monkeypatch.setenv(name, "7")
         with pytest.raises(ValueError, match=f"unknown environment override {name}"):
@@ -135,6 +154,15 @@ class TestPlan:
             cloud = PointCloud(cloud.points)
         assert plan(cloud, default_config).ok
         assert "index" not in cloud.__dict__
+
+    def test_points_only_cloud_builds_two_trees_and_two_tables(
+        self, sphere_cloud, default_config, index_builds, table_builds
+    ):
+        # the outlier filter's tree and table, then the prepared cloud's, which
+        # normal estimation and segmentation share
+        assert plan(PointCloud(sphere_cloud.points), default_config).ok
+        assert len(index_builds) == 2
+        assert table_builds == [default_config.outlier_k + 1, default_config.k_neighbors]
 
     def test_best_is_head_of_reports(self, box_cloud, default_config):
         result = plan(box_cloud, default_config)

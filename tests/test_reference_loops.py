@@ -20,7 +20,7 @@ from graspkit.candidates import (
     project_to_common_plane,
 )
 from graspkit.cloud import PointCloud, SpatialIndex, remove_statistical_outliers, voxel_downsample
-from graspkit.planner import PlannerConfig, plan, prepare, preprocess
+from graspkit.planner import PlannerConfig, plan, preprocess
 from graspkit.regions import PlanarRegion, RegionGrowingParams, _grow_regions, segment
 from graspkit.robustness import PerturbationSpec, robust_force_closure
 from graspkit.shapes import corpus_standard, generate
@@ -82,7 +82,7 @@ def test_knn_tables_match_single_round_loop(table_clouds, name):
     for cloud in table_clouds[name]:
         for points, k in (
             (cloud, CONFIG.outlier_k + 1),
-            (preprocess(cloud, CONFIG), max(CONFIG.normals_k, CONFIG.region_k_neighbors)),
+            (preprocess(cloud, CONFIG), CONFIG.k_neighbors),
         ):
             index = SpatialIndex(points)
             idx, dist = index.knn_all(k)
@@ -106,8 +106,8 @@ def assert_pairs_equal(got, want):
 @pytest.mark.parametrize("name", OBJECTS)
 def test_pairs_and_sample_locations_match_loops(table_clouds, name):
     for cloud in table_clouds[name]:
-        prepared, neighbors = prepare(cloud, CONFIG)
-        regions = segment(prepared, CONFIG.region_params(), neighbors).regions
+        prepared = preprocess(cloud, CONFIG)
+        regions = segment(prepared, CONFIG.region_params()).regions
         for subset in (regions, regions[:1], regions[:0]):
             assert_pairs_equal(
                 find_antiparallel_pairs(subset, CONFIG.max_pair_angle_deg, CONFIG.max_width),
