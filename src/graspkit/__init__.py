@@ -6,7 +6,6 @@ from .candidates import (
     find_antiparallel_pairs,
     make_candidates,
     overlap_region,
-    project_to_common_plane,
 )
 from .cloud import (
     PointCloud,

@@ -4,6 +4,12 @@ Contacts come in pairs: one point from each of two roughly antiparallel
 planar regions, chosen where the regions' projections onto their common
 plane overlap. Projection is rank-2, so the original 3D points are carried
 alongside their 2D coordinates instead of ever inverting it.
+
+The projection basis is ``plane_frame`` of the pair's common normal, negated
+when region_a's first member has a higher cloud index than region_b's.
+Reversing a pair negates its common normal too, so a pair and its reverse
+project identically and pick the same contacts, each in its own order: the
+sides swap, the grasp axis is negated and the width is bit-equal.
 """
 
 from __future__ import annotations
@@ -27,48 +33,6 @@ class RegionPair:
     index_a: int = -1
     index_b: int = -1
 
-    def swapped(self) -> "RegionPair":
-        return RegionPair(
-            region_a=self.region_b,
-            region_b=self.region_a,
-            common_normal=-self.common_normal,
-            antiparallel_angle_deg=self.antiparallel_angle_deg,
-            separation=self.separation,
-            index_a=self.index_b,
-            index_b=self.index_a,
-        )
-
-
-@dataclass(frozen=True)
-class PlaneFrame:
-    """Deterministic orthonormal 2D basis (u, v) of a plane with normal n."""
-
-    u: np.ndarray
-    v: np.ndarray
-    normal: np.ndarray
-
-    def to_plane(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(points)
-        return np.column_stack([pts @ self.u, pts @ self.v])
-
-
-@dataclass(frozen=True)
-class Box2D:
-    lo: np.ndarray
-    hi: np.ndarray
-
-    def contains(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        return np.all((pts >= self.lo) & (pts <= self.hi), axis=1)
-
-    @property
-    def center(self) -> np.ndarray:
-        return (self.lo + self.hi) / 2.0
-
-    @property
-    def size(self) -> np.ndarray:
-        return self.hi - self.lo
-
 
 @dataclass(frozen=True)
 class GraspCandidate:
@@ -80,8 +44,6 @@ class GraspCandidate:
     normal_b: np.ndarray
     grasp_axis: np.ndarray
     width: float
-    contact_index_a: int = -1
-    contact_index_b: int = -1
 
 
 def find_antiparallel_pairs(
@@ -125,34 +87,21 @@ def find_antiparallel_pairs(
     ]
 
 
-def plane_frame(normal: np.ndarray) -> PlaneFrame:
-    """In-plane basis: u tracks global +X (or +Y when the normal is near X)."""
+def plane_frame(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """In-plane basis (u, v): u tracks global +X (or +Y when the normal is near X)."""
     n = np.asarray(normal, dtype=np.float64)
     ref = np.array([1.0, 0.0, 0.0])
     if abs(n @ ref) > 0.9:
         ref = np.array([0.0, 1.0, 0.0])
     u = ref - (ref @ n) * n
     u = u / np.linalg.norm(u)
-    v = np.cross(n, u)
-    return PlaneFrame(u=u, v=v, normal=n)
+    return u, np.cross(n, u)
 
 
-def project_to_common_plane(
-    pair: RegionPair, cloud: PointCloud
-) -> tuple[np.ndarray, np.ndarray, PlaneFrame]:
-    """2D coordinates of both regions' members in the common-plane basis.
-
-    Rows follow each region's member order, so ``proj_a[i]`` corresponds to
-    ``cloud.points[pair.region_a.point_indices[i]]``.
-    """
-    frame = plane_frame(pair.common_normal)
-    proj_a = frame.to_plane(cloud.points[pair.region_a.point_indices])
-    proj_b = frame.to_plane(cloud.points[pair.region_b.point_indices])
-    return proj_a, proj_b, frame
-
-
-def overlap_region(proj_a: np.ndarray, proj_b: np.ndarray, min_points: int = 1) -> Box2D | None:
-    """Intersection of the two 2D bounding boxes, or None.
+def overlap_region(
+    proj_a: np.ndarray, proj_b: np.ndarray, min_points: int = 1
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Corners ``(lo, hi)`` of the intersection of the two 2D bounding boxes, or None.
 
     Returns None when the intersection has zero area or either side has
     fewer than ``min_points`` projected points inside it.
@@ -163,10 +112,10 @@ def overlap_region(proj_a: np.ndarray, proj_b: np.ndarray, min_points: int = 1) 
     hi = np.minimum(proj_a.max(axis=0), proj_b.max(axis=0))
     if np.any(hi - lo <= 0):
         return None
-    box = Box2D(lo=lo, hi=hi)
-    if box.contains(proj_a).sum() < min_points or box.contains(proj_b).sum() < min_points:
-        return None
-    return box
+    for proj in (proj_a, proj_b):
+        if np.all((proj >= lo) & (proj <= hi), axis=1).sum() < min_points:
+            return None
+    return lo, hi
 
 
 def _halton(index: int, base: int) -> float:
@@ -186,10 +135,10 @@ def _halton_table(count: int) -> np.ndarray:
     return table
 
 
-def _sample_locations(box: Box2D, count: int) -> np.ndarray:
-    """Box center first, then a (2,3)-Halton sweep of the box interior."""
-    locs = box.lo + box.size * _halton_table(count)
-    locs[0] = box.center
+def _sample_locations(lo: np.ndarray, hi: np.ndarray, count: int) -> np.ndarray:
+    """Center of the box [lo, hi] first, then a (2,3)-Halton sweep of its interior."""
+    locs = lo + (hi - lo) * _halton_table(count)
+    locs[0] = (lo + hi) / 2.0
     return locs
 
 
@@ -227,28 +176,27 @@ def make_candidates(
     of each region (projected within ``distance_threshold``) becomes a
     contact; pairs wider than ``max_width`` are dropped.
     """
-    # Evaluate in a canonical region order so that swapping the pair yields
-    # the same candidates with contacts swapped.
-    canonical = int(pair.region_a.point_indices[0]) <= int(pair.region_b.point_indices[0])
-    work = pair if canonical else pair.swapped()
-
-    proj_a, proj_b, _ = project_to_common_plane(work, cloud)
+    region_a, region_b = pair.region_a, pair.region_b
+    # the canonical orientation of the module docstring
+    canonical = int(region_a.point_indices[0]) <= int(region_b.point_indices[0])
+    u, v = plane_frame(pair.common_normal if canonical else -pair.common_normal)
+    points_a = cloud.points[region_a.point_indices]
+    points_b = cloud.points[region_b.point_indices]
+    proj_a = np.column_stack([points_a @ u, points_a @ v])
+    proj_b = np.column_stack([points_b @ u, points_b @ v])
     box = overlap_region(proj_a, proj_b, min_points=min_points)
     if box is None:
         return []
 
-    idx_a = work.region_a.point_indices
-    idx_b = work.region_b.point_indices
-    normal_a = _toward(work.region_a.plane_normal, work.region_b.centroid - work.region_a.centroid)
-    normal_b = _toward(work.region_b.plane_normal, work.region_a.centroid - work.region_b.centroid)
-
+    normal_a = _toward(region_a.plane_normal, region_b.centroid - region_a.centroid)
+    normal_b = _toward(region_b.plane_normal, region_a.centroid - region_b.centroid)
     out: list[GraspCandidate] = []
     seen: set[tuple[int, int]] = set()
-    for sample in _sample_locations(box, max(32, 4 * n_per_pair)):
+    for sample in _sample_locations(*box, max(32, 4 * n_per_pair)):
         if len(out) >= n_per_pair:
             break
-        ia = _nearest_member(sample, proj_a, idx_a, distance_threshold)
-        ib = _nearest_member(sample, proj_b, idx_b, distance_threshold)
+        ia = _nearest_member(sample, proj_a, region_a.point_indices, distance_threshold)
+        ib = _nearest_member(sample, proj_b, region_b.point_indices, distance_threshold)
         if ia is None or ib is None or ia == ib or (ia, ib) in seen:
             continue
         seen.add((ia, ib))
@@ -258,33 +206,21 @@ def make_candidates(
         width = float(np.linalg.norm(delta))
         if width <= 0 or width > max_width:
             continue
-        candidate = GraspCandidate(
-            contact_a=contact_a,
-            contact_b=contact_b,
-            normal_a=normal_a,
-            normal_b=normal_b,
-            grasp_axis=delta / width,
-            width=width,
-            contact_index_a=ia,
-            contact_index_b=ib,
+        # a reversed pair negates the canonical axis, signed zeros included
+        axis = delta / width if canonical else -((contact_a - contact_b) / width)
+        out.append(
+            GraspCandidate(
+                contact_a=contact_a,
+                contact_b=contact_b,
+                normal_a=normal_a,
+                normal_b=normal_b,
+                grasp_axis=axis,
+                width=width,
+            )
         )
-        out.append(candidate if canonical else _swap_candidate(candidate))
     return out
 
 
 def _toward(normal: np.ndarray, direction: np.ndarray) -> np.ndarray:
     """Orient ``normal`` to point along ``direction`` (toward the other region)."""
     return normal if normal @ direction > 0 else -normal
-
-
-def _swap_candidate(c: GraspCandidate) -> GraspCandidate:
-    return GraspCandidate(
-        contact_a=c.contact_b,
-        contact_b=c.contact_a,
-        normal_a=c.normal_b,
-        normal_b=c.normal_a,
-        grasp_axis=-c.grasp_axis,
-        width=c.width,
-        contact_index_a=c.contact_index_b,
-        contact_index_b=c.contact_index_a,
-    )

@@ -42,11 +42,19 @@ def load_cloud(path, format: str | None = None) -> PointCloud:
     raise ValueError(f"unknown cloud format {format!r}")
 
 
-def _check_finite_rows(values: np.ndarray, linenos) -> None:
-    """Raise on the first record holding NaN or inf; ``linenos[i]`` is row i's line."""
-    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
-    if len(bad):
-        raise CloudParseError(f"non-finite record {values[bad[0]].tolist()}", int(linenos[bad[0]]))
+def _check_rows(values: np.ndarray, linenos, checks=()) -> None:
+    """Raise on the first bad record; ``linenos[i]`` is row i's line.
+
+    A record is bad when it holds NaN or inf or when it is set in the row
+    mask of one of the ``(message, mask)`` pairs in ``checks``; the error
+    carries the first message that applies to it.
+    """
+    checks = [("non-finite record", ~np.isfinite(values).all(axis=1)), *checks]
+    bad = np.array([mask for _, mask in checks])
+    rows = np.flatnonzero(bad.any(axis=0))
+    if len(rows):
+        message = checks[int(np.argmax(bad[:, rows[0]]))][0]
+        raise CloudParseError(f"{message} {values[rows[0]].tolist()}", int(linenos[rows[0]]))
 
 
 def _load_xyz(path: Path) -> PointCloud:
@@ -68,7 +76,7 @@ def _load_xyz(path: Path) -> PointCloud:
     if not points:
         raise EmptyCloudError(f"no points in {path}")
     points = np.array(points)
-    _check_finite_rows(points, linenos)
+    _check_rows(points, linenos)
     return PointCloud(points)
 
 
@@ -151,14 +159,17 @@ def _load_ply(path: Path) -> PointCloud:
                     f"non-numeric record {lines[cursor + row]!r}", cursor + row + 1
                 ) from None
         cursor += count
-    _check_finite_rows(values, vertex_linenos)
     points = values[:, :3]
     normals = values[:, 3:6] if has_normals else None
     curvatures = values[:, -1] if has_curvature else None
+    checks = []
     if has_normals:
         norms = np.linalg.norm(normals, axis=1)
-        if np.any(norms == 0):
-            raise CloudParseError("zero-length normal in vertex data")
+        checks.append(("zero-length normal in record", norms == 0))
+    if has_curvature:
+        checks.append(("curvature outside [0, 1] in record", (curvatures < 0) | (curvatures > 1)))
+    _check_rows(values, vertex_linenos, checks)
+    if has_normals:
         # renormalize only what needs it, so unit normals round-trip bit-exact
         off = np.abs(norms - 1.0) > 1e-9
         normals[off] /= norms[off, np.newaxis]

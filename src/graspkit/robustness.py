@@ -64,6 +64,8 @@ class PerturbationSpec:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if not (math.isfinite(self.threshold) and self.threshold > 0):
+            raise ValueError(f"threshold must be finite and positive, got {self.threshold}")
         if self.sigma_mode not in ("absolute", "relative"):
             raise ValueError(f"unknown sigma_mode {self.sigma_mode!r}")
 

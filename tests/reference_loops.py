@@ -90,11 +90,11 @@ def find_antiparallel_pairs(regions, max_angle_deg: float = 15.0, max_width: flo
     return pairs
 
 
-def sample_locations(box, count: int) -> np.ndarray:
-    """Box center first, then a (2,3)-Halton sweep of the box interior, one row at a time."""
-    locs = [box.center]
+def sample_locations(lo, hi, count: int) -> np.ndarray:
+    """Center of the box [lo, hi] first, then a (2,3)-Halton sweep of its interior, one row at a time."""
+    locs = [(lo + hi) / 2.0]
     for i in range(1, count):
-        locs.append(box.lo + box.size * np.array([_halton(i, 2), _halton(i, 3)]))
+        locs.append(lo + (hi - lo) * np.array([_halton(i, 2), _halton(i, 3)]))
     return np.array(locs)
 
 

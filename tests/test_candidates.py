@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,6 @@ from graspkit.candidates import (
     make_candidates,
     overlap_region,
     plane_frame,
-    project_to_common_plane,
 )
 from graspkit.cloud import PointCloud
 from graspkit.regions import segment
@@ -25,6 +26,19 @@ def parallel_grid_cloud(gap=0.05, nx=20, ny=20, spacing=0.005, offset_xy=(0.0, 0
     pts = np.vstack([lower_pts, upper_pts])
     normals = np.vstack([lower_n, upper_n])
     return PointCloud(pts, normals, np.zeros(len(pts)))
+
+
+def to_plane(points, normal):
+    """2D coordinates of ``points`` in the basis ``plane_frame(normal)``."""
+    u, v = plane_frame(normal)
+    pts = np.atleast_2d(points)
+    return np.column_stack([pts @ u, pts @ v])
+
+
+def inside(pts, lo, hi):
+    """Which 2D points lie in the closed box [lo, hi]."""
+    pts = np.atleast_2d(pts)
+    return np.all((pts >= lo) & (pts <= hi), axis=1)
 
 
 def segment_pair_cloud(cloud):
@@ -87,13 +101,11 @@ class TestFindPairs:
 
 class TestProjection:
     def test_axis_aligned_z(self):
-        frame = plane_frame(np.array([0.0, 0.0, 1.0]))
-        xy = frame.to_plane(np.array([[1.0, 2.0, 3.0]]))
+        xy = to_plane(np.array([[1.0, 2.0, 3.0]]), np.array([0.0, 0.0, 1.0]))
         np.testing.assert_allclose(xy[0], [1.0, 2.0], atol=1e-12)
 
     def test_axis_aligned_x_fallback(self):
-        frame = plane_frame(np.array([1.0, 0.0, 0.0]))
-        yz = frame.to_plane(np.array([[5.0, 1.0, 1.0]]))
+        yz = to_plane(np.array([[5.0, 1.0, 1.0]]), np.array([1.0, 0.0, 0.0]))
         np.testing.assert_allclose(yz[0], [1.0, 1.0], atol=1e-12)
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -103,9 +115,9 @@ class TestProjection:
         n = rng.normal(size=3)
         n /= np.linalg.norm(n)
         p = rng.normal(size=3)
-        frame = plane_frame(n)
-        xy = frame.to_plane(p)[0]
-        q = xy[0] * frame.u + xy[1] * frame.v
+        u, v = plane_frame(n)
+        xy = to_plane(p, n)[0]
+        q = xy[0] * u + xy[1] * v
         # q is p with its normal component removed
         assert abs(q @ n) < 1e-9
         assert abs(np.linalg.norm(p - q) - abs(p @ n)) < 1e-9
@@ -116,9 +128,9 @@ class TestOverlap:
         return np.array([[lo, lo], [hi, lo], [lo, hi], [hi, hi]], dtype=float)
 
     def test_box_intersection(self):
-        box = overlap_region(self.box_corners(0, 2), self.box_corners(1, 3))
-        np.testing.assert_allclose(box.lo, [1, 1])
-        np.testing.assert_allclose(box.hi, [2, 2])
+        lo, hi = overlap_region(self.box_corners(0, 2), self.box_corners(1, 3))
+        np.testing.assert_allclose(lo, [1, 1])
+        np.testing.assert_allclose(hi, [2, 2])
 
     def test_disjoint_boxes_empty(self):
         assert overlap_region(self.box_corners(0, 1), self.box_corners(2, 3)) is None
@@ -133,9 +145,9 @@ class TestOverlap:
         # 20x20 grids offset by half their extent in both axes
         a = np.array([[i, j] for i in range(20) for j in range(20)], dtype=float)
         b = a + 10.0
-        box = overlap_region(a, b)
-        assert int(box.contains(a).sum()) == 100
-        assert int(box.contains(b).sum()) == 100
+        lo, hi = overlap_region(a, b)
+        assert int(inside(a, lo, hi).sum()) == 100
+        assert int(inside(b, lo, hi).sum()) == 100
 
 
 class TestMakeCandidates:
@@ -184,27 +196,47 @@ class TestMakeCandidates:
         pair = find_antiparallel_pairs(seg.regions, 10.0, 0.1)[0]
         cands = make_candidates(pair, cloud, n_per_pair=5, max_width=0.1)
         assert cands
-        proj_a, proj_b, frame = project_to_common_plane(pair, cloud)
-        box = overlap_region(proj_a, proj_b)
+        points_a = cloud.points[pair.region_a.point_indices]
+        points_b = cloud.points[pair.region_b.point_indices]
+        lo, hi = overlap_region(to_plane(points_a, pair.common_normal), to_plane(points_b, pair.common_normal))
         for c in cands:
-            assert c.contact_index_a in pair.region_a.point_indices
-            assert c.contact_index_b in pair.region_b.point_indices
-            pa = frame.to_plane(c.contact_a)[0]
-            pb = frame.to_plane(c.contact_b)[0]
-            assert box.contains(pa + 0).all() or np.linalg.norm(pa - np.clip(pa, box.lo, box.hi)) <= 0.005
-            assert box.contains(pb + 0).all() or np.linalg.norm(pb - np.clip(pb, box.lo, box.hi)) <= 0.005
+            assert (points_a == c.contact_a).all(axis=1).any()
+            assert (points_b == c.contact_b).all(axis=1).any()
+            pa = to_plane(c.contact_a, pair.common_normal)[0]
+            pb = to_plane(c.contact_b, pair.common_normal)[0]
+            assert inside(pa, lo, hi).all() or np.linalg.norm(pa - np.clip(pa, lo, hi)) <= 0.005
+            assert inside(pb, lo, hi).all() or np.linalg.norm(pb - np.clip(pb, lo, hi)) <= 0.005
 
     def test_swap_symmetry(self):
-        cloud = parallel_grid_cloud(gap=0.05, offset_xy=(0.012, -0.007))
+        self.assert_swap_symmetric(parallel_grid_cloud(gap=0.05, offset_xy=(0.012, -0.007)))
+
+    def test_swap_symmetry_keeps_signed_zeros(self):
+        # facing grids without offset: every grasp axis is (0, 0, +-1) exactly
+        self.assert_swap_symmetric(parallel_grid_cloud(gap=0.05))
+
+    def assert_swap_symmetric(self, cloud):
         seg = segment(cloud)
         pair = find_antiparallel_pairs(seg.regions, 10.0, 0.1)[0]
         forward = make_candidates(pair, cloud, n_per_pair=5, max_width=0.1)
-        backward = make_candidates(pair.swapped(), cloud, n_per_pair=5, max_width=0.1)
+        assert forward
+        reversed_pair = dataclasses.replace(
+            pair,
+            region_a=pair.region_b,
+            region_b=pair.region_a,
+            common_normal=-pair.common_normal,
+            index_a=pair.index_b,
+            index_b=pair.index_a,
+        )
+        backward = make_candidates(reversed_pair, cloud, n_per_pair=5, max_width=0.1)
         assert len(forward) == len(backward)
         for f, b in zip(forward, backward):
             np.testing.assert_array_equal(f.contact_a, b.contact_b)
             np.testing.assert_array_equal(f.contact_b, b.contact_a)
             np.testing.assert_array_equal(f.normal_a, b.normal_b)
+            assert f.normal_b.tobytes() == b.normal_a.tobytes()
+            # bytewise, so the signed zeros of the axis must match too
+            assert (-f.grasp_axis).tobytes() == b.grasp_axis.tobytes()
+            assert f.width == b.width
 
     def test_inward_normals_face_each_other(self):
         cloud = parallel_grid_cloud(gap=0.05)
@@ -223,6 +255,4 @@ class TestMakeCandidates:
         for ca, cb in zip(a, b):
             for field in ("contact_a", "contact_b", "normal_a", "normal_b", "grasp_axis"):
                 assert getattr(ca, field).tobytes() == getattr(cb, field).tobytes()
-            assert (ca.width, ca.contact_index_a, ca.contact_index_b) == (
-                cb.width, cb.contact_index_a, cb.contact_index_b
-            )
+            assert ca.width == cb.width

@@ -130,6 +130,36 @@ class TestPLY:
         assert err.value.line == 14
         assert "non-finite" in str(err.value)
 
+    def test_out_of_range_curvature_cites_line(self, tmp_path):
+        text = (
+            PLY_WITH_NORMALS.replace("property float nz\n", "property float nz\nproperty float curvature\n")
+            .replace("0 0 0 0 0 1", "0 0 0 0 0 1 0.25")
+            .replace("1 0 0 1 0 0", "1 0 0 1 0 0 1.5")
+        )
+        path = tmp_path / "curv.ply"
+        path.write_text(text)
+        with pytest.raises(CloudParseError) as err:
+            load_cloud(path)
+        assert err.value.line == 14
+        assert "curvature outside [0, 1]" in str(err.value)
+
+    def test_zero_length_normal_cites_line(self, tmp_path):
+        path = tmp_path / "zero.ply"
+        path.write_text(PLY_WITH_NORMALS.replace("1 0 0 1 0 0", "1 0 0 0 0 0"))
+        with pytest.raises(CloudParseError) as err:
+            load_cloud(path)
+        assert err.value.line == 13
+        assert "zero-length normal" in str(err.value)
+
+    def test_first_bad_record_is_cited_whatever_its_fault(self, tmp_path):
+        # a zero normal on line 12 comes before a non-finite value on line 13
+        path = tmp_path / "two.ply"
+        path.write_text(PLY_WITH_NORMALS.replace("0 0 0 0 0 1", "0 0 0 0 0 0").replace("1 0 0 1 0 0", "1 0 0 nan 0 0"))
+        with pytest.raises(CloudParseError) as err:
+            load_cloud(path)
+        assert err.value.line == 12
+        assert "zero-length normal" in str(err.value)
+
     def test_zero_vertices_rejected(self, tmp_path):
         path = tmp_path / "z.ply"
         path.write_text(

@@ -11,14 +11,8 @@ import numpy as np
 import pytest
 
 import reference_loops as ref
-from graspkit.candidates import (
-    Box2D,
-    GraspCandidate,
-    _sample_locations,
-    find_antiparallel_pairs,
-    overlap_region,
-    project_to_common_plane,
-)
+from graspkit import candidates
+from graspkit.candidates import GraspCandidate, _sample_locations, find_antiparallel_pairs, make_candidates
 from graspkit.cloud import PointCloud, SpatialIndex, remove_statistical_outliers, voxel_downsample
 from graspkit.planner import PlannerConfig, plan, preprocess
 from graspkit.regions import PlanarRegion, RegionGrowingParams, _grow_regions, segment
@@ -104,7 +98,15 @@ def assert_pairs_equal(got, want):
 
 
 @pytest.mark.parametrize("name", OBJECTS)
-def test_pairs_and_sample_locations_match_loops(table_clouds, name):
+def test_pairs_and_sample_locations_match_loops(table_clouds, name, monkeypatch):
+    # the overlap boxes and sample counts of make_candidates, captured at the sweep
+    boxes = []
+
+    def spy(lo, hi, count):
+        boxes.append((lo, hi, count))
+        return _sample_locations(lo, hi, count)
+
+    monkeypatch.setattr(candidates, "_sample_locations", spy)
     for cloud in table_clouds[name]:
         prepared = preprocess(cloud, CONFIG)
         regions = segment(prepared, CONFIG.region_params()).regions
@@ -114,10 +116,10 @@ def test_pairs_and_sample_locations_match_loops(table_clouds, name):
                 ref.find_antiparallel_pairs(subset, CONFIG.max_pair_angle_deg, CONFIG.max_width),
             )
         for pair in find_antiparallel_pairs(regions, CONFIG.max_pair_angle_deg, CONFIG.max_width):
-            box = overlap_region(*project_to_common_plane(pair, prepared)[:2])
-            if box is not None:
-                count = max(32, 4 * CONFIG.candidates_per_pair)
-                assert np.array_equal(_sample_locations(box, count), ref.sample_locations(box, count))
+            # min_points=1 sweeps every box holding a point of each region, not only the plan's
+            make_candidates(pair, prepared, n_per_pair=CONFIG.candidates_per_pair, min_points=1)
+    for lo, hi, count in boxes:
+        assert np.array_equal(_sample_locations(lo, hi, count), ref.sample_locations(lo, hi, count))
 
 
 def test_pairs_with_ties_and_degenerate_directions_match_loop():
@@ -143,9 +145,9 @@ def test_sample_locations_match_loop_on_random_boxes():
     rng = np.random.default_rng(8)
     for _ in range(50):
         lo = rng.normal(size=2)
-        box = Box2D(lo=lo, hi=lo + rng.uniform(0.0, 0.1, 2))
+        hi = lo + rng.uniform(0.0, 0.1, 2)
         for count in (1, 2, 32, 47):
-            assert np.array_equal(_sample_locations(box, count), ref.sample_locations(box, count))
+            assert np.array_equal(_sample_locations(lo, hi, count), ref.sample_locations(lo, hi, count))
 
 
 @pytest.mark.parametrize("name", OBJECTS)

@@ -163,8 +163,23 @@ class TestRobustForceClosure:
             ({"sigma": float("inf")}, "sigma"),
             ({"sigma": 0.1, "seed": -1}, "seed"),
             ({"sigma": 0.1, "seed": 2**64}, "seed"),
+            ({"sigma": 0.1, "threshold": float("nan")}, "threshold"),
+            ({"sigma": 0.1, "threshold": float("inf")}, "threshold"),
+            ({"sigma": 0.1, "threshold": float("-inf")}, "threshold"),
+            ({"sigma": 0.1, "threshold": 0.0}, "threshold"),
+            ({"sigma": 0.1, "threshold": -0.01}, "threshold"),
         ],
-        ids=["sigma-nan", "sigma-inf", "seed-negative", "seed-2**64"],
+        ids=[
+            "sigma-nan",
+            "sigma-inf",
+            "seed-negative",
+            "seed-2**64",
+            "threshold-nan",
+            "threshold-inf",
+            "threshold-minus-inf",
+            "threshold-zero",
+            "threshold-negative",
+        ],
     )
     def test_out_of_range_spec_names_the_field(self, kwargs, field):
         with pytest.raises(ValueError, match=f"^{field} must"):
