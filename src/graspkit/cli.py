@@ -59,7 +59,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--output", default=None)
 
     p = sub.add_parser("benchmark", help="closure-probability grid over the synthetic corpus")
-    p.add_argument("--corpus", default="standard", choices=["standard"])
     p.add_argument("--sigmas", default="0.02,0.05,0.1")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)

@@ -164,15 +164,19 @@ def _load_ply(path: Path) -> PointCloud:
     curvatures = values[:, -1] if has_curvature else None
     checks = []
     if has_normals:
-        norms = np.linalg.norm(normals, axis=1)
-        checks.append(("zero-length normal in record", norms == 0))
+        peak = np.abs(normals).max(axis=1)
+        checks.append(("zero-length normal in record", peak == 0))
     if has_curvature:
         checks.append(("curvature outside [0, 1] in record", (curvatures < 0) | (curvatures > 1)))
     _check_rows(values, vertex_linenos, checks)
     if has_normals:
-        # renormalize only what needs it, so unit normals round-trip bit-exact
-        off = np.abs(norms - 1.0) > 1e-9
-        normals[off] /= norms[off, np.newaxis]
+        # renormalize only what needs it, so unit normals round-trip bit-exact;
+        # an off-unit row is first divided by its largest |component|, so its
+        # squares can neither overflow nor underflow
+        with np.errstate(over="ignore"):
+            off = np.abs(np.linalg.norm(normals, axis=1) - 1.0) > 1e-9
+        scaled = normals[off] / peak[off, np.newaxis]
+        normals[off] = scaled / np.linalg.norm(scaled, axis=1)[:, np.newaxis]
     return PointCloud(points, normals, curvatures)
 
 

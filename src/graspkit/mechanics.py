@@ -181,9 +181,11 @@ def force_closure(
     when the considered singular values all exceed the threshold AND the
     contact-to-contact line lies inside both friction cones. ``mode``
     "soft-pinch" ignores the smallest of the six singular values, which is
-    structurally zero for exactly collinear antipodal contacts (rotation
-    about the grasp axis); "strict" keeps all six. Returns (closure,
-    smallest considered singular value).
+    structurally zero for every two-contact grasp: an equal and opposite
+    squeeze along the contact line lies in G's null space (dually, no
+    contact force makes a torque about that line). "strict" keeps all six,
+    so it rejects every two-contact grasp. Returns (closure, smallest
+    considered singular value).
     """
     if len(gm.contacts) != 2:
         raise ValueError("force_closure is defined for exactly 2 contacts")

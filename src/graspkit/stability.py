@@ -4,13 +4,15 @@ The paper's stability cost compares the squared object-wrench magnitude
 q = f^T G^T G f against the squared magnitudes of 24 pseudo disturbance
 forces (three signed axis vectors per spatial octant) and sums the
 per-octant products of differences. All 24 have the squared magnitude
-f_ex^2, so the cost is 8 (q - f_ex^2)^3, which rises with q >= 0. The zero
+f_ex^2, so every octant contributes (q - f_ex^2)^3 and the cost is
+8 (q - f_ex^2)^3, with gradient 48 (q - f_ex^2)^2 G^T G f; this module
+computes both in that closed form. The cost rises with q >= 0. The zero
 force has q = 0 and lies inside every friction cone and under the norm cap,
 so it is the feasible minimiser of least norm and the optimum is -8 f_ex^6
 on every grasp, whatever its geometry. It therefore cannot order grasps, and
 planning does not compute it. ``StabilityProblem``, ``stability_cost``, its
-gradient, ``constraint_violation`` and the closed-form ``solve_stability``
-stay here as the reference the acceptance suite's criterion 5 checks.
+gradient and the closed-form ``solve_stability`` stay here as the reference
+the acceptance suite's criterion 5 checks.
 """
 
 from __future__ import annotations
@@ -26,15 +28,6 @@ from .mechanics import GraspMap, stacked_force_closure, stacked_grasp_maps, stac
 # Not called here since candidates are scored as stacks; the names stay in
 # this module because perfbench/tracing.py wraps them as module attributes.
 from .mechanics import build_grasp_map, force_closure  # noqa: F401
-
-
-def octant_axis_bases() -> np.ndarray:
-    """(8, 3, 3) signed unit axis vectors: octant 0 is {+X,+Y,+Z}, 7 is {-X,-Y,-Z}."""
-    bases = np.empty((8, 3, 3))
-    for i in range(8):
-        signs = np.array([-1.0 if (i >> bit) & 1 else 1.0 for bit in range(3)])
-        bases[i] = np.diag(signs)
-    return bases
 
 
 @dataclass(frozen=True)
@@ -53,23 +46,12 @@ class StabilityProblem:
         object.__setattr__(self, "f_normal_cap", float(cap))
 
     @property
-    def octant_bases(self) -> np.ndarray:
-        """(8, 3, 3) octant axis bases; fixed, because the closed-form optimum
-        relies on all 24 pseudo forces having the same magnitude."""
-        return octant_axis_bases()
-
-    @property
     def n_contacts(self) -> int:
         return len(self.grasp_map.contacts)
 
     @property
     def dim(self) -> int:
         return 3 * self.n_contacts
-
-    def pseudo_force_sq_magnitudes(self) -> np.ndarray:
-        """(8, 3) squared magnitudes of the scaled octant basis forces."""
-        scaled = self.f_ex_magnitude * self.octant_bases
-        return np.einsum("ijk,ijk->ij", scaled, scaled)
 
 
 @dataclass(frozen=True)
@@ -80,59 +62,33 @@ class StabilityResult:
     iterations: int
 
 
-def stability_cost(f, problem: StabilityProblem) -> float:
-    """Sum over octants of the product over basis forces of (q - |F_ex|^2)."""
+def _wrench_excess(f, problem: StabilityProblem) -> tuple[float, np.ndarray]:
+    """(q - f_ex^2, G f) for the stacked contact forces ``f``."""
     f = np.asarray(f, dtype=np.float64)
     if f.shape != (problem.dim,):
         raise ValueError(f"force vector must have length {problem.dim}, got {f.shape}")
-    G = problem.grasp_map.G
-    w = G @ f
-    q = float(w @ w)
-    m = problem.pseudo_force_sq_magnitudes()
-    total = 0.0
-    for i in range(m.shape[0]):
-        product = 1.0
-        for j in range(m.shape[1]):
-            product *= q - m[i, j]
-        total += product
-    return total
+    w = problem.grasp_map.G @ f
+    return float(w @ w) - problem.f_ex_magnitude * problem.f_ex_magnitude, w
+
+
+def stability_cost(f, problem: StabilityProblem) -> float:
+    """8 (q - f_ex^2)^3: the sum over octants of the product over basis forces of (q - |F_ex|^2)."""
+    excess, _ = _wrench_excess(f, problem)
+    return 8.0 * excess**3
 
 
 def stability_cost_grad(f, problem: StabilityProblem) -> np.ndarray:
-    """Analytic gradient of stability_cost with respect to the stacked forces."""
-    f = np.asarray(f, dtype=np.float64)
-    G = problem.grasp_map.G
-    w = G @ f
-    q = float(w @ w)
-    m = problem.pseudo_force_sq_magnitudes()
-    dcost_dq = 0.0
-    for i in range(m.shape[0]):
-        factors = q - m[i]
-        for j in range(m.shape[1]):
-            others = 1.0
-            for l in range(m.shape[1]):
-                if l != j:
-                    others *= factors[l]
-            dcost_dq += others
-    return dcost_dq * 2.0 * (G.T @ w)
-
-
-def constraint_violation(f, problem: StabilityProblem) -> float:
-    """Largest violation at ``f`` of any contact's friction cone (mu^2 fz^2 >= fx^2 + fy^2),
-    normal non-negativity or norm cap (0 when feasible)."""
-    fc = np.asarray(f, dtype=np.float64).reshape(-1, 3)
-    fx, fy, fz = fc.T
-    cone = problem.mu**2 * fz * fz - fx * fx - fy * fy
-    cap = problem.f_normal_cap**2 - np.vecdot(fc, fc)
-    return float(max(0.0, -np.concatenate([cone, fz, cap]).min()))
+    """48 (q - f_ex^2)^2 G^T G f, the gradient of stability_cost with respect to the stacked forces."""
+    excess, w = _wrench_excess(f, problem)
+    return 48.0 * excess**2 * (problem.grasp_map.G.T @ w)
 
 
 def solve_stability(problem: StabilityProblem) -> StabilityResult:
     """The stability optimum in closed form: f = 0, the feasible minimiser of least norm.
 
-    The cost is 8 (q - f_ex^2)^3 with q = |G f|^2 >= 0 (module docstring), so
-    no feasible force beats q = 0, and f = 0 reaches it on every grasp map,
-    degenerate ones included. No optimiser runs; ``iterations`` is 0.
+    No feasible force beats q = 0 (module docstring), and f = 0 reaches it
+    on every grasp map, degenerate ones included. No optimiser runs;
+    ``iterations`` is 0.
     """
     f = np.zeros(problem.dim)
     return StabilityResult(optimal_f=f, cost=stability_cost(f, problem), converged=True, iterations=0)

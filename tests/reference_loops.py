@@ -12,7 +12,8 @@ began with k + 2 candidates.
 
 ``solve_stability_slsqp`` is the iterative solver the library ran per
 candidate before it computed the stability optimum in closed form. Tests
-assert that the closed form is never worse than it.
+assert that the closed form is never worse than it, and check feasibility
+with its ``constraint_violation``.
 """
 
 import math

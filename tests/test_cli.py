@@ -186,8 +186,7 @@ class TestBenchmarkCommand:
     def test_grid_structure(self, tmp_path):
         out = tmp_path / "grid.csv"
         code = cli_main(
-            ["benchmark", "--corpus", "standard", "--sigmas", "0.02,0.05,0.1",
-             "--trials", "5", "--output", str(out)]
+            ["benchmark", "--sigmas", "0.02,0.05,0.1", "--trials", "5", "--output", str(out)]
         )
         assert code == EXIT_OK
         lines = out.read_text().strip().splitlines()
@@ -202,6 +201,11 @@ class TestBenchmarkCommand:
                 continue
             assert all(0.0 <= float(c) <= 1.0 for c in cells)
 
+    def test_corpus_flag_is_a_usage_error(self, tmp_path):
+        # the grid always covers the one standard corpus
+        with pytest.raises(SystemExit) as err:
+            cli_main(["benchmark", "--corpus", "standard", "--output", str(tmp_path / "g.csv")])
+        assert err.value.code == EXIT_USAGE
 
     @pytest.mark.parametrize(
         "args, message",

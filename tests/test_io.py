@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,18 @@ class TestPLY:
             load_cloud(path)
         assert err.value.line == 13
         assert "zero-length normal" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "normal, axis", [("1e200 0 0", [1.0, 0.0, 0.0]), ("0 1e-200 0", [0.0, 1.0, 0.0])],
+        ids=["overflow", "underflow"],
+    )
+    def test_normal_whose_squares_leave_the_float_range_loads_as_unit(self, tmp_path, normal, axis):
+        path = tmp_path / "extreme.ply"
+        path.write_text(PLY_WITH_NORMALS.replace("1 0 0 1 0 0", f"1 0 0 {normal}"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cloud = load_cloud(path)
+        np.testing.assert_array_equal(cloud.normals, [[0.0, 0.0, 1.0], axis])
 
     def test_first_bad_record_is_cited_whatever_its_fault(self, tmp_path):
         # a zero normal on line 12 comes before a non-finite value on line 13

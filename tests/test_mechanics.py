@@ -166,6 +166,23 @@ class TestForceClosure:
         assert not closure_strict
         assert sigma_strict == pytest.approx(0.0, abs=1e-12)
 
+        # Every two-contact grasp has sigma_6 = 0, not only an exactly antipodal
+        # one: an equal and opposite squeeze along the contact line lies in G's
+        # null space. Here the normals are tilted off that line.
+        rng = np.random.default_rng(2024)
+        contacts = rng.normal(size=(200, 2, 3)) * 0.05
+        axis = contacts[:, 1] - contacts[:, 0]
+        axis /= np.linalg.norm(axis, axis=1, keepdims=True)
+        normals = np.stack([axis, -axis], axis=1) + rng.normal(size=(200, 2, 3)) * 0.2
+        normals /= np.linalg.norm(normals, axis=2, keepdims=True)
+        rotations = stacked_rotations(normals)
+        G = stacked_grasp_maps(contacts, rotations, rng.normal(size=3) * 0.01)
+        strict, sigma6 = stacked_force_closure(G, contacts, normals, 0.5, mode="strict", torque_scale=0.05)
+        soft, _ = stacked_force_closure(G, contacts, normals, 0.5, mode="soft-pinch", torque_scale=0.05)
+        assert not strict.any()
+        assert sigma6.max() < 1e-12
+        assert soft.any()
+
     def test_perpendicular_normals_fail_admissibility(self):
         a = build_contact_frame([-1, 0, 0], [0.0, 0, 1], 0.5)
         b = build_contact_frame([1, 0, 0], [0.0, 0, -1], 0.5)
