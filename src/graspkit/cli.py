@@ -185,14 +185,12 @@ def _cmd_benchmark(args) -> int:
     ]
     rows = []
     for name, spec in corpus_standard().items():
-        cloud = generate(spec)
-        result = plan(cloud, config)
+        # every sigma evaluates on the cloud the plan was made on, so they share its index
+        result, prepared = planner_mod._plan(generate(spec), config)
         if not result.ok or result.best is None:
             rows.append([name] + ["-"] * len(sigmas))
             logger.info("%s: %s", name, result.result_code)
             continue
-        # every sigma evaluates on this one prepared cloud, so they share its index
-        prepared = planner_mod.preprocess(cloud, config)
         probs = []
         for pspec in pspecs:
             report = robust_force_closure(

@@ -315,28 +315,28 @@ def remove_statistical_outliers(cloud: PointCloud, k: int = 12, std_ratio: float
     """Drop points whose mean k-NN distance exceeds mean + std_ratio * std.
 
     ``k`` excludes the point itself; the cloud must have at least k + 1
-    points. Survivor order matches the input order.
+    points. Survivor order matches the input order. Beside its (n, k + 1)
+    table the filter holds only the n mean distances: it averages a view of
+    the table's distances, without a mask or a copy of them.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if len(cloud) < k + 1:
         raise ValueError(f"cloud of {len(cloud)} points is too small for k={k}")
-    index = SpatialIndex(cloud)
-    idx, dist = index.knn_all(k + 1)
-    # Drop each row's self entry: the first column holding the row's own
-    # index, or column 0 (argmax of an all-False row) when lower-index
-    # duplicates pushed it out.
-    n = len(cloud)
-    rows = np.arange(n)
-    keep = np.ones(idx.shape, dtype=bool)
-    keep[rows, (idx == rows[:, np.newaxis]).argmax(axis=1)] = False
-    mean_d = dist[keep].reshape(n, k).mean(axis=1)
+    dist = SpatialIndex(cloud).knn_all(k + 1)[1]
+    # A row's own entry lies at distance 0, so every column before it does
+    # too (rows are sorted by distance), and when zero-distance points of
+    # lower index push it out of the row, column 0 is at 0 as well. Skipping
+    # column 0 thus leaves the same k distances, in the same order, as
+    # skipping the row's own entry.
+    mean_d = dist[:, 1:].mean(axis=1)
     threshold = mean_d.mean() + std_ratio * mean_d.std()
     mask = mean_d <= threshold
+    n = len(cloud)
     removed = int(n - mask.sum())
     if removed:
         logger.debug("outlier filter removed %d of %d points", removed, n)
-    return cloud.select(rows[mask])
+    return cloud.select(np.flatnonzero(mask))
 
 
 def _canonical_sign(v: np.ndarray) -> np.ndarray:
@@ -355,16 +355,27 @@ def estimate_normals_curvatures(cloud: PointCloud, k: int = 16) -> PointCloud:
     curvature is lambda_min / (sum of eigenvalues), clamped to [0, 1].
     Coincident neighborhoods degrade to normal +Z with curvature 0 and are
     logged.
+
+    Covariances are formed per block of KNN_BLOCK rows: the block's
+    (KNN_BLOCK, k, 3) neighbour coordinates, centred in place, and its
+    (KNN_BLOCK, 3, 3) covariances and eigenvectors are the only scratch;
+    what grows with n is (n, 3) eigenvalues and normals. Each matrix rounds
+    as it would in one batch of all n.
     """
     if k < 3:
         raise ValueError(f"k must be >= 3, got {k}")
     if len(cloud) < k:
         raise ValueError(f"cloud of {len(cloud)} points is too small for k={k}")
-    nbh = cloud.points[cloud.index.knn_all(k)[0]]  # (n, k, 3)
-    centered = nbh - nbh.mean(axis=1, keepdims=True)
-    cov = np.einsum("nki,nkj->nij", centered, centered) / k
-    eigvals, eigvecs = np.linalg.eigh(cov)  # ascending eigenvalues
-    normals = eigvecs[:, :, 0].copy()
+    hoods = cloud.index.knn_all(k)[0]
+    eigvals = np.empty((len(cloud), 3))
+    normals = np.empty((len(cloud), 3))
+    for start in range(0, len(cloud), KNN_BLOCK):
+        block = slice(start, start + KNN_BLOCK)
+        nbh = cloud.points[hoods[block]]  # (rows, k, 3)
+        nbh -= nbh.mean(axis=1, keepdims=True)
+        cov = np.einsum("nki,nkj->nij", nbh, nbh) / k
+        eigvals[block], eigvecs = np.linalg.eigh(cov)  # ascending eigenvalues
+        normals[block] = eigvecs[:, :, 0]
     total = eigvals.sum(axis=1)
     degenerate = total <= 0.0
     if np.any(degenerate):

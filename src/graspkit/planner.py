@@ -202,6 +202,12 @@ def plan(cloud: PointCloud, config: PlannerConfig | None = None) -> PlanResult:
     when no region survives, "no-candidates" when no antiparallel pair
     yields a feasible contact pair.
     """
+    return _plan(cloud, config)[0]
+
+
+def _plan(cloud: PointCloud, config: PlannerConfig | None = None) -> tuple[PlanResult, PointCloud]:
+    """``plan``'s result and the preprocessed cloud it planned on, for a
+    caller that goes on to evaluate grasps on that cloud."""
     config = config or PlannerConfig()
     if len(cloud) == 0:
         raise ValueError("cannot plan on an empty cloud")
@@ -212,7 +218,7 @@ def plan(cloud: PointCloud, config: PlannerConfig | None = None) -> PlanResult:
     prepared = preprocess(cloud, config)
     timings["preprocess"] = (time.perf_counter() - t0) * 1e3
 
-    def finish(code: str, reports=(), n_regions=0, n_pairs=0) -> PlanResult:
+    def finish(code: str, reports=(), n_regions=0, n_pairs=0) -> tuple[PlanResult, PointCloud]:
         ranked = tuple(reports)
         return PlanResult(
             result_code=code,
@@ -224,7 +230,7 @@ def plan(cloud: PointCloud, config: PlannerConfig | None = None) -> PlanResult:
             n_points=len(prepared),
             n_regions=n_regions,
             n_pairs=n_pairs,
-        )
+        ), prepared
 
     if prepared.normals is None or prepared.curvatures is None:
         logger.warning("cloud too small to estimate attributes; nothing to segment")

@@ -8,7 +8,13 @@ the library's output equals theirs bit for bit (``np.array_equal``), so every
 rounding choice of the vectorized code (summation order, dot products,
 tie-breaks) is pinned to these loops. ``knn_rows`` is the single-round
 k + KNN_SLACK neighbour table the library resolved every row with before it
-began with k + 2 candidates.
+began with k + 2 candidates. ``outlier_mean_distances_full`` is the
+whole-table version of the outlier filter's mean distances, through one
+(n, k + 1) mask of each row's own entry, that the library ran before it
+skipped column 0. ``estimate_normals_curvatures`` is the whole-cloud
+version of normal estimation, through one (n, k, 3) neighbourhood array and
+its centred copy, that the library ran before it worked in blocks of
+KNN_BLOCK rows.
 
 ``solve_stability_slsqp`` is the iterative solver the library ran per
 candidate before it computed the stability optimum in closed form. Tests
@@ -23,7 +29,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from graspkit.candidates import RegionPair, _halton
-from graspkit.cloud import KNN_BLOCK, KNN_SLACK, PointCloud, SpatialIndex
+from graspkit.cloud import KNN_BLOCK, KNN_SLACK, PointCloud, SpatialIndex, _canonical_sign
 from graspkit.regions import REFIT_INTERVAL, DegenerateFitError, RegionGrowingParams, fit_plane_lsq
 from graspkit.robustness import trial_rng
 from graspkit.stability import StabilityProblem, StabilityResult, stability_cost, stability_cost_grad
@@ -112,10 +118,44 @@ def outlier_mean_distances(cloud: PointCloud, k: int) -> np.ndarray:
     return mean_d
 
 
-def remove_statistical_outliers(cloud: PointCloud, k: int = 12, std_ratio: float = 2.0) -> PointCloud:
-    mean_d = outlier_mean_distances(cloud, k)
+def outlier_mean_distances_full(cloud: PointCloud, k: int) -> np.ndarray:
+    """``outlier_mean_distances`` through one self-entry mask over the whole table."""
+    idx, dist = SpatialIndex(cloud).knn_all(k + 1)
+    n = len(cloud)
+    rows = np.arange(n)
+    keep = np.ones(idx.shape, dtype=bool)
+    keep[rows, (idx == rows[:, np.newaxis]).argmax(axis=1)] = False
+    return dist[keep].reshape(n, k).mean(axis=1)
+
+
+def remove_statistical_outliers(
+    cloud: PointCloud, k: int = 12, std_ratio: float = 2.0, mean_distances=outlier_mean_distances
+) -> PointCloud:
+    mean_d = mean_distances(cloud, k)
     threshold = mean_d.mean() + std_ratio * mean_d.std()
     return cloud.select(np.arange(len(cloud))[mean_d <= threshold])
+
+
+def estimate_normals_curvatures(cloud: PointCloud, k: int = 16) -> PointCloud:
+    """PCA normals and curvatures from the (n, k, 3) neighbourhoods of the whole cloud at once."""
+    nbh = cloud.points[SpatialIndex(cloud).knn_all(k)[0]]
+    centered = nbh - nbh.mean(axis=1, keepdims=True)
+    cov = np.einsum("nki,nkj->nij", centered, centered) / k
+    eigvals, eigvecs = np.linalg.eigh(cov)
+    normals = eigvecs[:, :, 0].copy()
+    total = eigvals.sum(axis=1)
+    degenerate = total <= 0.0
+    normals[degenerate] = (0.0, 0.0, 1.0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        curvatures = np.where(degenerate, 0.0, eigvals[:, 0] / np.where(total > 0, total, 1.0))
+    curvatures = np.clip(curvatures, 0.0, 1.0)
+    outward = cloud.points - cloud.centroid()
+    side = np.einsum("ni,ni->n", normals, outward)
+    normals[side < 0] *= -1.0
+    for i in np.flatnonzero(side == 0):
+        normals[i] = _canonical_sign(normals[i])
+    normals = normals / np.linalg.norm(normals, axis=1, keepdims=True)
+    return PointCloud(cloud.points, normals, curvatures)
 
 
 def voxel_downsample(cloud: PointCloud, voxel: float) -> PointCloud:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from graspkit.shapes import ShapeSpec, corpus_standard, generate
 
 
 BOX = ShapeSpec("box", (0.05, 0.075, 0.05), density=1.2e5)
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture(scope="module")
@@ -201,6 +203,20 @@ class TestBenchmarkCommand:
                 continue
             assert all(0.0 <= float(c) <= 1.0 for c in cells)
 
+    def test_grid_matches_the_golden_file(self, tmp_path):
+        out = tmp_path / "grid.csv"
+        assert cli_main(["benchmark", "--trials", "20", "--sigmas", "0.02,0.05", "--output", str(out)]) == EXIT_OK
+        assert out.read_bytes() == (GOLDEN / "benchmark_trials20_sigmas_0.02_0.05.csv").read_bytes()
+
+    def test_each_object_is_preprocessed_once(self, corpus, tmp_path, monkeypatch, index_builds, table_builds):
+        # the plan's outlier tree and table and its prepared cloud's tree and
+        # table, whose index then snaps the trials of both sigmas
+        monkeypatch.setattr("graspkit.cli.corpus_standard", lambda: {"box_foam_brick": corpus["box_foam_brick"]})
+        out = tmp_path / "grid.csv"
+        assert cli_main(["benchmark", "--trials", "5", "--sigmas", "0.02,0.05", "--output", str(out)]) == EXIT_OK
+        assert len(index_builds) == 2
+        assert table_builds == [13, 16, 1, 1]
+
     def test_corpus_flag_is_a_usage_error(self, tmp_path):
         # the grid always covers the one standard corpus
         with pytest.raises(SystemExit) as err:
@@ -213,7 +229,7 @@ class TestBenchmarkCommand:
         ids=["seed-negative", "sigma-nan"],
     )
     def test_out_of_range_spec_exits_before_planning(self, tmp_path, capsys, monkeypatch, args, message):
-        monkeypatch.setattr("graspkit.cli.plan", lambda *a, **k: pytest.fail("planned before validating"))
+        monkeypatch.setattr("graspkit.planner._plan", lambda *a, **k: pytest.fail("planned before validating"))
         out = tmp_path / "grid.csv"
         assert cli_main(["benchmark", "--trials", "5", "--output", str(out)] + args) == 1
         assert message in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -20,6 +22,24 @@ from conftest import grid_cloud
 def random_points(n, seed, scale=1.0):
     rng = np.random.default_rng(seed)
     return rng.uniform(0.0, scale, size=(n, 3))
+
+
+def sphere_points(n, seed, radius=0.05):
+    rng = np.random.default_rng(seed)
+    points = rng.normal(size=(n, 3))
+    return radius * points / np.linalg.norm(points, axis=1, keepdims=True)
+
+
+def traced_peak(run) -> int:
+    """Peak bytes of traced allocations above those live when ``run()`` starts
+    (numpy reports its array buffers to ``tracemalloc``)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 @st.composite
@@ -418,6 +438,26 @@ class TestOutlierRemoval:
         with pytest.raises(ValueError):
             remove_statistical_outliers(PointCloud(np.zeros((5, 3))), k=5)
 
+    def test_reduction_adds_no_table_sized_scratch(self, monkeypatch):
+        # Peak from the moment the (n, k + 1) table is built: the reduction
+        # may add the n mean distances, the survivors and their points (six
+        # words a point with the survivor mask) and a few (KNN_BLOCK, k + 1)
+        # blocks, but no (n, k + 1) mask and no (n, k) copy of the distances.
+        n, k = 8 * KNN_BLOCK - 100, 12
+        cloud = PointCloud(sphere_points(n, seed=3))
+        knn_all = SpatialIndex.knn_all
+        table_bytes = []
+
+        def spy(index, table_k):
+            idx, dist = knn_all(index, table_k)
+            table_bytes.append(idx.nbytes + dist.nbytes)
+            tracemalloc.reset_peak()
+            return idx, dist
+
+        monkeypatch.setattr(SpatialIndex, "knn_all", spy)
+        peak = traced_peak(lambda: remove_statistical_outliers(cloud, k=k))
+        assert peak < table_bytes[0] + 6 * 8 * n + 4 * 8 * KNN_BLOCK * (k + 1)
+
 
 class TestNormalEstimation:
     def test_planar_grid_normals_and_curvature(self):
@@ -450,6 +490,14 @@ class TestNormalEstimation:
         out = estimate_normals_curvatures(PointCloud(random_points(100, seed=21)), k=6)
         np.testing.assert_allclose(np.linalg.norm(out.normals, axis=1), 1.0, atol=1e-9)
         assert out.curvatures.min() >= 0.0 and out.curvatures.max() <= 1.0
+
+    def test_scratch_is_below_one_neighbourhood_array(self):
+        # with the table built, the (n, 3) outputs and one block of
+        # neighbourhoods fit below a single (n, k, 3) float64 array
+        n, k = 8 * KNN_BLOCK - 100, 16
+        cloud = PointCloud(sphere_points(n, seed=4))
+        cloud.index.knn_all(k)
+        assert traced_peak(lambda: estimate_normals_curvatures(cloud, k=k)) < 8 * n * k * 3
 
     def test_rejects_small_k_or_cloud(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,8 @@
-"""The vectorized outlier filter, voxel grid, kNN tables, region growth,
-region pairing, sample locations and robustness evaluator equal their
-scalar reference loops (``reference_loops.py``) bit for bit, on the corpus
-clouds, on 3x-density jittered scans of the same shapes and on hand-made
-edge cases."""
+"""The vectorized outlier filter, voxel grid, kNN tables, normal estimation,
+region growth, region pairing, sample locations and robustness evaluator
+equal their scalar reference loops or whole-cloud array versions
+(``reference_loops.py``) bit for bit, on the corpus clouds, on 3x-density
+jittered scans of the same shapes and on hand-made edge cases."""
 
 import dataclasses
 import itertools
@@ -13,7 +13,14 @@ import pytest
 import reference_loops as ref
 from graspkit import candidates
 from graspkit.candidates import GraspCandidate, _sample_locations, find_antiparallel_pairs, make_candidates
-from graspkit.cloud import PointCloud, SpatialIndex, remove_statistical_outliers, voxel_downsample
+from graspkit.cloud import (
+    KNN_BLOCK,
+    PointCloud,
+    SpatialIndex,
+    estimate_normals_curvatures,
+    remove_statistical_outliers,
+    voxel_downsample,
+)
 from graspkit.planner import PlannerConfig, plan, preprocess
 from graspkit.regions import PlanarRegion, RegionGrowingParams, _grow_regions, segment
 from graspkit.robustness import PerturbationSpec, robust_force_closure
@@ -159,6 +166,49 @@ def test_outlier_filter_and_voxel_grid_match_loops(clouds, name):
         assert_clouds_equal(
             voxel_downsample(filtered, CONFIG.voxel_size), ref.voxel_downsample(filtered, CONFIG.voxel_size)
         )
+
+
+@pytest.mark.parametrize("name", OBJECTS)
+def test_normals_of_scans_match_whole_cloud_arrays(clouds, name):
+    filtered = remove_statistical_outliers(clouds[name][1], k=CONFIG.outlier_k, std_ratio=CONFIG.outlier_std_ratio)
+    cloud = voxel_downsample(filtered, CONFIG.voxel_size)
+    assert_clouds_equal(
+        estimate_normals_curvatures(cloud, CONFIG.k_neighbors), ref.estimate_normals_curvatures(cloud, CONFIG.k_neighbors)
+    )
+
+
+def block_edge_cloud(n: int) -> PointCloud:
+    """n points of a jittered sphere scan whose curvatures tag each row with
+    its index (i / n). Rows n - 21 to n - 2 coincide on the surface at a
+    point of few mantissa bits, so their mean is exact and their covariance
+    zero (a degenerate neighbourhood, after the first block when
+    n > KNN_BLOCK + 21). Rows 5 and n // 2 lie far off the surface; the last
+    row is a surface point."""
+    rng = np.random.default_rng(n)
+    points = rng.normal(size=(n, 3))
+    points *= 0.05 / np.linalg.norm(points, axis=1, keepdims=True)
+    points += rng.normal(scale=3e-4, size=(n, 3))
+    points[n - 21 : n - 1] = (0.03125, 0.0, 0.0390625)
+    points[[5, n // 2]] *= 3.0
+    return PointCloud(points, curvatures=np.arange(n) / n)
+
+
+@pytest.mark.parametrize("n", [KNN_BLOCK - 1, KNN_BLOCK, KNN_BLOCK + 1, 3 * KNN_BLOCK + 1])
+def test_blocks_match_whole_cloud_arrays_at_block_edges(n):
+    cloud = block_edge_cloud(n)
+    k, ratio = CONFIG.outlier_k, CONFIG.outlier_std_ratio
+    survivors = np.rint(remove_statistical_outliers(cloud, k=k, std_ratio=ratio).curvatures * n)
+    for mean_distances in (ref.outlier_mean_distances_full, ref.outlier_mean_distances):
+        want = np.rint(ref.remove_statistical_outliers(cloud, k, ratio, mean_distances).curvatures * n)
+        assert np.array_equal(survivors, want)
+    assert 5 not in survivors and n // 2 not in survivors and n - 1 in survivors
+
+    points_only = PointCloud(cloud.points)
+    estimated = estimate_normals_curvatures(points_only, k=CONFIG.k_neighbors)
+    assert_clouds_equal(estimated, ref.estimate_normals_curvatures(points_only, k=CONFIG.k_neighbors))
+    coincident = slice(n - 21, n - 1)
+    assert np.array_equal(np.abs(estimated.normals[coincident]), np.tile([0.0, 0.0, 1.0], (20, 1)))
+    assert not estimated.curvatures[coincident].any()
 
 
 @pytest.mark.parametrize("name", OBJECTS)
