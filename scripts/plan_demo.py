@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from graspkit.io import save_cloud_ply, save_segmentation_ply
-from graspkit.planner import PlannerConfig, plan, preprocess
+from graspkit.planner import PlannerConfig, _plan
 from graspkit.regions import segment
 from graspkit.shapes import corpus_standard, generate, lookup
 
@@ -25,11 +25,10 @@ def main() -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     config = PlannerConfig()
     cloud = generate(lookup(args.name))
-    result = plan(cloud, config)
+    result, prepared = _plan(cloud, config)
 
     save_cloud_ply(cloud, outdir / f"{args.name}.ply")
-    prepared = preprocess(cloud, config)
-    seg = segment(prepared, config.region_params())
+    seg = segment(prepared, config.region_params())  # reads the table planning left on prepared.index
     save_segmentation_ply(prepared, seg.region_ids(), outdir / f"{args.name}_regions.ply")
     (outdir / f"{args.name}_plan.json").write_text(result.to_json())
 

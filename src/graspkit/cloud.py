@@ -7,11 +7,13 @@ runs in a fixed order.
 
 A ``PointCloud`` computes its ``index``, centroid and bounding radius once
 and keeps them as long as the cloud lives (see the class). The index keeps
-its latest ``knn_all`` table, and ``with_attrs`` hands the index to the
-cloud it returns, so normal estimation and region growth on one state of the
-points read one table. Planning memoizes a tree only on the clouds it
-derives, so with the default config, whose voxel grid always makes a new
-cloud, it leaves none on the caller's input.
+its latest ``knn_all`` table, the (n, k) neighbour indices and nothing else,
+and ``with_attrs`` hands the index to the cloud it returns, so normal
+estimation and region growth on one state of the points read one table.
+The outlier filter needs distances, not tie-broken neighbours, and reads
+them from a bare tree it drops on return. Planning memoizes a tree only on
+the clouds it derives, so with the default config, whose voxel grid always
+makes a new cloud, it leaves none on the caller's input.
 """
 
 from __future__ import annotations
@@ -147,7 +149,9 @@ class SpatialIndex:
     """k-NN queries over a fixed cloud with deterministic tie-breaks.
 
     Results are sorted by ascending distance; exact distance ties are broken
-    by ascending point index, so queries are reproducible bit for bit.
+    by ascending point index, so queries are reproducible bit for bit. The
+    index holds its points, their tree and the latest ``knn_all`` table,
+    which is indices only: ``knn`` alone returns distances.
     """
 
     def __init__(self, cloud_or_points):
@@ -156,9 +160,7 @@ class SpatialIndex:
         if len(self._points) == 0:
             raise ValueError("cannot index an empty cloud")
         self._tree = cKDTree(self._points)
-        # contiguous coordinate columns: d² of gathered candidates without strided reads
-        self._columns = np.ascontiguousarray(self._points.T)
-        self._table: tuple[int, np.ndarray, np.ndarray] | None = None  # latest knn_all (k, idx, dist)
+        self._table: tuple[int, np.ndarray] | None = None  # latest knn_all (k, rows)
 
     def __len__(self) -> int:
         return len(self._points)
@@ -189,8 +191,8 @@ class SpatialIndex:
         order = np.lexsort((candidates, d2))[:k]
         return candidates[order], np.sqrt(d2[order])
 
-    def _knn_rows(self, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Exact k-NN (indices, distances) of every row of ``queries`` (m, 3).
+    def _knn_rows(self, queries: np.ndarray, k: int) -> np.ndarray:
+        """Exact k-NN indices, (q, k), of every row of ``queries`` (q, 3).
 
         Rows are resolved in rounds. The first takes k + KNN_FIRST_SLACK tree
         candidates per row, the rows it leaves unresolved are queried again
@@ -204,22 +206,20 @@ class SpatialIndex:
         n = len(self._points)
         if not 1 <= k <= n:
             raise ValueError(f"k must be in [1, {n}], got {k}")
-        out_idx, out_d, rows = self._candidate_rows(queries, k, min(k + KNN_FIRST_SLACK, n))
+        out, rows = self._candidate_rows(queries, k, min(k + KNN_FIRST_SLACK, n))
         if len(rows):
-            idx, d, unresolved = self._candidate_rows(queries[rows], k, min(k + KNN_SLACK, n))
-            out_idx[rows], out_d[rows] = idx, d
+            out[rows], unresolved = self._candidate_rows(queries[rows], k, min(k + KNN_SLACK, n))
             for i in rows[unresolved]:
-                out_idx[i], out_d[i] = self.knn(queries[i], k)
-        return out_idx, out_d
+                out[i] = self.knn(queries[i], k)[0]
+        return out
 
-    def _candidate_rows(self, queries: np.ndarray, k: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _candidate_rows(self, queries: np.ndarray, k: int, m: int) -> tuple[np.ndarray, np.ndarray]:
         """One round of ``_knn_rows`` with m tree candidates per row, in blocks
-        of KNN_BLOCK rows: (indices, distances, positions of the rows whose
-        first k candidates are not proven exact)."""
+        of KNN_BLOCK rows: (indices, positions of the rows whose first k
+        candidates are not proven exact)."""
         n = len(self._points)
-        x, y, z = self._columns
-        out_idx = np.empty((len(queries), k), dtype=np.intp)
-        out_d = np.empty((len(queries), k), dtype=np.float64)
+        x, y, z = self._points.T  # column views, so each gather is a contiguous (rows, m) array
+        out = np.empty((len(queries), k), dtype=np.intp)
         unresolved = np.zeros(len(queries), dtype=bool)
         for start in range(0, len(queries), KNN_BLOCK):
             query = queries[start : start + KNN_BLOCK]
@@ -232,28 +232,25 @@ class SpatialIndex:
                 + (z[cand] - query[:, 2, np.newaxis]) ** 2
             )
             order = np.argsort(d2, axis=1, kind="stable")
-            cand = np.take_along_axis(cand, order, axis=1)
-            d2 = np.take_along_axis(d2, order, axis=1)
-            out_idx[start : start + len(query)] = cand[:, :k]
-            out_d[start : start + len(query)] = np.sqrt(d2[:, :k])
+            out[start : start + len(query)] = np.take_along_axis(cand, order[:, :k], axis=1)
             if m < n:
-                unresolved[start : start + len(query)] = d2[:, -1] <= d2[:, k - 1] * (1.0 + 1e-8)
-        return out_idx, out_d, np.flatnonzero(unresolved)
+                kth = np.take_along_axis(d2, order[:, k - 1 : k], axis=1)[:, 0]
+                unresolved[start : start + len(query)] = d2.max(axis=1) <= kth * (1.0 + 1e-8)
+        return out, np.flatnonzero(unresolved)
 
-    def knn_all(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+    def knn_all(self, k: int) -> np.ndarray:
         """k-NN of every indexed point against the cloud itself.
 
-        Returns (indices, distances) of shape (n, k), row i equal to
-        ``knn(points[i], k)``. Each query point is its own nearest neighbor
-        (distance 0) unless a duplicate point with a lower index exists. The
-        latest table is kept read-only and returned again for the same k.
+        Returns the (n, k) indices, row i equal to ``knn(points[i], k)[0]``.
+        Each query point is its own nearest neighbor unless a duplicate point
+        with a lower index exists. The latest table is kept read-only and
+        returned again for the same k.
         """
         if self._table is None or self._table[0] != k:
-            idx, dist = self._knn_rows(self._points, k)
-            idx.setflags(write=False)
-            dist.setflags(write=False)
-            self._table = (k, idx, dist)
-        return self._table[1:]
+            rows = self._knn_rows(self._points, k)
+            rows.setflags(write=False)
+            self._table = (k, rows)
+        return self._table[1]
 
     def nearest_many(self, queries) -> np.ndarray:
         """Index of the nearest indexed point to each row of ``queries`` (m, 3).
@@ -261,7 +258,7 @@ class SpatialIndex:
         Entry i equals ``knn(queries[i], 1)``'s index: the lowest index among
         exactly equidistant points.
         """
-        return self._knn_rows(_as_points(queries, "queries"), 1)[0][:, 0]
+        return self._knn_rows(_as_points(queries, "queries"), 1)[:, 0]
 
     def nearest(self, query) -> int:
         return int(self.nearest_many(np.reshape(query, (1, 3)))[0])
@@ -315,20 +312,21 @@ def remove_statistical_outliers(cloud: PointCloud, k: int = 12, std_ratio: float
     """Drop points whose mean k-NN distance exceeds mean + std_ratio * std.
 
     ``k`` excludes the point itself; the cloud must have at least k + 1
-    points. Survivor order matches the input order. Beside its (n, k + 1)
-    table the filter holds only the n mean distances: it averages a view of
-    the table's distances, without a mask or a copy of them.
+    points. Survivor order matches the input order. The distances come from
+    one plain tree query of k + 1 neighbours: the ascending distances of a
+    row are the same whichever of several tied points fill it, so they equal
+    those of ``SpatialIndex.knn``, which breaks the ties by index. Beside that
+    (n, k + 1) query result the filter holds only the n mean distances: it
+    averages a view of the distances, without a mask or a copy of them.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if len(cloud) < k + 1:
         raise ValueError(f"cloud of {len(cloud)} points is too small for k={k}")
-    dist = SpatialIndex(cloud).knn_all(k + 1)[1]
-    # A row's own entry lies at distance 0, so every column before it does
-    # too (rows are sorted by distance), and when zero-distance points of
-    # lower index push it out of the row, column 0 is at 0 as well. Skipping
-    # column 0 thus leaves the same k distances, in the same order, as
-    # skipping the row's own entry.
+    dist = cKDTree(cloud.points).query(cloud.points, k + 1)[0]
+    # A point lies at distance 0 from itself, so column 0 is 0 and skipping
+    # it leaves the same k distances, in the same order, as skipping the
+    # row's own entry (when duplicates share distance 0, any one of them).
     mean_d = dist[:, 1:].mean(axis=1)
     threshold = mean_d.mean() + std_ratio * mean_d.std()
     mask = mean_d <= threshold
@@ -366,7 +364,7 @@ def estimate_normals_curvatures(cloud: PointCloud, k: int = 16) -> PointCloud:
         raise ValueError(f"k must be >= 3, got {k}")
     if len(cloud) < k:
         raise ValueError(f"cloud of {len(cloud)} points is too small for k={k}")
-    hoods = cloud.index.knn_all(k)[0]
+    hoods = cloud.index.knn_all(k)
     eigvals = np.empty((len(cloud), 3))
     normals = np.empty((len(cloud), 3))
     for start in range(0, len(cloud), KNN_BLOCK):

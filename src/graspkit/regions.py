@@ -231,7 +231,7 @@ def segment(cloud: PointCloud, params: RegionGrowingParams | None = None) -> Seg
         raise ValueError("segmentation requires normals and curvatures")
 
     n = len(cloud)
-    hoods = cloud.index.knn_all(min(params.k_neighbors, n))[0]
+    hoods = cloud.index.knn_all(min(params.k_neighbors, n))
     raw_regions = _grow_regions(cloud, params, hoods)
 
     surviving: list[PlanarRegion] = []

@@ -114,20 +114,8 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
 def trial_normals(seed: int, trials: int, count: int) -> np.ndarray:
     """(trials, count) standard normals, row t equal to
     ``trial_rng(seed, t).standard_normal(count)``, as a read-only array
-    shared by consecutive calls with the same arguments.
-
-    One Philox generator is re-keyed per trial through its ``state`` setter:
-    a fresh generator's state (counter 0, empty buffer) with the key
-    replaced by (seed, t).
-    """
-    bit_generator = np.random.Philox(key=(np.uint64(seed), np.uint64(0)))
-    generator = np.random.Generator(bit_generator)
-    fresh = bit_generator.state  # a snapshot: later draws do not change it
-    out = np.empty((trials, count))
-    for trial in range(trials):
-        fresh["state"]["key"] = np.array([seed, trial], dtype=np.uint64)
-        bit_generator.state = fresh
-        generator.standard_normal(out=out[trial])
+    shared by consecutive calls with the same arguments."""
+    out = np.stack([trial_rng(seed, t).standard_normal(count) for t in range(trials)])
     out.setflags(write=False)
     return out
 

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
+from graspkit import cloud as cloud_module
 from graspkit.cloud import PointCloud, SpatialIndex
 from graspkit.planner import PlannerConfig
 from graspkit.shapes import ShapeSpec, corpus_standard, generate
@@ -48,15 +50,15 @@ def unit_sphere_cloud() -> PointCloud:
 
 @pytest.fixture
 def index_builds(monkeypatch) -> list:
-    """The cloud or points of every ``SpatialIndex`` built during the test."""
+    """The points of every k-d tree the package builds during the test: one
+    per ``SpatialIndex`` and one per outlier filter."""
     builds = []
-    init = SpatialIndex.__init__
 
-    def spy(self, cloud_or_points):
-        builds.append(cloud_or_points)
-        init(self, cloud_or_points)
+    def spy(points):
+        builds.append(points)
+        return cKDTree(points)
 
-    monkeypatch.setattr(SpatialIndex, "__init__", spy)
+    monkeypatch.setattr(cloud_module, "cKDTree", spy)
     return builds
 
 

@@ -8,10 +8,12 @@ the library's output equals theirs bit for bit (``np.array_equal``), so every
 rounding choice of the vectorized code (summation order, dot products,
 tie-breaks) is pinned to these loops. ``knn_rows`` is the single-round
 k + KNN_SLACK neighbour table the library resolved every row with before it
-began with k + 2 candidates. ``outlier_mean_distances_full`` is the
-whole-table version of the outlier filter's mean distances, through one
-(n, k + 1) mask of each row's own entry, that the library ran before it
-skipped column 0. ``estimate_normals_curvatures`` is the whole-cloud
+began with k + 2 candidates. The outlier filter's references take each
+row's ids and distances from the per-point ``knn``, which breaks ties by
+index, where the filter reads a plain tree query; ``outlier_mean_distances``
+drops each row's own entry row by row, and ``outlier_mean_distances_full``
+through one (n, k + 1) mask over the whole table, as the library did before
+it skipped column 0. ``estimate_normals_curvatures`` is the whole-cloud
 version of normal estimation, through one (n, k, 3) neighbourhood array and
 its centred copy, that the library ran before it worked in blocks of
 KNN_BLOCK rows.
@@ -35,16 +37,15 @@ from graspkit.robustness import trial_rng
 from graspkit.stability import StabilityProblem, StabilityResult, stability_cost, stability_cost_grad
 
 
-def knn_rows(index: SpatialIndex, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exact k-NN of every row of ``queries``: k + KNN_SLACK tree candidates per
-    row ordered by (d², index), the per-point ``knn`` for rows whose farthest
-    candidate does not lie strictly beyond the k-th."""
+def knn_rows(index: SpatialIndex, queries: np.ndarray, k: int) -> np.ndarray:
+    """Exact k-NN indices of every row of ``queries``: k + KNN_SLACK tree
+    candidates per row ordered by (d², index), the per-point ``knn`` for rows
+    whose farthest candidate does not lie strictly beyond the k-th."""
     n = len(index._points)
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     m = min(k + KNN_SLACK, n)
-    out_idx = np.empty((len(queries), k), dtype=np.intp)
-    out_d = np.empty((len(queries), k), dtype=np.float64)
+    out = np.empty((len(queries), k), dtype=np.intp)
     for start in range(0, len(queries), KNN_BLOCK):
         query = queries[start : start + KNN_BLOCK]
         _, cand = index._tree.query(query, k=m)
@@ -55,12 +56,11 @@ def knn_rows(index: SpatialIndex, queries: np.ndarray, k: int) -> tuple[np.ndarr
         order = np.argsort(d2, axis=1, kind="stable")
         cand = np.take_along_axis(cand, order, axis=1)
         d2 = np.take_along_axis(d2, order, axis=1)
-        out_idx[start : start + len(query)] = cand[:, :k]
-        out_d[start : start + len(query)] = np.sqrt(d2[:, :k])
+        out[start : start + len(query)] = cand[:, :k]
         if m < n:
             for i in np.flatnonzero(d2[:, -1] <= d2[:, k - 1] * (1.0 + 1e-8)):
-                out_idx[start + i], out_d[start + i] = index.knn(query[i], k)
-    return out_idx, out_d
+                out[start + i] = index.knn(query[i], k)[0]
+    return out
 
 
 def find_antiparallel_pairs(regions, max_angle_deg: float = 15.0, max_width: float = 0.085) -> list[RegionPair]:
@@ -106,21 +106,27 @@ def sample_locations(lo, hi, count: int) -> np.ndarray:
 
 
 def outlier_mean_distances(cloud: PointCloud, k: int) -> np.ndarray:
-    """Mean distance of each point to its k nearest neighbours, self excluded."""
-    idx, dist = SpatialIndex(cloud).knn_all(k + 1)
+    """Mean distance of each point to its k nearest neighbours, self excluded,
+    from the per-point ``knn`` of k + 1 neighbours."""
+    index = SpatialIndex(cloud)
     n = len(cloud)
     mean_d = np.empty(n)
     for i in range(n):
-        self_pos = np.flatnonzero(idx[i] == i)
+        idx, dist = index.knn(cloud.points[i], k + 1)
+        self_pos = np.flatnonzero(idx == i)
         keep = np.ones(k + 1, dtype=bool)
         keep[self_pos[0] if len(self_pos) else 0] = False
-        mean_d[i] = dist[i][keep].mean()
+        mean_d[i] = dist[keep].mean()
     return mean_d
 
 
 def outlier_mean_distances_full(cloud: PointCloud, k: int) -> np.ndarray:
-    """``outlier_mean_distances`` through one self-entry mask over the whole table."""
-    idx, dist = SpatialIndex(cloud).knn_all(k + 1)
+    """``outlier_mean_distances`` through one self-entry mask over the whole
+    (n, k + 1) table of per-point ``knn`` rows."""
+    index = SpatialIndex(cloud)
+    table = [index.knn(p, k + 1) for p in cloud.points]
+    idx = np.array([i for i, _ in table])
+    dist = np.array([d for _, d in table])
     n = len(cloud)
     rows = np.arange(n)
     keep = np.ones(idx.shape, dtype=bool)
@@ -138,7 +144,7 @@ def remove_statistical_outliers(
 
 def estimate_normals_curvatures(cloud: PointCloud, k: int = 16) -> PointCloud:
     """PCA normals and curvatures from the (n, k, 3) neighbourhoods of the whole cloud at once."""
-    nbh = cloud.points[SpatialIndex(cloud).knn_all(k)[0]]
+    nbh = cloud.points[SpatialIndex(cloud).knn_all(k)]
     centered = nbh - nbh.mean(axis=1, keepdims=True)
     cov = np.einsum("nki,nkj->nij", centered, centered) / k
     eigvals, eigvecs = np.linalg.eigh(cov)

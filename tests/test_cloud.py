@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
+from graspkit import cloud as cloud_module
 from graspkit.cloud import (
     KNN_BLOCK,
     KNN_FIRST_SLACK,
@@ -43,10 +45,10 @@ def traced_peak(run) -> int:
 
 
 @st.composite
-def knn_clouds(draw):
-    """(points, k) with every k in [1, n]: random clouds, exact duplicates
-    (so a row's self entry need not be in column 0), equidistant grid ties,
-    and clouds of more than one KNN_BLOCK rows."""
+def tie_clouds(draw):
+    """Random clouds, exact duplicates (so a row's self entry need not be in
+    column 0), equidistant grid ties, and clouds of more than one KNN_BLOCK
+    rows."""
     kind = draw(st.sampled_from(["random", "duplicates", "grid", "blocks"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "random":
@@ -61,9 +63,23 @@ def knn_clouds(draw):
     else:
         n = draw(st.integers(KNN_BLOCK + 1, KNN_BLOCK + 200))
         points = np.round(rng.uniform(0.0, 1.0, size=(n, 3)), 1)  # coarse lattice: ties and duplicates
+    return points
+
+
+@st.composite
+def knn_clouds(draw):
+    """(points, k) of a ``tie_clouds`` cloud, with every k in [1, n]."""
+    points = draw(tie_clouds())
     n = len(points)
     k = draw(st.one_of(st.integers(1, min(n, 24)), st.integers(1, n)))
     return points, k
+
+
+@st.composite
+def outlier_clouds(draw):
+    """(points, k) of a ``tie_clouds`` cloud of n > k points, with k in [1, 20]."""
+    points = draw(tie_clouds().filter(lambda p: len(p) > 1))
+    return points, draw(st.integers(1, min(20, len(points) - 1)))
 
 
 @st.composite
@@ -135,7 +151,7 @@ class TestMemoizedState:
         cloud = PointCloud(random_points(200, seed=3))
         index = cloud.index
         assert all(cloud.index is index for _ in range(5))
-        assert index_builds == [cloud]
+        assert [id(p) for p in index_builds] == [id(cloud.points)]
         np.testing.assert_array_equal(index.points, cloud.points)
         assert index.nearest(cloud.points[17]) == 17
 
@@ -148,20 +164,18 @@ class TestMemoizedState:
 
     def test_knn_all_keeps_its_latest_table(self, table_builds):
         points = random_points(300, seed=7)
-        fresh_idx, fresh_dist = SpatialIndex(points).knn_all(12)
+        fresh = SpatialIndex(points).knn_all(12)
         index = SpatialIndex(points)
-        idx, dist = index.knn_all(12)
-        again = index.knn_all(12)
-        assert again[0] is idx and again[1] is dist and table_builds == [12, 12]
-        assert idx.tobytes() == fresh_idx.tobytes() and dist.tobytes() == fresh_dist.tobytes()
-        for arr in (idx, dist):
-            with pytest.raises(ValueError):
-                arr[0, 0] = 0
+        table = index.knn_all(12)
+        assert index.knn_all(12) is table and table_builds == [12, 12]
+        assert table.dtype == np.intp and table.tobytes() == fresh.tobytes()
+        with pytest.raises(ValueError):
+            table[0, 0] = 0
         # another k replaces the kept table
-        assert index.knn_all(5)[0].shape == (300, 5)
+        assert index.knn_all(5).shape == (300, 5)
         replaced = index.knn_all(12)
-        assert replaced[0] is not idx and table_builds == [12, 12, 5, 12]
-        assert replaced[0].tobytes() == fresh_idx.tobytes() and replaced[1].tobytes() == fresh_dist.tobytes()
+        assert replaced is not table and table_builds == [12, 12, 5, 12]
+        assert replaced.tobytes() == fresh.tobytes()
 
     def test_with_attrs_keeps_what_was_computed(self, index_builds, table_builds):
         cloud = PointCloud(random_points(60, seed=6, scale=0.1))
@@ -171,8 +185,8 @@ class TestMemoizedState:
         table = index.knn_all(16)
         out = cloud.with_attrs(curvatures=np.zeros(60))
         assert out.index is index and out.centroid() is centroid and out.bounding_radius() == radius
-        assert out.index.knn_all(16)[0] is table[0] and out.index.knn_all(16)[1] is table[1]
-        assert index_builds == [cloud] and table_builds == [16]
+        assert out.index.knn_all(16) is table
+        assert [id(p) for p in index_builds] == [id(cloud.points)] and table_builds == [16]
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_centroid_and_radius_bit_equal_to_fresh(self, seed):
@@ -237,12 +251,10 @@ class TestSpatialIndex:
     def test_knn_all_matches_per_point_queries(self, cloud_and_k):
         points, k = cloud_and_k
         index = SpatialIndex(points)
-        all_idx, all_d = index.knn_all(k)
-        assert all_idx.shape == all_d.shape == (len(points), k)
+        table = index.knn_all(k)
+        assert table.shape == (len(points), k)
         for i in range(len(points)):
-            idx, d = index.knn(points[i], k)
-            np.testing.assert_array_equal(all_idx[i], idx)
-            np.testing.assert_array_equal(all_d[i], d)
+            np.testing.assert_array_equal(table[i], index.knn(points[i], k)[0])
 
     @given(nearest_queries())
     @settings(max_examples=60, deadline=None)
@@ -281,22 +293,19 @@ class TestSpatialIndex:
 
     def test_jittered_cloud_resolves_in_the_first_round(self, monkeypatch):
         index = SpatialIndex(random_points(500, seed=5))
-        (idx, d), widths, fallbacks = self.query_rounds(monkeypatch, index, lambda: index.knn_all(12))
+        table, widths, fallbacks = self.query_rounds(monkeypatch, index, lambda: index.knn_all(12))
         assert widths == [12 + KNN_FIRST_SLACK] and fallbacks == 0
         for i in range(0, 500, 7):
-            np.testing.assert_array_equal(idx[i], index.knn(index.points[i], 12)[0])
-            np.testing.assert_array_equal(d[i], index.knn(index.points[i], 12)[1])
+            np.testing.assert_array_equal(table[i], index.knn(index.points[i], 12)[0])
 
     def test_lattice_ties_need_the_second_round(self, monkeypatch):
         # interior points of a cubic lattice have 6 neighbours at exactly one
         # spacing, so k = 5 ties past k + 2 candidates but not past k + 8
         index = SpatialIndex(np.argwhere(np.ones((6, 6, 6))) * 0.01)
-        (idx, d), widths, fallbacks = self.query_rounds(monkeypatch, index, lambda: index.knn_all(5))
+        table, widths, fallbacks = self.query_rounds(monkeypatch, index, lambda: index.knn_all(5))
         assert widths == [5 + KNN_FIRST_SLACK, 5 + KNN_SLACK] and fallbacks == 0
         for i in range(len(index)):
-            got, dist = index.knn(index.points[i], 5)
-            np.testing.assert_array_equal(idx[i], got)
-            np.testing.assert_array_equal(d[i], dist)
+            np.testing.assert_array_equal(table[i], index.knn(index.points[i], 5)[0])
 
     def test_equidistant_shell_takes_the_per_point_query(self, monkeypatch):
         # the 24 integer vectors of squared length 5: more ties than k + 8 candidates
@@ -318,12 +327,10 @@ class TestSpatialIndex:
         points = random_points(n, seed=n)
         points[-1] = points[0]
         index = SpatialIndex(points)
-        (idx, d), widths, fallbacks = self.query_rounds(monkeypatch, index, lambda: index.knn_all(k))
+        table, widths, fallbacks = self.query_rounds(monkeypatch, index, lambda: index.knn_all(k))
         assert widths == [min(k + KNN_FIRST_SLACK, len(index))] and fallbacks == 0
         for i in range(len(index)):
-            got, dist = index.knn(index.points[i], k)
-            np.testing.assert_array_equal(idx[i], got)
-            np.testing.assert_array_equal(d[i], dist)
+            np.testing.assert_array_equal(table[i], index.knn(index.points[i], k)[0])
 
     def test_points_property_is_read_only(self):
         points = random_points(5, seed=4)
@@ -336,9 +343,9 @@ class TestSpatialIndex:
     def test_duplicates_push_self_out_of_column_0(self):
         # three copies of each point: the later copies see a lower-index twin first
         points = np.repeat(random_points(7, seed=1), 3, axis=0)
-        idx, dist = SpatialIndex(points).knn_all(4)
-        assert np.any(idx[:, 0] != np.arange(len(points)))
-        assert np.all(dist[:, :3] == 0.0)
+        table = SpatialIndex(points).knn_all(4)
+        assert np.any(table[:, 0] != np.arange(len(points)))
+        assert np.all(points[table[:, :3]] == points[:, np.newaxis])
 
 
 class TestVoxelDownsample:
@@ -420,6 +427,20 @@ class TestOutlierRemoval:
         out = remove_statistical_outliers(ring, k=8, std_ratio=3.0)
         np.testing.assert_array_equal(out.points, ring.points)
 
+    @given(outlier_clouds())
+    @example((np.repeat(random_points(7, seed=1), 3, axis=0)[::-1].copy(), 4))  # duplicates
+    @example((grid_cloud(6, 6, spacing=0.01).points, 20))  # equidistant ties
+    @example((np.round(random_points(KNN_BLOCK + 77, seed=3), 1), 12))  # several row blocks
+    @settings(max_examples=60, deadline=None)
+    def test_tree_distances_equal_exact_knn_distances(self, cloud_and_k):
+        # the filter's one plain tree query: whichever tied points fill a row,
+        # its distances are those of the index-tie-broken per-point knn
+        points, k = cloud_and_k
+        dist = cKDTree(points).query(points, k + 1)[0]
+        index = SpatialIndex(points)
+        want = np.array([index.knn(p, k + 1)[1] for p in points])
+        assert dist.tobytes() == want.tobytes()
+
     def test_mean_distances_match_brute_force(self):
         points = random_points(80, seed=13)
         k, ratio = 6, 1.5
@@ -439,22 +460,23 @@ class TestOutlierRemoval:
             remove_statistical_outliers(PointCloud(np.zeros((5, 3))), k=5)
 
     def test_reduction_adds_no_table_sized_scratch(self, monkeypatch):
-        # Peak from the moment the (n, k + 1) table is built: the reduction
-        # may add the n mean distances, the survivors and their points (six
-        # words a point with the survivor mask) and a few (KNN_BLOCK, k + 1)
-        # blocks, but no (n, k + 1) mask and no (n, k) copy of the distances.
+        # Peak from the moment the tree query returns its (n, k + 1) distances
+        # and indices: the reduction may add the n mean distances, the
+        # survivors and their points (six words a point with the survivor
+        # mask) and a few (KNN_BLOCK, k + 1) blocks, but no (n, k + 1) mask
+        # and no (n, k) copy of the distances.
         n, k = 8 * KNN_BLOCK - 100, 12
         cloud = PointCloud(sphere_points(n, seed=3))
-        knn_all = SpatialIndex.knn_all
         table_bytes = []
 
-        def spy(index, table_k):
-            idx, dist = knn_all(index, table_k)
-            table_bytes.append(idx.nbytes + dist.nbytes)
-            tracemalloc.reset_peak()
-            return idx, dist
+        class Tree(cKDTree):
+            def query(self, x, k):
+                dist, idx = super().query(x, k)
+                table_bytes.append(idx.nbytes + dist.nbytes)
+                tracemalloc.reset_peak()
+                return dist, idx
 
-        monkeypatch.setattr(SpatialIndex, "knn_all", spy)
+        monkeypatch.setattr(cloud_module, "cKDTree", Tree)
         peak = traced_peak(lambda: remove_statistical_outliers(cloud, k=k))
         assert peak < table_bytes[0] + 6 * 8 * n + 4 * 8 * KNN_BLOCK * (k + 1)
 

@@ -10,6 +10,7 @@ from graspkit.planner import (
     RESULT_OK,
     RESULT_SEGMENTATION_EMPTY,
     PlannerConfig,
+    _plan,
     load_config,
     plan,
 )
@@ -155,14 +156,28 @@ class TestPlan:
         assert plan(cloud, default_config).ok
         assert "index" not in cloud.__dict__
 
-    def test_points_only_cloud_builds_two_trees_and_two_tables(
+    def test_points_only_cloud_builds_two_trees_and_one_table(
         self, sphere_cloud, default_config, index_builds, table_builds
     ):
-        # the outlier filter's tree and table, then the prepared cloud's, which
-        # normal estimation and segmentation share
+        # the outlier filter's bare tree, then the prepared cloud's tree and
+        # table, which normal estimation and segmentation share
         assert plan(PointCloud(sphere_cloud.points), default_config).ok
         assert len(index_builds) == 2
-        assert table_builds == [default_config.outlier_k + 1, default_config.k_neighbors]
+        assert table_builds == [default_config.k_neighbors]
+
+    def test_prepared_index_keeps_only_its_neighbour_rows(self, sphere_cloud, default_config):
+        # one read-only (n, k) index table: no distance table, no copy of the points
+        _, prepared = _plan(PointCloud(sphere_cloud.points), default_config)
+        arrays = [
+            a
+            for value in vars(prepared.index).values()
+            for a in (value if isinstance(value, tuple) else (value,))
+            if isinstance(a, np.ndarray) and a is not prepared.points
+        ]
+        assert len(arrays) == 1
+        table = arrays[0]
+        assert table.dtype == np.intp and table.shape == (len(prepared), default_config.k_neighbors)
+        assert not table.flags.writeable
 
     def test_best_is_head_of_reports(self, box_cloud, default_config):
         result = plan(box_cloud, default_config)

@@ -79,17 +79,14 @@ def table_clouds(clouds):
 
 @pytest.mark.parametrize("name", OBJECTS)
 def test_knn_tables_match_single_round_loop(table_clouds, name):
-    # the raw table of the outlier filter and the post-voxel table of normals and segmentation
+    # a raw cloud's table and the post-voxel table of normals and segmentation
     for cloud in table_clouds[name]:
         for points, k in (
             (cloud, CONFIG.outlier_k + 1),
             (preprocess(cloud, CONFIG), CONFIG.k_neighbors),
         ):
             index = SpatialIndex(points)
-            idx, dist = index.knn_all(k)
-            want_idx, want_dist = ref.knn_rows(index, index.points, k)
-            assert np.array_equal(idx, want_idx)
-            assert np.array_equal(dist, want_dist)
+            assert np.array_equal(index.knn_all(k), ref.knn_rows(index, index.points, k))
 
 
 def assert_pairs_equal(got, want):
@@ -216,7 +213,7 @@ def test_region_growth_matches_loop(clouds, name):
     params = CONFIG.region_params()
     for cloud in clouds[name]:
         prepared = preprocess(cloud, CONFIG)
-        hoods, _ = SpatialIndex(prepared).knn_all(params.k_neighbors)
+        hoods = SpatialIndex(prepared).knn_all(params.k_neighbors)
         grown = [r.tolist() for r in _grow_regions(prepared, params, hoods)]
         assert grown == ref.grow_regions(prepared, params, hoods)
 
@@ -258,7 +255,7 @@ def test_refit_in_the_middle_of_a_neighbour_row():
     normals = np.tile([0.0, np.sin(tilt), np.cos(tilt)], (len(points), 1))
     cloud = PointCloud(points, normals, np.zeros(len(points)))
     params = RegionGrowingParams(k_neighbors=16)
-    hoods, _ = SpatialIndex(cloud).knn_all(params.k_neighbors)
+    hoods = SpatialIndex(cloud).knn_all(params.k_neighbors)
     refits = []
     want = ref.grow_regions(cloud, params, hoods, refits)
     assert any(0 < col < length - 1 for col, length in refits)
@@ -311,7 +308,7 @@ def test_nearest_many_matches_single_round_loop(best_grasps, monkeypatch):
             robust_force_closure(candidate, cloud, spec, mu=CONFIG.mu, mode=CONFIG.closure_mode)
     assert len(calls) == 2 * len(best_grasps)
     for index, queries in calls:
-        assert np.array_equal(nearest_many(index, queries), ref.knn_rows(index, queries, 1)[0][:, 0])
+        assert np.array_equal(nearest_many(index, queries), ref.knn_rows(index, queries, 1)[:, 0])
 
 
 def test_robust_edge_cases_match_loop(best_grasps):
