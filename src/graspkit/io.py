@@ -180,10 +180,6 @@ def _load_ply(path: Path) -> PointCloud:
     return PointCloud(points, normals, curvatures)
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 def save_cloud_ply(cloud: PointCloud, path, extra_int_property: tuple[str, np.ndarray] | None = None) -> None:
     """Write ``cloud`` as ASCII PLY (doubles, optional integer per-vertex property);
     normals and curvatures are written when the cloud has them."""
@@ -200,16 +196,15 @@ def save_cloud_ply(cloud: PointCloud, path, extra_int_property: tuple[str, np.nd
         header.append(f"property int {name}")
     header.append("end_header")
 
-    rows = []
-    for i in range(len(cloud)):
-        fields = [_fmt(v) for v in cloud.points[i]]
-        if cloud.normals is not None:
-            fields += [_fmt(v) for v in cloud.normals[i]]
-        if cloud.curvatures is not None:
-            fields.append(_fmt(cloud.curvatures[i]))
-        if extra_int_property is not None:
-            fields.append(str(int(extra_int_property[1][i])))
-        rows.append(" ".join(fields))
+    columns = [cloud.points]
+    if cloud.normals is not None:
+        columns.append(cloud.normals)
+    if cloud.curvatures is not None:
+        columns.append(cloud.curvatures[:, np.newaxis])
+    # repr of a Python float is the shortest string that reads back bit-exact
+    rows = [" ".join(map(repr, row)) for row in np.hstack(columns).tolist()]
+    if extra_int_property is not None:
+        rows = [f"{row} {int(v)}" for row, v in zip(rows, np.asarray(values).tolist())]
     Path(path).write_text("\n".join(header + rows) + "\n")
 
 

@@ -6,6 +6,16 @@ segmentation and grasp tests can run against analytic ground truth without
 any external dataset. The corpus mirrors common tabletop object classes at
 desk scale (meters); every object except the pathological open shell fits a
 parallel-jaw opening of 0.085 m.
+
+The samplers are array expressions over their parameter grids, one helper
+per parametrisation: cell-centred lines (``_grid_1d``), arc angles
+(``_arc_angles``) and latitude rings (``_latitude_rings``, shared by the
+sphere and the ellipsoid). ``np.meshgrid(..., indexing="ij")`` keeps the
+point order of nested loops over those grids, and every array operation
+rounds as its scalar form does, so clouds are bit-identical to per-point
+sampling. The one exception is ``s ** 1.5`` in the ellipsoid curvatures:
+numpy's float64 ``power`` is SIMD-dispatched and not bit-equal to libm
+``pow``, so that step raises Python floats one at a time.
 """
 
 from __future__ import annotations
@@ -21,6 +31,15 @@ from .cloud import PointCloud
 # surface-variation proxy; matches the default PlannerConfig.k_neighbors.
 CURVATURE_PROXY_K = 16
 
+# names of each kind's ``ShapeSpec.dimensions``, in order
+_DIMENSIONS = {
+    "box": ("lx", "ly", "lz"),
+    "cylinder": ("radius", "height"),
+    "sphere": ("radius",),
+    "ellipsoid": ("a", "b", "c"),
+    "bent_prism": ("width", "thickness", "centerline_radius", "arc_deg"),
+}
+
 
 @dataclass(frozen=True)
 class ShapeSpec:
@@ -34,6 +53,8 @@ class ShapeSpec:
       ellipsoid:  (a, b, c) semi-axes
       bent_prism: (width, thickness, centerline_radius, arc_deg)
     ``jitter`` adds per-axis Gaussian position noise (seeded, 0 = exact).
+    Lengths, density and jitter must be finite, arcs lie in (0, 360] degrees
+    and a bent prism's centerline radius exceeds half its width.
     """
 
     kind: str
@@ -46,12 +67,25 @@ class ShapeSpec:
     def __post_init__(self):
         if self.kind not in _GENERATORS:
             raise ValueError(f"unknown shape kind {self.kind!r}")
-        if any(d <= 0 for d in self.dimensions):
-            raise ValueError("all dimensions must be positive")
-        if self.density <= 0:
-            raise ValueError("density must be positive")
-        if self.jitter < 0:
-            raise ValueError("jitter must be >= 0")
+        names = _DIMENSIONS[self.kind]
+        if len(self.dimensions) != len(names):
+            raise ValueError(
+                f"{self.kind} dimensions are ({', '.join(names)}), got {len(self.dimensions)} values"
+            )
+        if not all(0 < d < math.inf for d in self.dimensions):
+            raise ValueError("all dimensions must be positive and finite")
+        if not 0 < self.density < math.inf:
+            raise ValueError("density must be positive and finite")
+        if not 0 <= self.jitter < math.inf:
+            raise ValueError("jitter must be finite and >= 0")
+        unknown = set(self.options) - ({"arc_deg", "caps"} if self.kind == "cylinder" else set())
+        if unknown:
+            raise ValueError(f"unknown {self.kind} options {sorted(unknown)}")
+        arc_deg = self.dimensions[3] if self.kind == "bent_prism" else self.options.get("arc_deg", 360.0)
+        if not 0 < arc_deg <= 360:
+            raise ValueError(f"arc_deg must be in (0, 360], got {arc_deg}")
+        if self.kind == "bent_prism" and self.dimensions[2] - self.dimensions[0] / 2.0 <= 0:
+            raise ValueError("bent prism centerline_radius must exceed half the width")
 
 
 def _grid_1d(length: float, spacing: float) -> np.ndarray:
@@ -60,194 +94,143 @@ def _grid_1d(length: float, spacing: float) -> np.ndarray:
     return (np.arange(n) + 0.5) * (length / n) - length / 2.0
 
 
-def _variation_proxy(k1: float, k2: float, density: float) -> float:
+def _arc_angles(radius: float, arc: float, spacing: float) -> np.ndarray:
+    """Cell-centered angles covering [-arc/2, arc/2] (radians) at ``spacing``
+    along a circle of ``radius``."""
+    n = max(3, round(radius * arc / spacing))
+    return (np.arange(n) + 0.5) * (arc / n) - arc / 2.0
+
+
+def _latitude_rings(radius: float, spacing: float):
+    """sin and cos of the polar angle and cos and sin of the azimuth of every
+    point of the latitude-ring grid on a sphere of ``radius``: cell-centered
+    rings, each with as many cell-centered azimuths as its circumference
+    holds at ``spacing``."""
+    n_lat = max(3, round(math.pi * radius / spacing))
+    rings = []
+    for i in range(n_lat):
+        phi = (i + 0.5) * math.pi / n_lat  # polar angle
+        ring_r = radius * math.sin(phi)
+        n_lon = max(3, round(2.0 * math.pi * ring_r / spacing))
+        theta = (np.arange(n_lon) + 0.5) * 2.0 * math.pi / n_lon
+        rings.append((np.full(n_lon, math.sin(phi)), np.full(n_lon, math.cos(phi)), theta))
+    sin_phi, cos_phi, theta = map(np.concatenate, zip(*rings))
+    return sin_phi, cos_phi, np.cos(theta), np.sin(theta)
+
+
+def _patch(x, y, z, normal, curvature=0.0):
+    """(points, normals, curvatures) of one sampled patch; ``x``, ``y``, ``z``,
+    the three ``normal`` components and ``curvature`` are grids of one shape
+    or constants, flattened in C order."""
+    columns = [np.ravel(a) for a in np.broadcast_arrays(x, y, z, *normal, curvature)]
+    return np.stack(columns[:3], axis=1), np.stack(columns[3:6], axis=1), columns[6]
+
+
+def _variation_proxy(k1, k2, density: float):
     """Surface-variation curvature a PCA neighborhood would see.
 
     Models the k-nearest neighborhood as a uniform disc of radius
     rho = sqrt(k / (pi * density)) on a quadratic patch with principal
-    curvatures k1, k2 and returns lambda_min / trace of its covariance.
+    curvatures k1, k2 and returns lambda_min / trace of its covariance, a
+    ratio in [0, 1) because the tangent variance is positive.
     """
     rho2 = CURVATURE_PROXY_K / (math.pi * density)
-    var_normal = max(rho2 * rho2 * (k1 * k1 / 64.0 + k2 * k2 / 64.0 - k1 * k2 / 96.0), 0.0)
+    var_normal = np.maximum(rho2 * rho2 * (k1 * k1 / 64.0 + k2 * k2 / 64.0 - k1 * k2 / 96.0), 0.0)
     var_tangent = rho2 / 2.0  # two tangent directions at rho^2/4 each
-    total = var_normal + var_tangent
-    if total <= 0:
-        return 0.0
-    return min(var_normal / total, 1.0)
+    return var_normal / (var_normal + var_tangent)
 
 
 def _box(spec: ShapeSpec):
     lx, ly, lz = spec.dimensions
     spacing = 1.0 / math.sqrt(spec.density)
-    points, normals, curvatures = [], [], []
+    patches = []
     # (+/-x, +/-y, +/-z) faces, fixed order for determinism
-    faces = [
-        (0, lx, ly, lz),
-        (1, ly, lx, lz),
-        (2, lz, lx, ly),
-    ]
-    for axis, half_len, lu, lv in faces:
-        us = _grid_1d(lu, spacing)
-        vs = _grid_1d(lv, spacing)
+    for axis, length, lu, lv in ((0, lx, ly, lz), (1, ly, lx, lz), (2, lz, lx, ly)):
+        u, v = np.meshgrid(_grid_1d(lu, spacing), _grid_1d(lv, spacing), indexing="ij")
         for sign in (1.0, -1.0):
-            normal = np.zeros(3)
-            normal[axis] = sign
-            for u in us:
-                for v in vs:
-                    p = np.zeros(3)
-                    p[axis] = sign * half_len / 2.0
-                    other = [i for i in range(3) if i != axis]
-                    p[other[0]] = u
-                    p[other[1]] = v
-                    points.append(p)
-                    normals.append(normal.copy())
-                    curvatures.append(0.0)
-    return points, normals, curvatures
+            coords, normal = [u, v], [0.0, 0.0]
+            coords.insert(axis, sign * length / 2.0)
+            normal.insert(axis, sign)
+            patches.append(_patch(*coords, normal))
+    return patches
 
 
 def _cylinder(spec: ShapeSpec):
     radius, height = spec.dimensions
-    arc_deg = float(spec.options.get("arc_deg", 360.0))
-    caps = bool(spec.options.get("caps", True))
     spacing = 1.0 / math.sqrt(spec.density)
-    arc = math.radians(arc_deg)
-    points, normals, curvatures = [], [], []
-
+    arc = math.radians(spec.options.get("arc_deg", 360.0))
+    theta, z = np.meshgrid(_arc_angles(radius, arc, spacing), _grid_1d(height, spacing), indexing="ij")
+    nx, ny = np.cos(theta), np.sin(theta)
     side_c = _variation_proxy(1.0 / radius, 0.0, spec.density)
-    n_theta = max(3, round(radius * arc / spacing))
-    thetas = (np.arange(n_theta) + 0.5) * (arc / n_theta) - arc / 2.0
-    zs = _grid_1d(height, spacing)
-    for theta in thetas:
-        nx, ny = math.cos(theta), math.sin(theta)
-        for z in zs:
-            points.append(np.array([radius * nx, radius * ny, z]))
-            normals.append(np.array([nx, ny, 0.0]))
-            curvatures.append(side_c)
-
-    if caps:
+    patches = [_patch(radius * nx, radius * ny, z, (nx, ny, 0.0), side_c)]
+    if spec.options.get("caps", True):
+        rs = _grid_1d(2.0 * radius, spacing)
+        x, y = np.meshgrid(rs, rs, indexing="ij")
+        disc = x * x + y * y <= radius * radius
         for sign in (1.0, -1.0):
-            normal = np.array([0.0, 0.0, sign])
-            rs = _grid_1d(2.0 * radius, spacing)
-            for x in rs:
-                for y in rs:
-                    if x * x + y * y <= radius * radius:
-                        points.append(np.array([x, y, sign * height / 2.0]))
-                        normals.append(normal.copy())
-                        curvatures.append(0.0)
-    return points, normals, curvatures
+            patches.append(_patch(x[disc], y[disc], sign * height / 2.0, (0.0, 0.0, sign)))
+    return patches
 
 
 def _sphere(spec: ShapeSpec):
     (radius,) = spec.dimensions
-    spacing = 1.0 / math.sqrt(spec.density)
+    sin_phi, cos_phi, cos_theta, sin_theta = _latitude_rings(radius, 1.0 / math.sqrt(spec.density))
+    n = (sin_phi * cos_theta, sin_phi * sin_theta, cos_phi)
     c = _variation_proxy(1.0 / radius, 1.0 / radius, spec.density)
-    points, normals, curvatures = [], [], []
-    n_lat = max(3, round(math.pi * radius / spacing))
-    for i in range(n_lat):
-        phi = (i + 0.5) * math.pi / n_lat  # polar angle
-        ring_r = radius * math.sin(phi)
-        n_lon = max(3, round(2.0 * math.pi * ring_r / spacing))
-        for j in range(n_lon):
-            theta = (j + 0.5) * 2.0 * math.pi / n_lon
-            n = np.array(
-                [
-                    math.sin(phi) * math.cos(theta),
-                    math.sin(phi) * math.sin(theta),
-                    math.cos(phi),
-                ]
-            )
-            points.append(radius * n)
-            normals.append(n)
-            curvatures.append(c)
-    return points, normals, curvatures
+    return [_patch(radius * n[0], radius * n[1], radius * n[2], n, c)]
 
 
 def _ellipsoid(spec: ShapeSpec):
     a, b, c = spec.dimensions
-    spacing = 1.0 / math.sqrt(spec.density)
-    points, normals, curvatures = [], [], []
-    mean_r = (a + b + c) / 3.0
-    n_lat = max(3, round(math.pi * mean_r / spacing))
-    for i in range(n_lat):
-        phi = (i + 0.5) * math.pi / n_lat
-        ring_r = mean_r * math.sin(phi)
-        n_lon = max(3, round(2.0 * math.pi * ring_r / spacing))
-        for j in range(n_lon):
-            theta = (j + 0.5) * 2.0 * math.pi / n_lon
-            p = np.array(
-                [
-                    a * math.sin(phi) * math.cos(theta),
-                    b * math.sin(phi) * math.sin(theta),
-                    c * math.cos(phi),
-                ]
-            )
-            # gradient of (x/a)^2 + (y/b)^2 + (z/c)^2
-            n = p / np.array([a * a, b * b, c * c])
-            n = n / np.linalg.norm(n)
-            points.append(p)
-            normals.append(n)
-            k1, k2 = _ellipsoid_principal_curvatures(p, a, b, c)
-            curvatures.append(_variation_proxy(k1, k2, spec.density))
-    return points, normals, curvatures
+    sin_phi, cos_phi, cos_theta, sin_theta = _latitude_rings((a + b + c) / 3.0, 1.0 / math.sqrt(spec.density))
+    p = np.stack([a * sin_phi * cos_theta, b * sin_phi * sin_theta, c * cos_phi], axis=1)
+    # gradient of (x/a)^2 + (y/b)^2 + (z/c)^2; vecdot rounds as the per-row norm did
+    n = p / np.array([a * a, b * b, c * c])
+    n = n / np.sqrt(np.vecdot(n, n))[:, np.newaxis]
+    k1, k2 = _ellipsoid_principal_curvatures(p, a, b, c)
+    return [(p, n, _variation_proxy(k1, k2, spec.density))]
 
 
 def _ellipsoid_principal_curvatures(p: np.ndarray, a: float, b: float, c: float):
     """Principal curvatures from the Gaussian/mean curvature of the quadric."""
-    x, y, z = p
+    x, y, z = p.T
     s = x * x / a**4 + y * y / b**4 + z * z / c**4
     t = x * x / a**6 + y * y / b**6 + z * z / c**6
     trace = 1.0 / a**2 + 1.0 / b**2 + 1.0 / c**2
     gauss = 1.0 / ((a * b * c) ** 2 * s * s)
-    mean = abs(t - s * trace) / (2.0 * s**1.5)
-    disc = max(mean * mean - gauss, 0.0)
-    root = math.sqrt(disc)
-    return mean + root, max(mean - root, 0.0)
+    # libm pow per element: numpy's SIMD float64 power rounds differently
+    s_15 = (s.astype(object) ** 1.5).astype(np.float64)
+    mean = np.abs(t - s * trace) / (2.0 * s_15)
+    root = np.sqrt(np.maximum(mean * mean - gauss, 0.0))
+    return mean + root, np.maximum(mean - root, 0.0)
 
 
 def _bent_prism(spec: ShapeSpec):
     width, thickness, center_r, arc_deg = spec.dimensions
     spacing = 1.0 / math.sqrt(spec.density)
     arc = math.radians(arc_deg)
-    points, normals, curvatures = [], [], []
 
-    r_out = center_r + width / 2.0
-    r_in = center_r - width / 2.0
-    if r_in <= 0:
-        raise ValueError("bent prism centerline radius must exceed half the width")
-
-    def arc_thetas(radius_at):
-        n = max(3, round(radius_at * arc / spacing))
-        return (np.arange(n) + 0.5) * (arc / n) - arc / 2.0
-
-    # top and bottom flat faces (normals +/-Z): annular band between r_in, r_out
+    # top and bottom flat faces (normals +/-Z): one arc per radius of the
+    # annular band between the walls
     rs = _grid_1d(width, spacing) + center_r
-    for sign in (1.0, -1.0):
-        for r in rs:
-            for theta in arc_thetas(r):
-                points.append(np.array([r * math.cos(theta), r * math.sin(theta), sign * thickness / 2.0]))
-                normals.append(np.array([0.0, 0.0, sign]))
-                curvatures.append(0.0)
+    thetas = [_arc_angles(r, arc, spacing) for r in rs]
+    r = np.repeat(rs, [len(t) for t in thetas])
+    theta = np.concatenate(thetas)
+    x, y = r * np.cos(theta), r * np.sin(theta)
+    patches = [_patch(x, y, sign * thickness / 2.0, (0.0, 0.0, sign)) for sign in (1.0, -1.0)]
     # outer and inner curved walls (normals +/- radial)
     zs = _grid_1d(thickness, spacing)
-    for radius, sign in ((r_out, 1.0), (r_in, -1.0)):
+    for radius, sign in ((center_r + width / 2.0, 1.0), (center_r - width / 2.0, -1.0)):
+        theta, z = np.meshgrid(_arc_angles(radius, arc, spacing), zs, indexing="ij")
+        nx, ny = np.cos(theta), np.sin(theta)
         c = _variation_proxy(1.0 / radius, 0.0, spec.density)
-        for theta in arc_thetas(radius):
-            nx, ny = math.cos(theta), math.sin(theta)
-            for z in zs:
-                points.append(np.array([radius * nx, radius * ny, z]))
-                normals.append(np.array([sign * nx, sign * ny, 0.0]))
-                curvatures.append(c)
-    # end caps (normals along the tangent at the arc ends)
+        patches.append(_patch(radius * nx, radius * ny, z, (sign * nx, sign * ny, 0.0), c))
+    # end caps (normals along the outward tangent at the arc ends)
+    r, z = np.meshgrid(rs, zs, indexing="ij")
     for end in (-arc / 2.0, arc / 2.0):
-        tangent = np.array([-math.sin(end), math.cos(end), 0.0])
-        if end < 0:
-            tangent = -tangent
-        for r in rs:
-            for z in zs:
-                points.append(np.array([r * math.cos(end), r * math.sin(end), z]))
-                normals.append(tangent.copy())
-                curvatures.append(0.0)
-    return points, normals, curvatures
+        tangent = np.sign(end) * np.array([-math.sin(end), math.cos(end), 0.0])
+        patches.append(_patch(r * math.cos(end), r * math.sin(end), z, tangent))
+    return patches
 
 
 _GENERATORS = {
@@ -261,10 +244,7 @@ _GENERATORS = {
 
 def generate(spec: ShapeSpec) -> PointCloud:
     """Sampled surface of ``spec`` with analytic normals and curvature proxy."""
-    points, normals, curvatures = _GENERATORS[spec.kind](spec)
-    points = np.array(points)
-    normals = np.array(normals)
-    curvatures = np.clip(np.array(curvatures), 0.0, 1.0)
+    points, normals, curvatures = map(np.concatenate, zip(*_GENERATORS[spec.kind](spec)))
     if spec.jitter > 0:
         rng = np.random.Generator(np.random.Philox(key=np.uint64(spec.seed)))
         points = points + rng.standard_normal(points.shape) * spec.jitter

@@ -1,8 +1,85 @@
+import dataclasses
+import hashlib
+import json
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_loops as ref
+from graspkit.cli import cli_main
 from graspkit.cloud import PointCloud, estimate_normals_curvatures
-from graspkit.shapes import ShapeSpec, corpus_standard, generate, lookup
+from graspkit.shapes import _DIMENSIONS, ShapeSpec, corpus_standard, generate, lookup
+
+GOLDEN = Path(__file__).parent / "golden" / "shapes_sha256.json"
+
+
+def scan_specs() -> dict[str, ShapeSpec]:
+    """The benchmark's raw scans at workload seed 1: each corpus object at 3x
+    density with 0.3 mm jitter and seed 64 + its corpus index."""
+    return {
+        f"scan_{name}": dataclasses.replace(spec, density=spec.density * 3.0, jitter=3e-4, seed=64 + i)
+        for i, (name, spec) in enumerate(corpus_standard().items())
+    }
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def shape_digests(workdir: Path) -> dict[str, dict[str, str]]:
+    """sha256 of the points, normals and curvatures bytes of every corpus
+    object and scan spec, and of each corpus object's ``graspkit synth`` PLY."""
+    digests = {}
+    for name, spec in {**corpus_standard(), **scan_specs()}.items():
+        cloud = generate(spec)
+        digests[name] = {a: _sha256(getattr(cloud, a).tobytes()) for a in ("points", "normals", "curvatures")}
+        if not name.startswith("scan_"):
+            path = workdir / f"{name}.ply"
+            assert cli_main(["synth", "--name", name, "--output", str(path)]) == 0
+            digests[name]["ply"] = _sha256(path.read_bytes())
+    return digests
+
+
+def _area(kind: str, dims: tuple[float, ...], options: dict) -> float:
+    """Surface area of a shape, near enough to set the density of a drawn point count."""
+    if kind == "box":
+        lx, ly, lz = dims
+        return 2.0 * (lx * ly + ly * lz + lx * lz)
+    if kind == "cylinder":
+        radius, height = dims
+        caps = 2.0 * math.pi * radius * radius * options.get("caps", True)
+        return math.radians(options.get("arc_deg", 360.0)) * radius * height + caps
+    if kind in ("sphere", "ellipsoid"):
+        return 4.0 * math.pi * (sum(dims) / len(dims)) ** 2
+    width, thickness, center_r, arc_deg = dims
+    arc = math.radians(arc_deg)
+    return 2.0 * (width + thickness) * center_r * arc + 2.0 * width * thickness
+
+
+LENGTHS = st.floats(0.002, 0.2)
+ARCS = st.floats(0.01, 360.0)
+
+
+@st.composite
+def shape_specs(draw, max_points: int = 20_000) -> ShapeSpec:
+    """A valid spec of any kind whose cloud holds at most about ``max_points`` points."""
+    kind = draw(st.sampled_from(sorted(_DIMENSIONS)))
+    options = {}
+    if kind == "bent_prism":
+        width = draw(LENGTHS)
+        dims = (width, draw(LENGTHS), width / 2.0 + draw(LENGTHS), draw(ARCS))
+    else:
+        dims = tuple(draw(LENGTHS) for _ in _DIMENSIONS[kind])
+    if kind == "cylinder":
+        options = draw(st.fixed_dictionaries({}, optional={"arc_deg": ARCS, "caps": st.booleans()}))
+    density = draw(st.integers(50, max_points)) / _area(kind, dims, options)
+    jitter = draw(st.just(0.0) | st.floats(1e-5, 1e-3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return ShapeSpec(kind, dims, density=density, seed=seed, jitter=jitter, options=options)
 
 
 class TestGenerate:
@@ -64,8 +141,62 @@ class TestGenerate:
         with pytest.raises(ValueError):
             ShapeSpec("sphere", (1.0,), density=0.0)
 
+    @pytest.mark.parametrize(
+        ("kind", "dimensions", "kwargs", "field"),
+        [
+            ("sphere", (math.nan,), {}, "dimensions"),
+            ("sphere", (math.inf,), {}, "dimensions"),
+            ("box", (0.05, 0.05), {}, "dimensions"),
+            ("bent_prism", (0.025, 0.03, 0.06), {}, "dimensions"),
+            ("sphere", (0.03,), {"density": math.inf}, "density"),
+            ("sphere", (0.03,), {"density": math.nan}, "density"),
+            ("sphere", (0.03,), {"jitter": math.nan}, "jitter"),
+            ("sphere", (0.03,), {"jitter": math.inf}, "jitter"),
+            ("cylinder", (0.07, 0.05), {"options": {"arc": 270.0}}, "options"),
+            ("sphere", (0.03,), {"options": {"caps": False}}, "options"),
+            ("cylinder", (0.07, 0.05), {"options": {"arc_deg": 0.0}}, "arc_deg"),
+            ("cylinder", (0.07, 0.05), {"options": {"arc_deg": 400.0}}, "arc_deg"),
+            ("cylinder", (0.07, 0.05), {"options": {"arc_deg": math.nan}}, "arc_deg"),
+            ("bent_prism", (0.025, 0.03, 0.06, 400.0), {}, "arc_deg"),
+            ("bent_prism", (0.025, 0.03, 0.01, 120.0), {}, "centerline_radius"),
+            ("bent_prism", (0.025, 0.03, 0.0125, 120.0), {}, "centerline_radius"),
+        ],
+        ids=[
+            "nan-dimension",
+            "inf-dimension",
+            "box-two-dimensions",
+            "bent-prism-three-dimensions",
+            "inf-density",
+            "nan-density",
+            "nan-jitter",
+            "inf-jitter",
+            "unknown-option",
+            "option-on-sphere",
+            "zero-arc",
+            "arc-over-360",
+            "nan-arc",
+            "bent-prism-arc-over-360",
+            "centerline-inside-half-width",
+            "centerline-at-half-width",
+        ],
+    )
+    def test_malformed_spec_rejected_naming_the_field(self, kind, dimensions, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            ShapeSpec(kind, dimensions, **kwargs)
+
+    @settings(max_examples=40, deadline=None)
+    @given(spec=shape_specs())
+    def test_generate_equals_the_per_point_loops(self, spec):
+        cloud, reference = generate(spec), ref.generate(spec)
+        for attr in ("points", "normals", "curvatures"):
+            # tobytes: bit for bit, signed zeros included
+            assert getattr(cloud, attr).tobytes() == getattr(reference, attr).tobytes(), attr
+
 
 class TestCorpus:
+    def test_clouds_and_synth_plys_match_the_golden_digests(self, tmp_path):
+        assert shape_digests(tmp_path) == json.loads(GOLDEN.read_text())
+
     def test_foam_brick_entry(self, corpus):
         spec = corpus["box_foam_brick"]
         assert spec.kind == "box"
