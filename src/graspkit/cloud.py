@@ -3,7 +3,8 @@
 All operations are pure: they take immutable clouds and return new clouds.
 Determinism is a hard requirement throughout, so every nearest-neighbor
 query breaks distance ties by ascending point index and every reduction
-runs in a fixed order.
+runs in a fixed order. One routine, ``SpatialIndex._knn_rows``, answers
+them all: ``knn`` and ``nearest`` are its one-row calls.
 
 A ``PointCloud`` computes its ``index``, centroid and bounding radius once
 and keeps them as long as the cloud lives (see the class). The index keeps
@@ -28,8 +29,8 @@ from scipy.spatial import cKDTree
 logger = logging.getLogger(__name__)
 
 UNIT_NORM_TOL = 1e-6
-# _knn_rows: rows per block (bounds its scratch memory), and the extra tree
-# neighbours per row of its first and of its widest round
+# _knn_rows: rows per block of its first two rounds (bounds its scratch
+# memory), and the extra tree neighbours per row of those two rounds
 KNN_BLOCK = 1024
 KNN_FIRST_SLACK = 2
 KNN_SLACK = 8
@@ -173,56 +174,45 @@ class SpatialIndex:
         return view
 
     def knn(self, query, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Indices and distances of the k nearest points to ``query``."""
-        query = np.asarray(query, dtype=np.float64)
-        n = len(self._points)
-        if not 1 <= k <= n:
-            raise ValueError(f"k must be in [1, {n}], got {k}")
-        dist, _ = self._tree.query(query, k=k)
-        dk = float(np.max(dist))
-        # Re-collect everything within the k-th distance (slightly inflated to
-        # be safe against rounding) so ties at the boundary are resolved by
-        # index rather than by tree traversal order.
-        candidates = np.asarray(
-            self._tree.query_ball_point(query, dk * (1.0 + 1e-9) + 1e-300), dtype=np.intp
-        )
-        diff = self._points[candidates] - query
-        d2 = diff[:, 0] ** 2 + diff[:, 1] ** 2 + diff[:, 2] ** 2
-        order = np.lexsort((candidates, d2))[:k]
-        return candidates[order], np.sqrt(d2[order])
+        """Indices and distances of the k nearest points to ``query``: row 0 of
+        ``_knn_rows``, with each distance the square root of its d²."""
+        query = _as_points(np.reshape(query, (1, 3)), "query")
+        idx = self._knn_rows(query, k)[0]
+        diff = self._points[idx] - query
+        return idx, np.sqrt(diff[:, 0] ** 2 + diff[:, 1] ** 2 + diff[:, 2] ** 2)
 
     def _knn_rows(self, queries: np.ndarray, k: int) -> np.ndarray:
         """Exact k-NN indices, (q, k), of every row of ``queries`` (q, 3).
 
-        Rows are resolved in rounds. The first takes k + KNN_FIRST_SLACK tree
-        candidates per row, the rows it leaves unresolved are queried again
-        together with k + KNN_SLACK, and the rows still unresolved take the
-        per-point ``knn``. A round orders each row's candidates by (d², index)
-        and accepts the row when its farthest candidate lies strictly beyond
-        the k-th (relative 1e-8 in d², well above the tree's round-off and
-        ``knn``'s 1e-9 ball inflation), so no point outside the candidates can
-        tie into the first k.
+        Rounds of m tree candidates per row, m = k + KNN_FIRST_SLACK, then
+        k + KNN_SLACK, then doubling up to n, each on the rows the last left
+        unresolved. A round orders a row's candidates by (d², index) and accepts
+        it when the farthest lies strictly beyond the k-th (relative 1e-8 in d²,
+        well above the tree's round-off), so no point outside them can tie into
+        the first k; a round of all n points accepts every row.
         """
         n = len(self._points)
         if not 1 <= k <= n:
             raise ValueError(f"k must be in [1, {n}], got {k}")
         out, rows = self._candidate_rows(queries, k, min(k + KNN_FIRST_SLACK, n))
-        if len(rows):
-            out[rows], unresolved = self._candidate_rows(queries[rows], k, min(k + KNN_SLACK, n))
-            for i in rows[unresolved]:
-                out[i] = self.knn(queries[i], k)[0]
+        m = k + KNN_SLACK
+        while len(rows):
+            out[rows], unresolved = self._candidate_rows(queries[rows], k, min(m, n))
+            rows, m = rows[unresolved], 2 * m
         return out
 
     def _candidate_rows(self, queries: np.ndarray, k: int, m: int) -> tuple[np.ndarray, np.ndarray]:
         """One round of ``_knn_rows`` with m tree candidates per row, in blocks
-        of KNN_BLOCK rows: (indices, positions of the rows whose first k
-        candidates are not proven exact)."""
+        of at most KNN_BLOCK rows and, unless one row holds more, KNN_BLOCK *
+        (k + KNN_SLACK) candidates: (indices, positions of the rows whose first
+        k candidates are not proven exact)."""
         n = len(self._points)
         x, y, z = self._points.T  # column views, so each gather is a contiguous (rows, m) array
         out = np.empty((len(queries), k), dtype=np.intp)
         unresolved = np.zeros(len(queries), dtype=bool)
-        for start in range(0, len(queries), KNN_BLOCK):
-            query = queries[start : start + KNN_BLOCK]
+        block = max(1, min(KNN_BLOCK, KNN_BLOCK * (k + KNN_SLACK) // m))
+        for start in range(0, len(queries), block):
+            query = queries[start : start + block]
             _, cand = self._tree.query(query, k=m)
             # ascending index first, so the stable sort by d² breaks ties by index
             cand = np.sort(cand.reshape(len(query), m), axis=1)

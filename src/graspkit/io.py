@@ -2,11 +2,14 @@
 
 Only ASCII formats are handled; binary PLY is rejected up front. PLY vertices
 are read as x, y, z and, when present, nx, ny, nz and curvature; other vertex
-properties are ignored, and non-vertex elements are skipped.
+properties are ignored, and non-vertex elements are skipped. XYZ lines and
+PLY vertex rows go through one record loop, and an error cites the line of
+the first bad record, whatever its fault.
 """
 
 from __future__ import annotations
 
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -42,14 +45,15 @@ def load_cloud(path, format: str | None = None) -> PointCloud:
     raise ValueError(f"unknown cloud format {format!r}")
 
 
-def _check_rows(values: np.ndarray, linenos, checks=()) -> None:
-    """Raise on the first bad record; ``linenos[i]`` is row i's line.
-
-    A record is bad when it holds NaN or inf or when it is set in the row
-    mask of one of the ``(message, mask)`` pairs in ``checks``; the error
-    carries the first message that applies to it.
-    """
-    checks = [("non-finite record", ~np.isfinite(values).all(axis=1)), *checks]
+def _check_rows(values: np.ndarray, linenos, columns) -> None:
+    """Raise on the first row of ``values`` (its columns named by ``columns``,
+    row i from line ``linenos[i]``) that holds NaN or inf, a normal of length
+    zero or a curvature outside [0, 1]; the error carries its first fault."""
+    checks = [("non-finite record", ~np.isfinite(values).all(axis=1))]
+    if "nx" in columns:
+        checks.append(("zero-length normal in record", np.abs(values[:, 3:6]).max(axis=1) == 0))
+    if "curvature" in columns:
+        checks.append(("curvature outside [0, 1] in record", (values[:, -1] < 0) | (values[:, -1] > 1)))
     bad = np.array([mask for _, mask in checks])
     rows = np.flatnonzero(bad.any(axis=0))
     if len(rows):
@@ -57,32 +61,45 @@ def _check_rows(values: np.ndarray, linenos, checks=()) -> None:
         raise CloudParseError(f"{message} {values[rows[0]].tolist()}", int(linenos[rows[0]]))
 
 
+def _read_records(records, props, columns) -> np.ndarray:
+    """The ``columns`` of each (line number, text) record, parsed as floats,
+    from one field per name in ``props`` (more where a list property,
+    ``"<list>"``, spans several). A record that breaks this is cited only
+    after the records before it pass ``_check_rows``, so whatever its fault,
+    the first bad record is the one cited."""
+    positions = [props.index(name) for name in columns]
+    exact = "<list>" not in props
+    values, linenos, fault = array("d"), array("q"), None  # 8 bytes a value
+    for lineno, text in records:
+        fields = text.split()
+        if len(fields) < len(props) or (exact and len(fields) > len(props)):
+            fault = CloudParseError(f"expected {len(props)} fields, got {len(fields)}", lineno)
+            break
+        try:
+            values.extend([float(fields[i]) for i in positions])
+        except ValueError:
+            fault = CloudParseError(f"non-numeric record {text.strip()!r}", lineno)
+            break
+        linenos.append(lineno)
+    values = np.array(values).reshape(-1, len(columns))
+    _check_rows(values, linenos, columns)
+    if fault is not None:
+        raise fault
+    return values
+
+
 def _load_xyz(path: Path) -> PointCloud:
-    points = []
-    linenos = []
     with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split()
-            if len(fields) != 3:
-                raise CloudParseError(f"expected 3 fields, got {len(fields)}", lineno)
-            try:
-                points.append([float(f) for f in fields])
-            except ValueError:
-                raise CloudParseError(f"non-numeric record {line!r}", lineno) from None
-            linenos.append(lineno)
-    if not points:
+        lines = enumerate(fh, start=1)
+        records = ((lineno, line) for lineno, raw in lines if (line := raw.strip()) and not line.startswith("#"))
+        points = _read_records(records, ["x", "y", "z"], ["x", "y", "z"])
+    if not len(points):
         raise EmptyCloudError(f"no points in {path}")
-    points = np.array(points)
-    _check_rows(points, linenos)
     return PointCloud(points)
 
 
 def _load_ply(path: Path) -> PointCloud:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    lines = path.read_text().splitlines()
     if not lines:
         raise EmptyCloudError(f"empty file {path}")
     if lines[0].strip() != "ply":
@@ -104,17 +121,20 @@ def _load_ply(path: Path) -> PointCloud:
             fields = line.split()
             if len(fields) != 3:
                 raise CloudParseError(f"malformed element line {line!r}", lineno)
-            try:
-                count = int(fields[2])
-            except ValueError:
-                raise CloudParseError(f"bad element count in {line!r}", lineno) from None
-            elements.append((fields[1], count, []))
+            if not fields[2].isdecimal():
+                raise CloudParseError(f"bad element count in {line!r}", lineno)
+            if fields[1] == "vertex" and any(e[0] == "vertex" for e in elements):
+                raise CloudParseError("second vertex element", lineno)
+            elements.append((fields[1], int(fields[2]), []))
         elif line.startswith("property"):
             if not elements:
                 raise CloudParseError("property before any element", lineno)
             fields = line.split()
             # list properties (e.g. face indices) are self-describing per row
-            elements[-1][2].append(fields[-1] if fields[0:2] != ["property", "list"] else "<list>")
+            name = fields[-1] if fields[0:2] != ["property", "list"] else "<list>"
+            if name != "<list>" and name in elements[-1][2]:
+                raise CloudParseError(f"repeated property {name!r}", lineno)
+            elements[-1][2].append(name)
         elif line == "end_header":
             break
         else:
@@ -127,7 +147,7 @@ def _load_ply(path: Path) -> PointCloud:
     vertex_spec = next((e for e in elements if e[0] == "vertex"), None)
     if vertex_spec is None or vertex_spec[1] == 0:
         raise EmptyCloudError(f"no vertex data in {path}")
-    props = vertex_spec[2]
+    _, count, props = vertex_spec
     for axis in ("x", "y", "z"):
         if axis not in props:
             raise CloudParseError(f"vertex element lacks property {axis!r}", lineno)
@@ -136,46 +156,21 @@ def _load_ply(path: Path) -> PointCloud:
     has_curvature = "curvature" in props
     columns = ["x", "y", "z"] + ["nx", "ny", "nz"] * has_normals + ["curvature"] * has_curvature
 
-    values = np.empty((vertex_spec[1], len(columns)))
-    cursor = lineno
-    for name, count, elem_props in elements:
-        if name != "vertex":
-            cursor += count
-            continue
-        vertex_linenos = np.arange(cursor + 1, cursor + count + 1)
-        col = {p: i for i, p in enumerate(elem_props)}
-        for row in range(count):
-            if cursor + row >= len(lines):
-                raise CloudParseError("unexpected end of file in vertex data", cursor + row + 1)
-            fields = lines[cursor + row].split()
-            if len(fields) < len(elem_props):
-                raise CloudParseError(
-                    f"expected {len(elem_props)} fields, got {len(fields)}", cursor + row + 1
-                )
-            try:
-                values[row] = [float(fields[col[a]]) for a in columns]
-            except ValueError:
-                raise CloudParseError(
-                    f"non-numeric record {lines[cursor + row]!r}", cursor + row + 1
-                ) from None
-        cursor += count
+    start = lineno + sum(c for _, c, _ in elements[: elements.index(vertex_spec)])
+    rows = lines[start : start + count]
+    values = _read_records(enumerate(rows, start=start + 1), props, columns)
+    if len(values) < count:
+        raise CloudParseError("unexpected end of file in vertex data", len(lines) + 1)
     points = values[:, :3]
     normals = values[:, 3:6] if has_normals else None
     curvatures = values[:, -1] if has_curvature else None
-    checks = []
-    if has_normals:
-        peak = np.abs(normals).max(axis=1)
-        checks.append(("zero-length normal in record", peak == 0))
-    if has_curvature:
-        checks.append(("curvature outside [0, 1] in record", (curvatures < 0) | (curvatures > 1)))
-    _check_rows(values, vertex_linenos, checks)
     if has_normals:
         # renormalize only what needs it, so unit normals round-trip bit-exact;
         # an off-unit row is first divided by its largest |component|, so its
         # squares can neither overflow nor underflow
         with np.errstate(over="ignore"):
             off = np.abs(np.linalg.norm(normals, axis=1) - 1.0) > 1e-9
-        scaled = normals[off] / peak[off, np.newaxis]
+        scaled = normals[off] / np.abs(normals[off]).max(axis=1)[:, np.newaxis]
         normals[off] = scaled / np.linalg.norm(scaled, axis=1)[:, np.newaxis]
     return PointCloud(points, normals, curvatures)
 

@@ -27,6 +27,7 @@ as before.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -60,10 +61,10 @@ class PerturbationSpec:
     def __post_init__(self):
         if not (math.isfinite(self.sigma) and self.sigma >= 0):
             raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) or not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be in [0, 2**64) and an integer, got {self.seed!r}")
+        if isinstance(self.trials, bool) or not isinstance(self.trials, numbers.Integral) or self.trials < 1:
+            raise ValueError(f"trials must be >= 1 and an integer, got {self.trials!r}")
         if not (math.isfinite(self.threshold) and self.threshold > 0):
             raise ValueError(f"threshold must be finite and positive, got {self.threshold}")
         if self.sigma_mode not in ("absolute", "relative"):

@@ -21,6 +21,7 @@ numpy's float64 ``power`` is SIMD-dispatched and not bit-equal to libm
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,7 +55,8 @@ class ShapeSpec:
       bent_prism: (width, thickness, centerline_radius, arc_deg)
     ``jitter`` adds per-axis Gaussian position noise (seeded, 0 = exact).
     Lengths, density and jitter must be finite, arcs lie in (0, 360] degrees
-    and a bent prism's centerline radius exceeds half its width.
+    and a bent prism's centerline radius exceeds half its width. ``seed`` is
+    an integer in [0, 2**64) and ``caps`` a bool.
     """
 
     kind: str
@@ -78,9 +80,13 @@ class ShapeSpec:
             raise ValueError("density must be positive and finite")
         if not 0 <= self.jitter < math.inf:
             raise ValueError("jitter must be finite and >= 0")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) or not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be in [0, 2**64) and an integer, got {self.seed!r}")
         unknown = set(self.options) - ({"arc_deg", "caps"} if self.kind == "cylinder" else set())
         if unknown:
             raise ValueError(f"unknown {self.kind} options {sorted(unknown)}")
+        if not isinstance(self.options.get("caps", True), bool):
+            raise ValueError(f"caps must be True or False, got {self.options['caps']!r}")
         arc_deg = self.dimensions[3] if self.kind == "bent_prism" else self.options.get("arc_deg", 360.0)
         if not 0 < arc_deg <= 360:
             raise ValueError(f"arc_deg must be in (0, 360], got {arc_deg}")

@@ -6,11 +6,14 @@ These are the straightforward per-row / per-voxel / per-neighbour / per-pair /
 per-trial loops the library used before its array versions. Tests assert that
 the library's output equals theirs bit for bit (``np.array_equal``), so every
 rounding choice of the vectorized code (summation order, dot products,
-tie-breaks) is pinned to these loops. ``knn_rows`` is the single-round
+tie-breaks) is pinned to these loops. ``knn_brute`` is the oracle of the
+neighbour layer and shares no code with it: it sorts all n points by
+(d², index) for one query at a time. ``knn_rows`` is the single-round
 k + KNN_SLACK neighbour table the library resolved every row with before it
-began with k + 2 candidates. The outlier filter's references take each
-row's ids and distances from the per-point ``knn``, which breaks ties by
-index, where the filter reads a plain tree query; ``outlier_mean_distances``
+began with k + 2 candidates, with ``knn_brute`` for the rows that round
+leaves unresolved. The outlier filter's references take each row's ids
+and distances from the per-point ``knn``, which breaks ties by index,
+where the filter reads a plain tree query; ``outlier_mean_distances``
 drops each row's own entry row by row, and ``outlier_mean_distances_full``
 through one (n, k + 1) mask over the whole table, as the library did before
 it skipped column 0. ``estimate_normals_curvatures`` is the whole-cloud
@@ -43,10 +46,23 @@ from graspkit.shapes import CURVATURE_PROXY_K, ShapeSpec, _grid_1d
 from graspkit.stability import StabilityProblem, StabilityResult, stability_cost, stability_cost_grad
 
 
+def knn_brute(points: np.ndarray, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices and distances, each (q, k), of the k nearest ``points`` to each
+    row of ``queries``: all n points sorted by (d², index), one row at a time."""
+    idx = np.empty((len(queries), k), dtype=np.intp)
+    dist = np.empty((len(queries), k))
+    for i, query in enumerate(queries):
+        diff = points - query
+        d2 = diff[:, 0] ** 2 + diff[:, 1] ** 2 + diff[:, 2] ** 2
+        idx[i] = np.lexsort((np.arange(len(points)), d2))[:k]
+        dist[i] = np.sqrt(d2[idx[i]])
+    return idx, dist
+
+
 def knn_rows(index: SpatialIndex, queries: np.ndarray, k: int) -> np.ndarray:
     """Exact k-NN indices of every row of ``queries``: k + KNN_SLACK tree
-    candidates per row ordered by (d², index), the per-point ``knn`` for rows
-    whose farthest candidate does not lie strictly beyond the k-th."""
+    candidates per row ordered by (d², index), ``knn_brute`` for rows whose
+    farthest candidate does not lie strictly beyond the k-th."""
     n = len(index._points)
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
@@ -65,7 +81,7 @@ def knn_rows(index: SpatialIndex, queries: np.ndarray, k: int) -> np.ndarray:
         out[start : start + len(query)] = cand[:, :k]
         if m < n:
             for i in np.flatnonzero(d2[:, -1] <= d2[:, k - 1] * (1.0 + 1e-8)):
-                out[start + i] = index.knn(query[i], k)[0]
+                out[start + i] = knn_brute(index._points, query[i : i + 1], k)[0][0]
     return out
 
 

@@ -18,6 +18,7 @@ from graspkit.cloud import (
     voxel_downsample,
 )
 
+import reference_loops as ref
 from conftest import grid_cloud
 
 
@@ -112,6 +113,33 @@ def nearest_queries(draw):
         points = base[rng.integers(len(base), size=draw(st.integers(1, 2 * n)))] if kind == "duplicates" else base
         queries = np.vstack([points, rng.uniform(-0.5, 1.5, size=(draw(st.integers(1, 40)), 3))])
     return points, queries
+
+
+@st.composite
+def oracle_clouds(draw):
+    """(points, queries, k) of tie-heavy clouds, n on both sides of KNN_BLOCK:
+    up to 30 points each repeated 1-60 times, dyadic lattices, and shells of
+    equidistant integer vectors. Queries are the points themselves and, for
+    lattices and shells, dyadic cell midpoints, which tie between 2-8 points."""
+    kind = draw(st.sampled_from(["duplicates", "lattice", "shell"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spacing = 2.0**-6  # dyadic: points, midpoints and their differences are exact
+    if kind == "duplicates":
+        counts = draw(st.lists(st.integers(1, 60), min_size=1, max_size=30))
+        points = np.repeat(rng.uniform(0.0, 1.0, size=(len(counts), 3)), counts, axis=0)
+    elif kind == "lattice":
+        points = np.argwhere(np.ones([draw(st.integers(1, 12)) for _ in range(3)])) * spacing
+    else:
+        cube = np.argwhere(np.ones((9, 9, 9))) - 4
+        radii = draw(st.lists(st.sampled_from([1, 2, 3, 5, 6, 9, 14, 17, 29]), min_size=1, max_size=4))
+        points = cube[np.isin(np.einsum("ij,ij->i", cube, cube), radii)] * spacing
+    points = points[rng.permutation(len(points))]
+    queries = points
+    if kind != "duplicates":
+        cells = rng.integers(-5, 13, size=(draw(st.integers(1, 60)), 3))
+        queries = np.vstack([points, (cells + rng.choice([0.0, 0.5], size=cells.shape)) * spacing])
+    k = draw(st.one_of(st.integers(1, min(len(points), 40)), st.integers(1, len(points))))
+    return points, queries, k
 
 
 class TestPointCloud:
@@ -216,12 +244,6 @@ class TestMemoizedState:
 
 
 class TestSpatialIndex:
-    def brute_force_knn(self, points, query, k):
-        diff = points - query
-        d2 = diff[:, 0] ** 2 + diff[:, 1] ** 2 + diff[:, 2] ** 2
-        order = np.lexsort((np.arange(len(points)), d2))
-        return order[:k]
-
     def test_matches_brute_force_with_ties(self):
         # grid clouds are full of exact distance ties
         points = grid_cloud(7, 7, spacing=0.01).points
@@ -229,8 +251,7 @@ class TestSpatialIndex:
         for qi in range(0, len(points), 5):
             for k in (1, 4, 9):
                 got, dist = index.knn(points[qi], k)
-                expected = self.brute_force_knn(points, points[qi], k)
-                np.testing.assert_array_equal(got, expected)
+                np.testing.assert_array_equal(got, ref.knn_brute(points, points[qi : qi + 1], k)[0][0])
                 assert np.all(np.diff(dist) >= 0)
 
     def test_matches_brute_force_random(self):
@@ -240,7 +261,7 @@ class TestSpatialIndex:
         for _ in range(25):
             q = rng.uniform(0, 1, 3)
             got, _ = index.knn(q, 12)
-            np.testing.assert_array_equal(got, self.brute_force_knn(points, q, 12))
+            np.testing.assert_array_equal(got, ref.knn_brute(points, q[np.newaxis], 12)[0][0])
 
     @given(knn_clouds())
     @example((np.repeat(random_points(7, seed=1), 3, axis=0)[::-1].copy(), 4))  # duplicates
@@ -266,9 +287,26 @@ class TestSpatialIndex:
         np.testing.assert_array_equal(got, [index.nearest(q) for q in queries])
         np.testing.assert_array_equal(got, [index.knn(q, 1)[0][0] for q in queries])
 
+    @given(oracle_clouds())
+    @example((np.repeat(random_points(17, seed=1), 60, axis=0), np.repeat(random_points(17, seed=1), 60, axis=0), 3))
+    @example((np.zeros((KNN_BLOCK - 1, 3)), np.zeros((2, 3)), 5))  # identical points
+    @example((np.argwhere(np.ones((11, 11, 11))) * 2.0**-6, np.full((3, 3), 2.0**-7), 26))
+    @settings(max_examples=40, deadline=None)
+    def test_every_query_equals_the_brute_force_oracle(self, cloud):
+        points, queries, k = cloud
+        index = SpatialIndex(points)
+        want, dist = ref.knn_brute(points, points, k)
+        np.testing.assert_array_equal(index.knn_all(k), want)
+        nearest, _ = ref.knn_brute(points, queries, 1)
+        np.testing.assert_array_equal(index.nearest_many(queries), nearest[:, 0])
+        for i in range(0, len(points), max(1, len(points) // 20)):
+            got_idx, got_dist = index.knn(points[i], k)
+            np.testing.assert_array_equal(got_idx, want[i])
+            assert got_dist.tobytes() == dist[i].tobytes()
+
     def query_rounds(self, monkeypatch, index, run):
-        """(tree query widths, per-point knn calls) of ``run()`` on ``index``."""
-        widths, fallbacks = [], []
+        """(result, tree query widths) of ``run()`` on ``index``."""
+        widths = []
         tree = index._tree
 
         class TreeSpy:
@@ -276,49 +314,38 @@ class TestSpatialIndex:
                 widths.append(k)
                 return tree.query(x, k=k)
 
-            def query_ball_point(self, x, r):
-                return tree.query_ball_point(x, r)
-
-        knn = SpatialIndex.knn
-
-        def counted_knn(self, query, k):
-            fallbacks.append(k)
-            return knn(self, query, k)
-
         monkeypatch.setattr(index, "_tree", TreeSpy())
-        monkeypatch.setattr(SpatialIndex, "knn", counted_knn)
         out = run()
         monkeypatch.undo()
-        return out, widths, len(fallbacks)
+        return out, widths
 
     def test_jittered_cloud_resolves_in_the_first_round(self, monkeypatch):
         index = SpatialIndex(random_points(500, seed=5))
-        table, widths, fallbacks = self.query_rounds(monkeypatch, index, lambda: index.knn_all(12))
-        assert widths == [12 + KNN_FIRST_SLACK] and fallbacks == 0
-        for i in range(0, 500, 7):
-            np.testing.assert_array_equal(table[i], index.knn(index.points[i], 12)[0])
+        table, widths = self.query_rounds(monkeypatch, index, lambda: index.knn_all(12))
+        assert widths == [12 + KNN_FIRST_SLACK]
+        np.testing.assert_array_equal(table, ref.knn_brute(index.points, index.points, 12)[0])
 
     def test_lattice_ties_need_the_second_round(self, monkeypatch):
         # interior points of a cubic lattice have 6 neighbours at exactly one
         # spacing, so k = 5 ties past k + 2 candidates but not past k + 8
         index = SpatialIndex(np.argwhere(np.ones((6, 6, 6))) * 0.01)
-        table, widths, fallbacks = self.query_rounds(monkeypatch, index, lambda: index.knn_all(5))
-        assert widths == [5 + KNN_FIRST_SLACK, 5 + KNN_SLACK] and fallbacks == 0
-        for i in range(len(index)):
-            np.testing.assert_array_equal(table[i], index.knn(index.points[i], 5)[0])
+        table, widths = self.query_rounds(monkeypatch, index, lambda: index.knn_all(5))
+        assert widths == [5 + KNN_FIRST_SLACK, 5 + KNN_SLACK]
+        np.testing.assert_array_equal(table, ref.knn_brute(index.points, index.points, 5)[0])
 
-    def test_equidistant_shell_takes_the_per_point_query(self, monkeypatch):
-        # the 24 integer vectors of squared length 5: more ties than k + 8 candidates
+    def test_equidistant_shell_widens_the_rounds(self, monkeypatch):
+        # the 24 integer vectors of squared length 5 and the 24 of length 6:
+        # the origin's nearest ties past k + 8 candidates and past twice that,
+        # so the widths double until a round reaches beyond the first shell
         cube = np.argwhere(np.ones((7, 7, 7))) - 3
         points = cube[np.isin(np.einsum("ij,ij->i", cube, cube), [5, 6])] * 2.0**-6
         index = SpatialIndex(points)
         queries = np.array([[0.0, 0.0, 0.0], [3.0, 3.0, 3.0]])
-        got, widths, fallbacks = self.query_rounds(monkeypatch, index, lambda: index.nearest_many(queries))
-        # the last width is the fallback's own tree query
-        assert widths == [1 + KNN_FIRST_SLACK, 1 + KNN_SLACK, 1] and fallbacks == 1
+        got, widths = self.query_rounds(monkeypatch, index, lambda: index.nearest_many(queries))
+        assert widths == [1 + KNN_FIRST_SLACK, 1 + KNN_SLACK, 2 * (1 + KNN_SLACK), 4 * (1 + KNN_SLACK)]
         shell = np.flatnonzero(np.einsum("ij,ij->i", points, points) == 5 * 2.0**-12)
         assert len(shell) == 24 and got[0] == shell.min()
-        np.testing.assert_array_equal(got, [index.knn(q, 1)[0][0] for q in queries])
+        np.testing.assert_array_equal(got, ref.knn_brute(points, queries, 1)[0][:, 0])
 
     @pytest.mark.parametrize("n, k", [(1, 1), (4, 2), (5, 3), (9, 7), (12, 12)])
     def test_clouds_within_the_first_round_take_one_query(self, monkeypatch, n, k):
@@ -327,10 +354,9 @@ class TestSpatialIndex:
         points = random_points(n, seed=n)
         points[-1] = points[0]
         index = SpatialIndex(points)
-        table, widths, fallbacks = self.query_rounds(monkeypatch, index, lambda: index.knn_all(k))
-        assert widths == [min(k + KNN_FIRST_SLACK, len(index))] and fallbacks == 0
-        for i in range(len(index)):
-            np.testing.assert_array_equal(table[i], index.knn(index.points[i], k)[0])
+        table, widths = self.query_rounds(monkeypatch, index, lambda: index.knn_all(k))
+        assert widths == [min(k + KNN_FIRST_SLACK, len(index))]
+        np.testing.assert_array_equal(table, ref.knn_brute(points, points, k)[0])
 
     def test_points_property_is_read_only(self):
         points = random_points(5, seed=4)

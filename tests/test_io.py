@@ -42,6 +42,23 @@ class TestXYZ:
         assert err.value.line == 4
         assert "non-finite" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("nan 0 0\n1 1 1\na b c\n", 1, "non-finite"),
+            ("0 0 0\n# scan\n1 inf 1\n1 1\n", 3, "non-finite"),
+            ("0 0 0\n1 1 1\na b c\nnan 0 0\n", 3, "non-numeric"),
+        ],
+        ids=["nan-before-non-numeric", "inf-before-short", "non-numeric-before-nan"],
+    )
+    def test_first_bad_record_is_cited_whatever_its_fault(self, tmp_path, text, line, message):
+        path = tmp_path / "bad.xyz"
+        path.write_text(text)
+        with pytest.raises(CloudParseError) as err:
+            load_cloud(path)
+        assert err.value.line == line
+        assert message in str(err.value)
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.xyz"
         path.write_text("# nothing\n")
@@ -63,6 +80,8 @@ end_header
 0 0 0 0 0 1
 1 0 0 1 0 0
 """
+
+XYZ_PROPS = "property float x\nproperty float y\nproperty float z\n"
 
 
 class TestPLY:
@@ -92,6 +111,16 @@ class TestPLY:
         path = tmp_path / "mesh.ply"
         path.write_text(text)
         assert len(load_cloud(path)) == 3
+
+    def test_vertex_list_property_spans_several_fields(self, tmp_path):
+        text = (
+            "ply\nformat ascii 1.0\nelement vertex 2\nproperty float x\nproperty float y\n"
+            "property float z\nproperty list uchar float texcoord\nend_header\n"
+            "0 0 0 2 0.5 0.5\n1 0 0 0\n"
+        )
+        path = tmp_path / "texcoord.ply"
+        path.write_text(text)
+        np.testing.assert_array_equal(load_cloud(path).points, [[0, 0, 0], [1, 0, 0]])
 
     def test_binary_rejected(self, tmp_path):
         path = tmp_path / "b.ply"
@@ -165,14 +194,44 @@ class TestPLY:
             cloud = load_cloud(path)
         np.testing.assert_array_equal(cloud.normals, [[0.0, 0.0, 1.0], axis])
 
-    def test_first_bad_record_is_cited_whatever_its_fault(self, tmp_path):
-        # a zero normal on line 12 comes before a non-finite value on line 13
+    @pytest.mark.parametrize(
+        "first, second, line, message",
+        [
+            ("0 0 0 0 0 0", "1 0 0 nan 0 0", 12, "zero-length normal"),
+            ("nan 0 0 0 0 1", "a b c d e f", 12, "non-finite"),
+            ("0 0 0 0 0 0", "1 0 0 1 0", 12, "zero-length normal"),
+            ("0 0 0 0 0 1", "1 0 0 1 0", 13, "expected 6 fields, got 5"),
+        ],
+        ids=["zero-normal-before-nan", "nan-before-non-numeric", "zero-normal-before-short", "short"],
+    )
+    def test_first_bad_record_is_cited_whatever_its_fault(self, tmp_path, first, second, line, message):
+        # the header is 11 lines, so the vertex rows are lines 12 and 13
         path = tmp_path / "two.ply"
-        path.write_text(PLY_WITH_NORMALS.replace("0 0 0 0 0 1", "0 0 0 0 0 0").replace("1 0 0 1 0 0", "1 0 0 nan 0 0"))
+        path.write_text(PLY_WITH_NORMALS.replace("0 0 0 0 0 1", first).replace("1 0 0 1 0 0", second))
         with pytest.raises(CloudParseError) as err:
             load_cloud(path)
-        assert err.value.line == 12
-        assert "zero-length normal" in str(err.value)
+        assert err.value.line == line
+        assert message in str(err.value)
+
+    @pytest.mark.parametrize(
+        "header, rows, line, message",
+        [
+            ("element vertex -2\n" + XYZ_PROPS, "0 0 0\n", 3, "bad element count"),
+            ("element face -2\nproperty list uchar int vertex_indices\nelement vertex 1\n" + XYZ_PROPS, "0 0 0\n", 3, "bad element count"),
+            ("element vertex 1000000000000\n" + XYZ_PROPS, "0 0 0\n1 0 0\n", 10, "unexpected end of file"),
+            ("element vertex 2\n" + XYZ_PROPS, "0 0 0\nnan 0 0\n", 9, "non-finite"),
+            ("element vertex 1\n" + XYZ_PROPS + "element vertex 1\n" + XYZ_PROPS, "0 0 0\n1 1 1\n", 7, "second vertex element"),
+            ("element vertex 1\n" + XYZ_PROPS + "property float x\n", "0 0 0 5\n", 7, "repeated property 'x'"),
+        ],
+        ids=["negative-vertex-count", "negative-face-count", "count-beyond-the-file", "bad-row-before-the-end", "second-vertex-element", "repeated-property"],
+    )
+    def test_malformed_header_cites_its_line(self, tmp_path, header, rows, line, message):
+        path = tmp_path / "header.ply"
+        path.write_text(f"ply\nformat ascii 1.0\n{header}end_header\n{rows}")
+        with pytest.raises(CloudParseError) as err:
+            load_cloud(path)
+        assert err.value.line == line
+        assert message in str(err.value)
 
     def test_zero_vertices_rejected(self, tmp_path):
         path = tmp_path / "z.ply"

@@ -163,6 +163,10 @@ class TestRobustForceClosure:
             ({"sigma": float("inf")}, "sigma"),
             ({"sigma": 0.1, "seed": -1}, "seed"),
             ({"sigma": 0.1, "seed": 2**64}, "seed"),
+            ({"sigma": 0.1, "seed": 1.5}, "seed"),
+            ({"sigma": 0.1, "seed": True}, "seed"),
+            ({"sigma": 0.1, "trials": 2.5}, "trials"),
+            ({"sigma": 0.1, "trials": True}, "trials"),
             ({"sigma": 0.1, "threshold": float("nan")}, "threshold"),
             ({"sigma": 0.1, "threshold": float("inf")}, "threshold"),
             ({"sigma": 0.1, "threshold": float("-inf")}, "threshold"),
@@ -174,6 +178,10 @@ class TestRobustForceClosure:
             "sigma-inf",
             "seed-negative",
             "seed-2**64",
+            "seed-fraction",
+            "seed-bool",
+            "trials-fraction",
+            "trials-bool",
             "threshold-nan",
             "threshold-inf",
             "threshold-minus-inf",

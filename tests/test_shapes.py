@@ -160,6 +160,12 @@ class TestGenerate:
             ("bent_prism", (0.025, 0.03, 0.06, 400.0), {}, "arc_deg"),
             ("bent_prism", (0.025, 0.03, 0.01, 120.0), {}, "centerline_radius"),
             ("bent_prism", (0.025, 0.03, 0.0125, 120.0), {}, "centerline_radius"),
+            ("sphere", (0.03,), {"seed": -1}, "seed"),
+            ("sphere", (0.03,), {"seed": 2**64}, "seed"),
+            ("sphere", (0.03,), {"seed": 1.5}, "seed"),
+            ("sphere", (0.03,), {"seed": True}, "seed"),
+            ("cylinder", (0.07, 0.05), {"options": {"caps": "false"}}, "caps"),
+            ("cylinder", (0.07, 0.05), {"options": {"caps": 0}}, "caps"),
         ],
         ids=[
             "nan-dimension",
@@ -178,6 +184,12 @@ class TestGenerate:
             "bent-prism-arc-over-360",
             "centerline-inside-half-width",
             "centerline-at-half-width",
+            "seed-negative",
+            "seed-2**64",
+            "seed-fraction",
+            "seed-bool",
+            "caps-string",
+            "caps-int",
         ],
     )
     def test_malformed_spec_rejected_naming_the_field(self, kind, dimensions, kwargs, field):
