@@ -148,17 +148,15 @@ def _nearest_member(
     member_indices: np.ndarray,
     max_dist: float,
 ) -> int | None:
-    """Cloud index of the member whose projection lies nearest ``sample``.
-
-    Candidates must project within ``max_dist``; among those the nearest
-    wins, ties by ascending cloud index.
+    """Cloud index of the member whose projection lies nearest ``sample``, or
+    None beyond ``max_dist``. ``member_indices`` ascend (``PlanarRegion``), so
+    the first minimum breaks ties by ascending cloud index.
     """
     d = np.linalg.norm(proj - sample, axis=1)
-    eligible = np.flatnonzero(d <= max_dist)
-    if len(eligible) == 0:
+    nearest = int(np.argmin(d))
+    if d[nearest] > max_dist:
         return None
-    order = np.lexsort((member_indices[eligible], d[eligible]))
-    return int(member_indices[eligible[order[0]]])
+    return int(member_indices[nearest])
 
 
 def make_candidates(

@@ -109,10 +109,10 @@ def _grasp_vector(data: dict, field: str) -> np.ndarray:
     return np.array(value, dtype=np.float64)
 
 
-def _candidate_from_json(data, cloud: PointCloud) -> GraspCandidate:
+def _candidate_from_json(data) -> GraspCandidate:
     """The grasp of a ``--grasp`` JSON object: ``contact_a`` and ``contact_b``,
-    plus ``normal_a`` and ``normal_b`` (inward) or neither, in which case the
-    negated cloud normals nearest the contacts are used."""
+    and optionally ``normal_a`` and ``normal_b``, checked but unused. Its inward
+    normals are ``axis`` and ``-axis``; the evaluator ignores them."""
     if not isinstance(data, dict):
         raise ValueError(f"grasp must be a JSON object with 'contact_a' and 'contact_b', got {data!r}")
     contact_a = _grasp_vector(data, "contact_a")
@@ -122,17 +122,15 @@ def _candidate_from_json(data, cloud: PointCloud) -> GraspCandidate:
     if width <= 0:
         raise ValueError("grasp contacts coincide")
     if "normal_a" in data or "normal_b" in data:
-        normal_a = _grasp_vector(data, "normal_a")
-        normal_b = _grasp_vector(data, "normal_b")
-    else:
-        normal_a = -cloud.normals[cloud.index.nearest(contact_a)]
-        normal_b = -cloud.normals[cloud.index.nearest(contact_b)]
+        _grasp_vector(data, "normal_a")
+        _grasp_vector(data, "normal_b")
+    axis = delta / width
     return GraspCandidate(
         contact_a=contact_a,
         contact_b=contact_b,
-        normal_a=normal_a,
-        normal_b=normal_b,
-        grasp_axis=delta / width,
+        normal_a=axis,
+        normal_b=-axis,
+        grasp_axis=axis,
         width=width,
     )
 
@@ -159,7 +157,7 @@ def _cmd_eval(args) -> int:
         sigma_mode=args.sigma_mode,
     )
     cloud = _with_normals(load_cloud(args.input), config)
-    candidate = _candidate_from_json(grasp_data, cloud)
+    candidate = _candidate_from_json(grasp_data)
     report = robust_force_closure(
         candidate, cloud, spec, mu=config.mu, mode=config.closure_mode
     )

@@ -266,8 +266,8 @@ def voxel_downsample(cloud: PointCloud, voxel: float) -> PointCloud:
     if len(cloud) == 0:
         return cloud
     coords = np.floor(cloud.points / voxel).astype(np.int64)
-    # Sort by (voxel coords, original index) to get deterministic groups.
-    order = np.lexsort((np.arange(len(cloud)), coords[:, 2], coords[:, 1], coords[:, 0]))
+    # lexsort is stable, so each voxel's members keep ascending original index.
+    order = np.lexsort((coords[:, 2], coords[:, 1], coords[:, 0]))
     sorted_coords = coords[order]
     boundaries = np.ones(len(cloud), dtype=bool)
     boundaries[1:] = np.any(sorted_coords[1:] != sorted_coords[:-1], axis=1)

@@ -2,9 +2,9 @@
 
 Only ASCII formats are handled; binary PLY is rejected up front. PLY vertices
 are read as x, y, z and, when present, nx, ny, nz and curvature; other vertex
-properties are ignored, and non-vertex elements are skipped. XYZ lines and
-PLY vertex rows go through one record loop, and an error cites the line of
-the first bad record, whatever its fault.
+properties are ignored, a list one only after those, and non-vertex elements
+are skipped. XYZ lines and PLY vertex rows go through one record loop, and an
+error cites the line of the first bad record, whatever its fault.
 """
 
 from __future__ import annotations
@@ -130,10 +130,15 @@ def _load_ply(path: Path) -> PointCloud:
             if not elements:
                 raise CloudParseError("property before any element", lineno)
             fields = line.split()
-            # list properties (e.g. face indices) are self-describing per row
+            # a list's rows (e.g. face indices) give their own length, shifting the fields after it
             name = fields[-1] if fields[0:2] != ["property", "list"] else "<list>"
-            if name != "<list>" and name in elements[-1][2]:
+            if name == "<list>":
+                list_line = lineno
+            elif name in elements[-1][2]:
                 raise CloudParseError(f"repeated property {name!r}", lineno)
+            elif elements[-1][0] == "vertex" and "<list>" in elements[-1][2]:
+                if name in ("x", "y", "z", "nx", "ny", "nz", "curvature"):
+                    raise CloudParseError(f"list property before vertex column {name!r}", list_line)
             elements[-1][2].append(name)
         elif line == "end_header":
             break

@@ -7,7 +7,9 @@ matrix mapping contact-frame forces to the net object wrench.
 
 ``stacked_rotations``, ``stacked_grasp_maps`` and ``stacked_force_closure``
 build many frames, maps and closure tests at once; the one-grasp functions
-are one-row calls of them, so both round identically.
+are one-row calls of them, so both round identically. Each input is checked
+once, where it enters: normals in ``stacked_rotations``, a rotation in
+``ContactFrame``.
 """
 
 from __future__ import annotations
@@ -27,7 +29,9 @@ class ContactFrame:
     def __post_init__(self):
         if self.mu <= 0:
             raise ValueError(f"mu must be positive, got {self.mu}")
-        _check_rotations(np.asarray(self.rotation, dtype=np.float64))
+        R = np.asarray(self.rotation, dtype=np.float64)
+        if not np.allclose(R.T @ R, np.eye(3), atol=1e-9) or abs(np.linalg.det(R) - 1.0) > 1e-9:
+            raise ValueError("rotation must be orthonormal with determinant +1")
 
     @property
     def inward_normal(self) -> np.ndarray:
@@ -53,35 +57,26 @@ def skew(p: np.ndarray) -> np.ndarray:
     return S
 
 
-def _check_rotations(R: np.ndarray) -> None:
-    RtR = np.swapaxes(R, -1, -2) @ R
-    if not np.allclose(RtR, np.eye(3), atol=1e-9) or np.any(np.abs(np.linalg.det(R) - 1.0) > 1e-9):
-        raise ValueError("rotation must be orthonormal with determinant +1")
-
-
 def stacked_rotations(inward_normals) -> np.ndarray:
     """(..., 3, 3) contact rotations, one per row of ``inward_normals`` (..., 3).
 
     Column Z is the normalized inward normal. Column X is the normalized
     rejection of global +X from the normal, falling back to +Y when the
     normal is nearly parallel to X (|n . x| > 0.9); Y = Z x X completes the
-    right-handed set. Raises ValueError when any normal is zero or not unit
-    length, or when any result is not a proper rotation. Each row rounds
+    right-handed set. Raises ValueError unless every normal is unit length
+    within 1e-6 (zero, NaN and inf fail); from such normals the result is a
+    proper rotation to about 1e-15, so it is not re-checked. Each row rounds
     exactly like a one-row call, so stacking never changes a bit.
     """
     n = np.asarray(inward_normals, dtype=np.float64)
     norm = np.sqrt(np.vecdot(n, n))[..., np.newaxis]
-    if np.any(norm < 1e-12):
-        raise ValueError("inward normal must be nonzero")
-    if np.any(np.abs(norm - 1.0) > 1e-6):
-        raise ValueError("inward normal must be unit length")
+    if not np.all(np.abs(norm - 1.0) <= 1e-6):
+        raise ValueError("inward normal must be finite, nonzero and unit length")
     n = n / norm
     ref = np.where(np.abs(n[..., :1]) > 0.9, (0.0, 1.0, 0.0), (1.0, 0.0, 0.0))
     x = ref - np.vecdot(ref, n)[..., np.newaxis] * n
     x = x / np.sqrt(np.vecdot(x, x))[..., np.newaxis]
-    R = np.stack([x, np.cross(n, x), n], axis=-1)
-    _check_rotations(R)
-    return R
+    return np.stack([x, np.cross(n, x), n], axis=-1)
 
 
 def build_contact_frame(contact, inward_normal, mu: float = 0.5) -> ContactFrame:

@@ -53,6 +53,8 @@ class PlanarRegion:
     The plane is n . x = n . centroid. ``plane_normal`` is oriented to agree
     with the member points' stored normals (outward for well-oriented
     clouds), which downstream antiparallel pairing relies on.
+    ``point_indices`` ascend; the tie-breaks of ``segment`` and
+    ``make_candidates`` rely on it.
     """
 
     point_indices: np.ndarray
@@ -144,7 +146,7 @@ def _grow_regions(cloud: PointCloud, params: RegionGrowingParams, hoods: np.ndar
     curvatures = cloud.curvatures
 
     available = np.ones(n, dtype=bool)
-    seed_order = np.lexsort((np.arange(n), curvatures))
+    seed_order = np.argsort(curvatures, kind="stable")
     seed_cursor = 0
 
     # Every point joins exactly one region, so the regions' members, in

@@ -140,9 +140,9 @@ def rank_candidates(
 
     Sort key: closure winners first, then ascending distance between the
     grasp axis and the object centroid (the near-center preference that
-    separates otherwise-tied grasps on curved objects), then width, then
-    candidate index. An all-failing batch is still returned; its best
-    report then has ``closure`` False.
+    separates otherwise-tied grasps on curved objects), then width; exact
+    ties keep candidate order. An all-failing batch is still returned; its
+    best report then has ``closure`` False.
     """
     candidates = list(candidates)
     if not candidates:
@@ -155,16 +155,17 @@ def rank_candidates(
     closure, sigma_min = stacked_force_closure(
         G, contacts, rotations[..., 2], mu, sigma_min_threshold, mode=closure_mode, torque_scale=scale
     )
+    lever = np.cross(origin - contacts[:, 0], [c.grasp_axis for c in candidates])
+    distance = np.sqrt(np.vecdot(lever, lever))
     reports = [
         GraspReport(
-            candidate=c,
-            candidate_index=i,
+            candidate=candidates[i],
+            candidate_index=int(i),
             closure=bool(closure[i]),
             sigma_min=float(sigma_min[i]),
             mode=closure_mode,
-            axis_com_distance=float(np.linalg.norm(np.cross(origin - c.contact_a, c.grasp_axis))),
+            axis_com_distance=float(distance[i]),
         )
-        for i, c in enumerate(candidates)
+        for i in np.lexsort(([c.width for c in candidates], distance, ~closure))
     ]
-    reports.sort(key=lambda r: (not r.closure, r.axis_com_distance, r.candidate.width, r.candidate_index))
     return RankedCandidates(reports=tuple(reports))

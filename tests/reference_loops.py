@@ -21,6 +21,14 @@ version of normal estimation, through one (n, k, 3) neighbourhood array and
 its centred copy, that the library ran before it worked in blocks of
 KNN_BLOCK rows.
 
+``rank_candidates`` scores one candidate at a time with the scalar
+mechanics below, takes each lever-arm distance from its own
+``np.linalg.norm(np.cross(...))`` and sorts with the Python key
+(not closure, distance, width, candidate index) that the library ran before
+one stable lexsort. ``nearest_member`` picks a contact by an explicit
+(distance, cloud index) lexsort, as the library did before it took the first
+minimum of members that ascend.
+
 ``generate`` samples a ``ShapeSpec`` with the per-point loops the shape
 generators ran before they became array expressions: one ``np.array`` per
 point, ``math`` sines and cosines per angle, ``np.linalg.norm`` per
@@ -43,7 +51,7 @@ from graspkit.cloud import KNN_BLOCK, KNN_SLACK, PointCloud, SpatialIndex, _cano
 from graspkit.regions import REFIT_INTERVAL, DegenerateFitError, RegionGrowingParams, fit_plane_lsq
 from graspkit.robustness import trial_rng
 from graspkit.shapes import CURVATURE_PROXY_K, ShapeSpec, _grid_1d
-from graspkit.stability import StabilityProblem, StabilityResult, stability_cost, stability_cost_grad
+from graspkit.stability import GraspReport, StabilityProblem, StabilityResult, stability_cost, stability_cost_grad
 
 
 def knn_brute(points: np.ndarray, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -325,6 +333,31 @@ def force_closure(G, points, rotations, mu, threshold=0.01, mode="soft-pinch", t
         (-axis) @ rotations[1][:, 2] >= cos_limit - 1e-12
     )
     return bool(admissible and np.all(considered > threshold)), sigma_min
+
+
+def rank_candidates(candidates, cloud: PointCloud, mu=0.5, threshold=0.01, mode="soft-pinch") -> list[GraspReport]:
+    """Reports best-first, scored one candidate at a time and sorted by a Python tuple key."""
+    origin = cloud.centroid()
+    scale = max(cloud.bounding_radius(), 1e-12)
+    reports = []
+    for i, c in enumerate(candidates):
+        points = (c.contact_a, c.contact_b)
+        rotations = (contact_rotation(c.normal_a), contact_rotation(c.normal_b))
+        closure, sigma_min = force_closure(grasp_map(points, rotations, origin), points, rotations, mu, threshold, mode, scale)
+        distance = float(np.linalg.norm(np.cross(origin - c.contact_a, c.grasp_axis)))
+        reports.append(GraspReport(c, i, closure, sigma_min, mode, distance))
+    reports.sort(key=lambda r: (not r.closure, r.axis_com_distance, r.candidate.width, r.candidate_index))
+    return reports
+
+
+def nearest_member(sample, proj, member_indices, max_dist):
+    """Cloud index of the member projected nearest ``sample`` within ``max_dist``, ties by cloud index."""
+    d = np.linalg.norm(proj - sample, axis=1)
+    eligible = np.flatnonzero(d <= max_dist)
+    if len(eligible) == 0:
+        return None
+    order = np.lexsort((member_indices[eligible], d[eligible]))
+    return int(member_indices[eligible[order[0]]])
 
 
 def robust_force_closure_loop(candidate, cloud: PointCloud, spec, mu=0.5, mode="soft-pinch") -> tuple[bool, ...]:

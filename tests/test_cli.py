@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from graspkit.cli import EXIT_NO_CANDIDATES, EXIT_OK, EXIT_USAGE, cli_main
+from graspkit.cloud import SpatialIndex
 from graspkit.io import load_cloud, save_cloud_ply
 from graspkit.planner import plan
 from graspkit.shapes import ShapeSpec, corpus_standard, generate
@@ -139,8 +140,11 @@ class TestEvalCommand:
             ('{"foo": 1}', "grasp field 'contact_a' must be a list of 3 finite numbers"),
             ('{"contact_a": [NaN, 0, 0], "contact_b": [0.05, 0, 0]}', "grasp field 'contact_a' must be a list of 3 finite numbers"),
             ('{"contact_a": [0, 0, 0], "contact_b": [0.05, 0]}', "grasp field 'contact_b' must be a list of 3 finite numbers"),
+            # normals are unused but still checked as input
+            ('{"contact_a": [0, 0, 0], "contact_b": [0.05, 0, 0], "normal_a": [1, 0, 0]}', "grasp field 'normal_b' must be a list of 3 finite numbers"),
+            ('{"contact_a": [0, 0, 0], "contact_b": [0.05, 0, 0], "normal_a": [1, 0, Infinity], "normal_b": [-1, 0, 0]}', "grasp field 'normal_a' must be a list of 3 finite numbers"),
         ],
-        ids=["list", "number", "no-contacts", "nan-contact", "short-contact"],
+        ids=["list", "number", "no-contacts", "nan-contact", "short-contact", "one-normal", "inf-normal"],
     )
     def test_malformed_grasp_is_an_error_naming_the_field(self, box_ply, tmp_path, capsys, text, message):
         grasp = tmp_path / "grasp.json"
@@ -151,8 +155,17 @@ class TestEvalCommand:
 
 
     @pytest.mark.parametrize("source", ["box_ply", "box_xyz"], ids=["ply", "xyz"])
-    def test_eval_builds_one_index(self, request, source, tmp_path, index_builds):
-        """Normal estimation and the evaluation share one tree."""
+    def test_eval_builds_one_index(self, request, source, tmp_path, index_builds, monkeypatch):
+        """Normal estimation and the evaluation share one tree, and only the
+        evaluator's one batched query snaps the contacts."""
+        queries = []
+        nearest_many = SpatialIndex.nearest_many
+
+        def counted(index, q):
+            queries.append(len(q))
+            return nearest_many(index, q)
+
+        monkeypatch.setattr(SpatialIndex, "nearest_many", counted)
         path = request.getfixturevalue(source)
         grasp = tmp_path / "grasp.json"
         grasp.write_text(json.dumps({"contact_a": [-0.025, 0.0, 0.0], "contact_b": [0.025, 0.0, 0.0]}))
@@ -162,6 +175,7 @@ class TestEvalCommand:
         )
         assert code == EXIT_OK
         assert [len(b) for b in index_builds] == [len(load_cloud(path))]
+        assert queries == [2 * 20]
 
     @pytest.mark.parametrize(
         "flag, value, message",

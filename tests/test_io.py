@@ -222,8 +222,11 @@ class TestPLY:
             ("element vertex 2\n" + XYZ_PROPS, "0 0 0\nnan 0 0\n", 9, "non-finite"),
             ("element vertex 1\n" + XYZ_PROPS + "element vertex 1\n" + XYZ_PROPS, "0 0 0\n1 1 1\n", 7, "second vertex element"),
             ("element vertex 1\n" + XYZ_PROPS + "property float x\n", "0 0 0 5\n", 7, "repeated property 'x'"),
+            # both rows mean [1, 2, 3]; read with one field per list they would shift x, y, z
+            ("element vertex 1\nproperty list uchar float tc\n" + XYZ_PROPS, "2 0.5 0.5 1 2 3\n", 4, "list property before vertex column 'x'"),
+            ("element vertex 1\nproperty float x\nproperty list uchar float tc\nproperty float y\nproperty float z\n", "1 2 0.5 0.5 2 3\n", 5, "list property before vertex column 'y'"),
         ],
-        ids=["negative-vertex-count", "negative-face-count", "count-beyond-the-file", "bad-row-before-the-end", "second-vertex-element", "repeated-property"],
+        ids=["negative-vertex-count", "negative-face-count", "count-beyond-the-file", "bad-row-before-the-end", "second-vertex-element", "repeated-property", "list-before-x", "list-before-y"],
     )
     def test_malformed_header_cites_its_line(self, tmp_path, header, rows, line, message):
         path = tmp_path / "header.ply"

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import reference_loops as ref
 from graspkit.mechanics import (
+    ContactFrame,
     build_contact_frame,
     build_grasp_map,
     force_closure,
@@ -43,6 +44,15 @@ class TestContactFrame:
     def test_zero_normal_rejected(self):
         with pytest.raises(ValueError):
             build_contact_frame([0, 0, 0], [0.0, 0, 0])
+
+    @pytest.mark.parametrize(
+        "rotation",
+        [np.diag([1.0, 1.0, -1.0]), 2.0 * np.eye(3), np.full((3, 3), np.nan), [[1.0, 1e-6, 0], [0, 1, 0], [0, 0, 1]]],
+        ids=["reflection", "scaled", "nan", "sheared"],
+    )
+    def test_handed_in_rotation_must_be_proper(self, rotation):
+        with pytest.raises(ValueError, match="orthonormal"):
+            ContactFrame(origin=np.zeros(3), rotation=np.asarray(rotation), mu=0.5)
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=200, deadline=None)
@@ -270,6 +280,22 @@ def branch_normals() -> np.ndarray:
     return np.array(out)
 
 
+def unit_normals():
+    """Random unit normals, one draw of three coordinates normalized."""
+    coords = st.floats(min_value=-1.0, max_value=1.0, allow_subnormal=False)
+    vectors = st.tuples(coords, coords, coords).map(np.array).filter(lambda v: np.linalg.norm(v) > 0.1)
+    return vectors.map(lambda v: v / np.linalg.norm(v))
+
+
+@st.composite
+def near_switch_normals(draw):
+    """Unit normals with |n_x| within 1e-9 of 0.9, the +X/+Y reference switch, on both sides."""
+    nx = draw(st.sampled_from([1.0, -1.0])) * (0.9 + draw(st.floats(min_value=-1e-9, max_value=1e-9)))
+    angle = draw(st.floats(min_value=0.0, max_value=2.0 * math.pi))
+    r = math.sqrt(1.0 - nx * nx)
+    return np.array([nx, r * math.cos(angle), r * math.sin(angle)])
+
+
 class TestStackedMechanics:
     """The stacked frame, grasp-map and closure builders equal the one-row
     library calls and the scalar reference formulas bit for bit."""
@@ -322,9 +348,39 @@ class TestStackedMechanics:
         np.testing.assert_allclose(np.einsum("ij,ij->i", x, np.cross(refs, normals)), 0.0, atol=1e-12)
         assert np.all(np.einsum("ij,ij->i", x, refs) > 0.0)
 
+    @given(
+        st.lists(
+            st.one_of(
+                unit_normals(),
+                # |n| = 1 +- 1e-6, just inside the entry check
+                st.tuples(unit_normals(), st.floats(1.0 - 0.999e-6, 1.0 + 0.999e-6)).map(lambda t: t[0] * t[1]),
+                near_switch_normals(),
+                st.sampled_from(list(np.vstack([np.eye(3), -np.eye(3)]))),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_checked_normals_give_proper_rotations(self, normals):
+        # the entry check is the only one, so what it admits must give a proper rotation
+        R = stacked_rotations(normals)
+        assert np.abs(np.swapaxes(R, -1, -2) @ R - np.eye(3)).max() <= 1e-12
+        assert np.abs(np.linalg.det(R) - 1.0).max() <= 1e-12
+        for row, n in zip(R, normals):
+            assert np.array_equal(row, stacked_rotations(n))
+
     @pytest.mark.parametrize(
         "normal, match",
-        [([0.0, 0.0, 0.0], "nonzero"), ([0.0, 0.0, 0.5], "unit length"), ([0.0, 0.0, 1.0 + 1e-5], "unit length")],
+        [
+            ([0.0, 0.0, 0.0], "nonzero"),
+            ([0.0, 0.0, 0.5], "unit length"),
+            ([0.0, 0.0, 1.0 + 1e-5], "unit length"),
+            ([np.nan, 0.0, 1.0], "inward normal"),
+            ([0.0, np.inf, 0.0], "inward normal"),
+            ([-np.inf, 0.0, np.nan], "inward normal"),
+            ([1e-300, 0.0, 0.0], "inward normal"),
+        ],
     )
     def test_one_bad_normal_rejects_the_stack(self, normal, match):
         normals = np.tile([0.0, 0.0, 1.0], (5, 2, 1))

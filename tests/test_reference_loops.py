@@ -1,8 +1,8 @@
 """The vectorized outlier filter, voxel grid, kNN tables, normal estimation,
-region growth, region pairing, sample locations and robustness evaluator
-equal their scalar reference loops or whole-cloud array versions
-(``reference_loops.py``) bit for bit, on the corpus clouds, on 3x-density
-jittered scans of the same shapes and on hand-made edge cases."""
+region growth, region pairing, sample locations, contact picking, ranking and
+robustness evaluator equal their scalar reference loops or whole-cloud array
+versions (``reference_loops.py``) bit for bit, on the corpus clouds, on
+3x-density jittered scans of the same shapes and on hand-made edge cases."""
 
 import dataclasses
 import itertools
@@ -21,6 +21,7 @@ from graspkit.cloud import (
     remove_statistical_outliers,
     voxel_downsample,
 )
+from graspkit import planner
 from graspkit.planner import PlannerConfig, plan, preprocess
 from graspkit.regions import PlanarRegion, RegionGrowingParams, _grow_regions, segment
 from graspkit.robustness import PerturbationSpec, robust_force_closure
@@ -152,6 +153,92 @@ def test_sample_locations_match_loop_on_random_boxes():
         hi = lo + rng.uniform(0.0, 0.1, 2)
         for count in (1, 2, 32, 47):
             assert np.array_equal(_sample_locations(lo, hi, count), ref.sample_locations(lo, hi, count))
+
+
+@pytest.mark.parametrize("name", OBJECTS)
+def test_regions_list_their_members_in_ascending_index(clouds, name):
+    # segment's size tie-break, and make_candidates' pair orientation and
+    # nearest-member ties, read the first member
+    for cloud in clouds[name]:
+        for region in segment(preprocess(cloud, CONFIG), CONFIG.region_params()):
+            assert np.all(np.diff(region.point_indices) > 0)
+
+
+def test_nearest_member_matches_lexsort_on_grid_ties():
+    # a 6 x 6 unit grid, its rows shuffled, with ascending member indices:
+    # edge midpoints are equidistant from 2 members and cell centres from 4
+    rng = np.random.default_rng(5)
+    grid = np.array([[x, y] for x in range(6) for y in range(6)], dtype=np.float64)
+    proj = grid[rng.permutation(len(grid))]
+    members = np.sort(rng.choice(1000, len(grid), replace=False))
+    halves = np.arange(-1, 13) * 0.5
+    ties = set()
+    for sample in np.array([[x, y] for x in halves for y in halves]):
+        d = np.linalg.norm(proj - sample, axis=1)
+        ties.add(int(np.sum(d == d.min())))
+        for max_dist in (0.4, 0.5, d.min(), np.sqrt(0.5), 2.0):
+            got = candidates._nearest_member(sample, proj, members, max_dist)
+            assert got == ref.nearest_member(sample, proj, members, max_dist)
+    assert ties == {1, 2, 4}
+
+
+def mirrored_candidates(rng, count: int) -> list[GraspCandidate]:
+    """``count`` random grasps in their 8 mirror images through the origin's
+    coordinate planes, so each image has exactly the same lever-arm distance
+    and width; every grasp twice, once with inward normals that pass the
+    friction cone and once with normals tilted out of it, and one image of
+    each repeated."""
+    out = []
+    for _ in range(count):
+        a = rng.uniform(-0.8, 0.8, 3)
+        b = a + rng.normal(size=3) * 0.3
+        axis = (b - a) / np.linalg.norm(b - a)
+        tilt = np.cross(axis, rng.normal(size=3))
+        tilt /= np.linalg.norm(tilt)
+        for na in (axis, (axis + 2.0 * tilt) / np.linalg.norm(axis + 2.0 * tilt)):
+            for signs in itertools.product((1.0, -1.0), repeat=3):
+                ca, cb = a * signs, b * signs
+                width = float(np.linalg.norm(cb - ca))
+                out.append(GraspCandidate(ca, cb, na * signs, -axis * signs, (cb - ca) / width, width))
+            out.append(out[-1])
+    return out
+
+
+def test_rank_matches_tuple_key_sort_on_exact_ties():
+    rng = np.random.default_rng(19)
+    corners = np.array(list(itertools.product((-1.0, 1.0), repeat=3)))
+    cloud = PointCloud(corners)  # centroid exactly 0
+    batch = mirrored_candidates(rng, 6)
+    batch = [batch[i] for i in rng.permutation(len(batch))]
+    for mode, outcomes in (("soft-pinch", {True, False}), ("strict", {False})):
+        got = planner.rank_candidates(batch, cloud, mu=0.5, sigma_min_threshold=0.01, closure_mode=mode).reports
+        want = ref.rank_candidates(batch, cloud, 0.5, 0.01, mode)
+        assert [(r.candidate_index, r.closure, r.sigma_min, r.axis_com_distance) for r in got] == [
+            (r.candidate_index, r.closure, r.sigma_min, r.axis_com_distance) for r in want
+        ]
+        assert all(type(r.candidate_index) is int and type(r.axis_com_distance) is float for r in got)
+        assert {r.closure for r in got} == outcomes
+        # exact ties between distinct candidates, not only between repeats
+        keys = {(r.closure, r.axis_com_distance, r.candidate.width) for r in got}
+        assert len(keys) < len(set(map(id, batch))) < len(batch)
+
+
+def test_rank_of_the_corpus_matches_tuple_key_sort(clouds, monkeypatch):
+    batches = []
+    rank_candidates = planner.rank_candidates
+
+    def spy(batch, cloud, **kwargs):
+        batches.append((batch, cloud, kwargs))
+        return rank_candidates(batch, cloud, **kwargs)
+
+    monkeypatch.setattr(planner, "rank_candidates", spy)
+    for cloud, _ in clouds.values():
+        plan(cloud, CONFIG)
+    assert len(batches) == 9
+    for batch, cloud, kwargs in batches:
+        got = [(r.candidate_index, r.closure, r.sigma_min, r.axis_com_distance) for r in rank_candidates(batch, cloud, **kwargs).reports]
+        want = ref.rank_candidates(batch, cloud, CONFIG.mu, CONFIG.sigma_min_threshold, CONFIG.closure_mode)
+        assert got == [(r.candidate_index, r.closure, r.sigma_min, r.axis_com_distance) for r in want]
 
 
 @pytest.mark.parametrize("name", OBJECTS)
