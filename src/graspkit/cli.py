@@ -156,8 +156,8 @@ def _cmd_eval(args) -> int:
         threshold=config.sigma_min_threshold,
         sigma_mode=args.sigma_mode,
     )
+    candidate = _candidate_from_json(grasp_data)  # before the cloud: a bad grasp costs no load
     cloud = _with_normals(load_cloud(args.input), config)
-    candidate = _candidate_from_json(grasp_data)
     report = robust_force_closure(
         candidate, cloud, spec, mu=config.mu, mode=config.closure_mode
     )

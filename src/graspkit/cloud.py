@@ -205,7 +205,11 @@ class SpatialIndex:
         """One round of ``_knn_rows`` with m tree candidates per row, in blocks
         of at most KNN_BLOCK rows and, unless one row holds more, KNN_BLOCK *
         (k + KNN_SLACK) candidates: (indices, positions of the rows whose first
-        k candidates are not proven exact)."""
+        k candidates are not proven exact).
+
+        d² is computed in the tree's candidate order. A row whose d² strictly
+        increases is already in (d², index) order; only the rows with a tie or
+        an inversion are sorted (none on the jittered scans)."""
         n = len(self._points)
         x, y, z = self._points.T  # column views, so each gather is a contiguous (rows, m) array
         out = np.empty((len(queries), k), dtype=np.intp)
@@ -214,18 +218,21 @@ class SpatialIndex:
         for start in range(0, len(queries), block):
             query = queries[start : start + block]
             _, cand = self._tree.query(query, k=m)
-            # ascending index first, so the stable sort by d² breaks ties by index
-            cand = np.sort(cand.reshape(len(query), m), axis=1)
+            cand = cand.reshape(len(query), m)
             d2 = (
                 (x[cand] - query[:, 0, np.newaxis]) ** 2
                 + (y[cand] - query[:, 1, np.newaxis]) ** 2
                 + (z[cand] - query[:, 2, np.newaxis]) ** 2
             )
-            order = np.argsort(d2, axis=1, kind="stable")
-            out[start : start + len(query)] = np.take_along_axis(cand, order[:, :k], axis=1)
+            # the rows with a tie or an inversion, sorted by (d², index)
+            tangled = np.flatnonzero((d2[:, 1:] <= d2[:, :-1]).any(axis=1))
+            if len(tangled):
+                order = np.lexsort((cand[tangled], d2[tangled]))
+                cand[tangled] = np.take_along_axis(cand[tangled], order, axis=1)
+                d2[tangled] = np.take_along_axis(d2[tangled], order, axis=1)
+            out[start : start + len(query)] = cand[:, :k]
             if m < n:
-                kth = np.take_along_axis(d2, order[:, k - 1 : k], axis=1)[:, 0]
-                unresolved[start : start + len(query)] = d2.max(axis=1) <= kth * (1.0 + 1e-8)
+                unresolved[start : start + len(query)] = d2[:, -1] <= d2[:, k - 1] * (1.0 + 1e-8)
         return out, np.flatnonzero(unresolved)
 
     def knn_all(self, k: int) -> np.ndarray:

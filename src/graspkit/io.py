@@ -2,9 +2,12 @@
 
 Only ASCII formats are handled; binary PLY is rejected up front. PLY vertices
 are read as x, y, z and, when present, nx, ny, nz and curvature; other vertex
-properties are ignored, a list one only after those, and non-vertex elements
-are skipped. XYZ lines and PLY vertex rows go through one record loop, and an
-error cites the line of the first bad record, whatever its fault.
+properties are ignored, a list one only after those and with as many values
+as its count says, and non-vertex elements are skipped. The XYZ lines, or the
+PLY vertex rows when no vertex property is a list, are parsed in one
+``np.loadtxt`` call. Whatever that call cannot vouch for goes through one
+record loop, and an error cites the line of the first bad record, whatever
+its fault.
 """
 
 from __future__ import annotations
@@ -45,10 +48,10 @@ def load_cloud(path, format: str | None = None) -> PointCloud:
     raise ValueError(f"unknown cloud format {format!r}")
 
 
-def _check_rows(values: np.ndarray, linenos, columns) -> None:
-    """Raise on the first row of ``values`` (its columns named by ``columns``,
-    row i from line ``linenos[i]``) that holds NaN or inf, a normal of length
-    zero or a curvature outside [0, 1]; the error carries its first fault."""
+def _first_fault(values: np.ndarray, columns) -> tuple[int, str] | None:
+    """(row, fault) of the first row of ``values``, its columns named by
+    ``columns``, that holds NaN or inf, a normal of length zero or a curvature
+    outside [0, 1], with the first fault of that row; None if every row passes."""
     checks = [("non-finite record", ~np.isfinite(values).all(axis=1))]
     if "nx" in columns:
         checks.append(("zero-length normal in record", np.abs(values[:, 3:6]).max(axis=1) == 0))
@@ -56,43 +59,87 @@ def _check_rows(values: np.ndarray, linenos, columns) -> None:
         checks.append(("curvature outside [0, 1] in record", (values[:, -1] < 0) | (values[:, -1] > 1)))
     bad = np.array([mask for _, mask in checks])
     rows = np.flatnonzero(bad.any(axis=0))
-    if len(rows):
-        message = checks[int(np.argmax(bad[:, rows[0]]))][0]
-        raise CloudParseError(f"{message} {values[rows[0]].tolist()}", int(linenos[rows[0]]))
+    if not len(rows):
+        return None
+    return int(rows[0]), checks[int(np.argmax(bad[:, rows[0]]))][0]
 
 
-def _read_records(records, props, columns) -> np.ndarray:
-    """The ``columns`` of each (line number, text) record, parsed as floats,
-    from one field per name in ``props`` (more where a list property,
-    ``"<list>"``, spans several). A record that breaks this is cited only
-    after the records before it pass ``_check_rows``, so whatever its fault,
-    the first bad record is the one cited."""
+def _shape_fault(fields: list[str], props) -> str | None:
+    """Why ``fields`` is not a record of ``props``, or None. A record holds one
+    field per property, and a list property (``"<list>"``) as many more as the
+    count in its first field says."""
+    width = len(props)
+    for i, name in enumerate(props):
+        position = i + width - len(props)  # shifted by the values of the lists before
+        if name == "<list>" and position < len(fields):
+            if not fields[position].isdecimal():
+                return f"bad list count {fields[position]!r}"
+            width += int(fields[position])
+    if len(fields) != width:
+        return f"expected {width} fields, got {len(fields)}"
+    return None
+
+
+def _read_records(texts: list[str], records, props, columns) -> np.ndarray:
+    """The ``columns`` of the records ``texts``, parsed as floats, from one
+    field per name in ``props`` (more where a list property, ``"<list>"``,
+    spans several, as its count says). ``records()`` gives the same records
+    as (line number, text) pairs.
+
+    Without a list property, one ``np.loadtxt`` parses every field of every
+    record. Whatever that parse cannot vouch for (it raises, it skips a blank
+    record, a record has the wrong field count, or a row fails the checks of
+    ``_first_fault``) goes to a loop over the records, which is the reader's
+    only source of errors: a record that breaks the format is cited only after
+    the records before it pass those checks, so whatever its fault, the first
+    bad record is the one cited. ``loadtxt`` accepts a subset of what
+    ``float()`` does (not ``1_0`` or non-ASCII digits), and those records load
+    through the loop, as they always did.
+    """
     positions = [props.index(name) for name in columns]
-    exact = "<list>" not in props
-    values, linenos, fault = array("d"), array("q"), None  # 8 bytes a value
-    for lineno, text in records:
-        fields = text.split()
-        if len(fields) < len(props) or (exact and len(fields) > len(props)):
-            fault = CloudParseError(f"expected {len(props)} fields, got {len(fields)}", lineno)
-            break
+    # (a blank first record goes to the loop: loadtxt warns when it finds no row at all)
+    if "<list>" not in props and texts and texts[0].strip():
         try:
-            values.extend([float(fields[i]) for i in positions])
+            table = np.loadtxt(texts, comments=None, ndmin=2)
         except ValueError:
-            fault = CloudParseError(f"non-numeric record {text.strip()!r}", lineno)
+            table = None
+        if table is not None and table.shape == (len(texts), len(props)):
+            values = table[:, positions]
+            if _first_fault(values, columns) is None:
+                return values
+    values, linenos, fault = array("d"), array("q"), None  # 8 bytes a value
+    for lineno, text in records():
+        fields = text.split()
+        message = _shape_fault(fields, props)
+        if message is None:
+            try:
+                values.extend([float(fields[i]) for i in positions])
+            except ValueError:
+                message = f"non-numeric record {text.strip()!r}"
+        if message is not None:
+            fault = CloudParseError(message, lineno)
             break
         linenos.append(lineno)
     values = np.array(values).reshape(-1, len(columns))
-    _check_rows(values, linenos, columns)
+    first = _first_fault(values, columns)
+    if first is not None:
+        row, message = first
+        raise CloudParseError(f"{message} {values[row].tolist()}", linenos[row])
     if fault is not None:
         raise fault
     return values
 
 
 def _load_xyz(path: Path) -> PointCloud:
-    with open(path) as fh:
-        lines = enumerate(fh, start=1)
-        records = ((lineno, line) for lineno, raw in lines if (line := raw.strip()) and not line.startswith("#"))
-        points = _read_records(records, ["x", "y", "z"], ["x", "y", "z"])
+    def records():  # (line number, text) of each line that is neither blank nor a # comment
+        with open(path) as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                if (line := raw.strip()) and not line.startswith("#"):
+                    yield lineno, line
+
+    with open(path) as fh:  # the same lines, unnumbered: only the loop cites line numbers
+        texts = [line for raw in fh if (line := raw.strip()) and not line.startswith("#")]
+    points = _read_records(texts, records, ["x", "y", "z"], ["x", "y", "z"])
     if not len(points):
         raise EmptyCloudError(f"no points in {path}")
     return PointCloud(points)
@@ -163,7 +210,7 @@ def _load_ply(path: Path) -> PointCloud:
 
     start = lineno + sum(c for _, c, _ in elements[: elements.index(vertex_spec)])
     rows = lines[start : start + count]
-    values = _read_records(enumerate(rows, start=start + 1), props, columns)
+    values = _read_records(rows, lambda: enumerate(rows, start=start + 1), props, columns)
     if len(values) < count:
         raise CloudParseError("unexpected end of file in vertex data", len(lines) + 1)
     points = values[:, :3]

@@ -137,7 +137,9 @@ def _grow_regions(cloud: PointCloud, params: RegionGrowingParams, hoods: np.ndar
     with array ops: availability and the seed-normal angle first, then the
     plane distance. The plane only changes at a refit, so the rows are
     accepted up to the entry that triggers one and the rest is re-tested
-    against the refitted plane.
+    against the refitted plane. The first occurrence of each passing id is
+    found without a sort: an n-length stamp takes the least position of each
+    id and is reset to ``n`` after each batch.
     """
     n = len(cloud)
     cos_threshold = float(np.cos(np.radians(params.angle_threshold_deg)))
@@ -146,6 +148,7 @@ def _grow_regions(cloud: PointCloud, params: RegionGrowingParams, hoods: np.ndar
     curvatures = cloud.curvatures
 
     available = np.ones(n, dtype=bool)
+    first_seen = np.full(n, n, dtype=np.intp)  # n: not among the passing ids
     seed_order = np.argsort(curvatures, kind="stable")
     seed_cursor = 0
 
@@ -170,22 +173,23 @@ def _grow_regions(cloud: PointCloud, params: RegionGrowingParams, hoods: np.ndar
         plane_n = seed_normal
         plane_d = float(plane_n @ points[seed])
         since_refit = 0
-        front = [seed]
-        while front:
+        front = grown[start:size]
+        while len(front):
             # The frontier's neighbour rows in pop order. A neighbour's tests
             # do not depend on the row it is found in, so until the next refit
             # the accepted points are the first occurrences of the passing ones.
             cand = hoods[front].ravel()
-            front = []
+            front_start = size
             cand = cand[available[cand]]
             # vecdot rounds exactly like a 1-D ``a @ b`` per neighbour
             cand = cand[np.vecdot(normals[cand], seed_normal) > cos_threshold]
             while len(cand):
-                near = np.flatnonzero(
-                    np.abs(np.vecdot(points[cand], plane_n) - plane_d) < params.distance_threshold
-                )
-                _, first = np.unique(cand[near], return_index=True)
-                near = np.sort(near[first])
+                off_plane = np.abs(np.vecdot(points[cand], plane_n) - plane_d)
+                near = (off_plane < params.distance_threshold).nonzero()[0]
+                passing = cand[near]
+                np.minimum.at(first_seen, passing, near)
+                near = near[first_seen[passing] == near]
+                first_seen[passing] = n
                 refit = len(near) >= REFIT_INTERVAL - since_refit
                 if refit:
                     near = near[: REFIT_INTERVAL - since_refit]
@@ -193,7 +197,6 @@ def _grow_regions(cloud: PointCloud, params: RegionGrowingParams, hoods: np.ndar
                 available[accepted] = False
                 grown[size : size + len(accepted)] = accepted
                 size += len(accepted)
-                front.extend(accepted[curvatures[accepted] < params.curvature_threshold].tolist())
                 if not refit:
                     since_refit += len(accepted)
                     break
@@ -209,6 +212,10 @@ def _grow_regions(cloud: PointCloud, params: RegionGrowingParams, hoods: np.ndar
                 # re-test the rest of the frontier's rows against the new plane
                 cand = cand[near[-1] + 1 :]
                 cand = cand[available[cand]]
+            # the next frontier: this one's accepted points, in acceptance order,
+            # that lie below the curvature threshold
+            front = grown[front_start:size]
+            front = front[curvatures[front] < params.curvature_threshold]
         raw_regions.append(grown[start:size])
     return raw_regions
 

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from graspkit import cli
 from graspkit.cli import EXIT_NO_CANDIDATES, EXIT_OK, EXIT_USAGE, cli_main
 from graspkit.cloud import SpatialIndex
 from graspkit.io import load_cloud, save_cloud_ply
@@ -153,6 +154,27 @@ class TestEvalCommand:
         assert code == 1
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[]", "JSON object with 'contact_a'"),
+            ('{"contact_a": [NaN, 0, 0], "contact_b": [0.05, 0, 0]}', "grasp field 'contact_a'"),
+            ('{"best": {"contact_a": [0, 0, 0]}}', "grasp field 'contact_b'"),
+        ],
+        ids=["list", "nan-contact", "plan-without-contact-b"],
+    )
+    def test_malformed_grasp_exits_before_the_cloud_is_read(
+        self, box_xyz, tmp_path, capsys, monkeypatch, text, message
+    ):
+        def spy(*args, **kwargs):
+            pytest.fail("eval read the cloud before it checked the grasp")
+
+        monkeypatch.setattr(cli, "load_cloud", spy)
+        grasp = tmp_path / "grasp.json"
+        grasp.write_text(text)
+        code = cli_main(["eval", "--input", str(box_xyz), "--grasp", str(grasp), "--sigma", "0.02"])
+        assert code == 1
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("source", ["box_ply", "box_xyz"], ids=["ply", "xyz"])
     def test_eval_builds_one_index(self, request, source, tmp_path, index_builds, monkeypatch):

@@ -304,6 +304,47 @@ class TestSpatialIndex:
             np.testing.assert_array_equal(got_idx, want[i])
             assert got_dist.tobytes() == dist[i].tobytes()
 
+    @pytest.mark.parametrize("n", [KNN_BLOCK - 1, KNN_BLOCK, KNN_BLOCK + 1, 2 * KNN_BLOCK + 1])
+    def test_blocks_mixing_tied_and_untied_rows_equal_the_oracle(self, n):
+        """Every block of rows mixes rows whose d² strictly increases in tree
+        order with rows that tie: a third of the points lie on an exact dyadic
+        lattice (ties at spacing, spacing·√2, ...), the rest are jittered
+        beside it, and every 16th point, the rows at both block edges among
+        them, duplicates an earlier one (a tie at d² = 0)."""
+        rng = np.random.default_rng(n)
+        spacing = 2.0**-6
+        lattice = np.argwhere(np.ones((12, 12, 12))) * spacing
+        points = rng.uniform(0.0, 12 * spacing, size=(n, 3)) + (1.0, 0.0, 0.0)
+        points[::3] = lattice[rng.permutation(len(lattice))[: len(points[::3])]]
+        duplicates = [i for i in range(1, n) if i % 16 == 15 or i % KNN_BLOCK in (0, KNN_BLOCK - 1)] + [n - 1]
+        for i in duplicates:
+            points[i] = points[rng.integers(i)]
+        want, dist = ref.knn_brute(points, points, 16 + KNN_FIRST_SLACK)
+        tied = (np.diff(dist, axis=1) == 0).any(axis=1)
+        for start in range(0, n, KNN_BLOCK):  # the one row of a last block of one is tied
+            block = tied[start : start + KNN_BLOCK]
+            assert block.any() and (len(block) == 1 or not block.all())
+        index = SpatialIndex(points)
+        for k in (1, 16):
+            np.testing.assert_array_equal(index.knn_all(k), want[:, :k])
+        np.testing.assert_array_equal(index.nearest_many(points), want[:, 0])
+
+    def test_a_cloud_without_ties_sorts_no_row(self, monkeypatch):
+        lattice = np.argwhere(np.ones((10, 10, 10))) * 0.01
+        want = ref.knn_brute(lattice, lattice, 16)[0]
+        sorted_rows = []
+        lexsort = np.lexsort
+
+        def spy(keys):
+            sorted_rows.append(len(keys[0]))
+            return lexsort(keys)
+
+        monkeypatch.setattr(np, "lexsort", spy)
+        assert SpatialIndex(random_points(3000, seed=8)).knn_all(16).shape == (3000, 16)
+        assert sorted_rows == []
+        np.testing.assert_array_equal(SpatialIndex(lattice).knn_all(16), want)
+        assert sorted_rows
+
     def query_rounds(self, monkeypatch, index, run):
         """(result, tree query widths) of ``run()`` on ``index``."""
         widths = []

@@ -2,9 +2,43 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from graspkit import io
 from graspkit.cloud import PointCloud
 from graspkit.io import CloudParseError, EmptyCloudError, load_cloud, save_cloud_ply, save_segmentation_ply
+
+
+def load_outcome(path):
+    """(points bytes, or (message, line) of the CloudParseError, of
+    ``load_cloud(path)``; records that went through the line loop)."""
+    looped = []
+    shape_fault = io._shape_fault
+
+    def spy(fields, props):
+        looped.append(fields)
+        return shape_fault(fields, props)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(io, "_shape_fault", spy)
+        try:
+            outcome = load_cloud(path).points.tobytes()
+        except CloudParseError as exc:
+            outcome = (str(exc), exc.line)
+    return outcome, len(looped)
+
+
+def loop_outcome(path):
+    """``load_outcome(path)[0]`` with the one parse refused, so every record
+    takes the line loop."""
+
+    def refuse(*args, **kwargs):
+        raise ValueError("refused")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "loadtxt", refuse)
+        return load_outcome(path)[0]
 
 
 class TestXYZ:
@@ -82,6 +116,8 @@ end_header
 """
 
 XYZ_PROPS = "property float x\nproperty float y\nproperty float z\n"
+# two vertices of x, y and z: the rows are lines 8 and 9
+PLY_XYZ_HEADER = "ply\nformat ascii 1.0\nelement vertex 2\n" + XYZ_PROPS + "end_header\n"
 
 
 class TestPLY:
@@ -236,6 +272,29 @@ class TestPLY:
         assert err.value.line == line
         assert message in str(err.value)
 
+    @pytest.mark.parametrize(
+        "rows, line, message",
+        [
+            ("0 0 0 5 0.5\n1 0 0 0\n", 9, "expected 9 fields, got 5"),
+            ("0 0 0 2 0.5 0.5\n1 0 0 0 7 7 7\n", 10, "expected 4 fields, got 7"),
+            ("0 0 0 x 0.5\n1 0 0 0\n", 9, "bad list count 'x'"),
+            ("0 0 0 1.0 0.5\n1 0 0 0\n", 9, "bad list count '1.0'"),
+            ("0 0 0 -1\n1 0 0 0\n", 9, "bad list count '-1'"),
+            ("0 0 0\n1 0 0 0\n", 9, "expected 4 fields, got 3"),
+        ],
+        ids=["count-above-values", "count-below-values", "count-not-a-number", "count-not-an-integer",
+             "count-negative", "count-missing"],
+    )
+    def test_list_count_must_match_its_values(self, tmp_path, rows, line, message):
+        # the header is 8 lines, so the vertex rows are lines 9 and 10
+        path = tmp_path / "list.ply"
+        header = "element vertex 2\n" + XYZ_PROPS + "property list uchar float tc\n"
+        path.write_text(f"ply\nformat ascii 1.0\n{header}end_header\n{rows}")
+        with pytest.raises(CloudParseError) as err:
+            load_cloud(path)
+        assert err.value.line == line
+        assert message in str(err.value)
+
     def test_zero_vertices_rejected(self, tmp_path):
         path = tmp_path / "z.ply"
         path.write_text(
@@ -244,6 +303,98 @@ class TestPLY:
         )
         with pytest.raises(EmptyCloudError):
             load_cloud(path)
+
+
+def fields_of(values, data) -> list[str]:
+    """Each value as ``%.17g`` or ``repr``, both of which read back bit-exact."""
+    return [("%.17g" % v) if data.draw(st.booleans()) else repr(v) for v in values]
+
+
+def joined(fields, data) -> str:
+    """``fields`` joined by runs of spaces and tabs, with some before and after."""
+    gaps = [data.draw(st.text(" \t", min_size=1, max_size=3)) for _ in fields[1:]] + [""]
+    lead, trail = data.draw(st.text(" \t", max_size=2)), data.draw(st.text(" \t", max_size=2))
+    return lead + "".join(f + gap for f, gap in zip(fields, gaps)) + trail
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestOneParse:
+    """The XYZ lines, or the PLY vertex rows, are parsed in one ``np.loadtxt``
+    call; whatever it cannot vouch for goes through the line loop, so each
+    file loads, or fails, exactly as through the loop alone."""
+
+    @given(st.lists(st.tuples(finite, finite, finite), min_size=1, max_size=25), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_xyz_loads_float_of_each_field(self, tmp_path_factory, rows, data):
+        lines = []
+        for row in rows:
+            while data.draw(st.integers(0, 3)) == 3:  # blank and comment lines between records
+                lines.append(data.draw(st.sampled_from(["", " ", "\t \t", "#", "# x y z", " \t# 1 2 3"])))
+            lines.append(joined(fields_of(row, data), data))
+        eols = [data.draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
+        path = tmp_path_factory.mktemp("xyz") / "p.xyz"
+        path.write_bytes("".join(line + eol for line, eol in zip(lines, eols)).encode())
+        records = [line for line in lines if line.strip() and not line.strip().startswith("#")]
+        want = np.array([[float(f) for f in line.split()] for line in records])
+        outcome, looped = load_outcome(path)
+        assert outcome == want.tobytes() == loop_outcome(path)
+        assert looped == 0
+
+    @given(st.lists(st.tuples(finite, finite, finite, finite), min_size=1, max_size=25), st.integers(0, 4), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_ply_loads_float_of_each_field(self, tmp_path_factory, rows, extra, data):
+        # x, y and z, and, unless ``extra`` is 4, a property read and ignored at position ``extra``
+        props = ["x", "y", "z"]
+        if extra < 4:
+            props.insert(extra, "intensity")
+        header = ["ply", "format ascii 1.0", "comment written by a test", f"element vertex {len(rows)}"]
+        header += [f"property double {name}" for name in props] + ["end_header"]
+        body = [joined(fields_of(row[: len(props)], data), data) for row in rows]
+        lines = header + body
+        eols = [data.draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
+        path = tmp_path_factory.mktemp("ply") / "p.ply"
+        path.write_bytes("".join(line + eol for line, eol in zip(lines, eols)).encode())
+        read = [props.index(axis) for axis in ("x", "y", "z")]
+        want = np.array([[float(line.split()[i]) for i in read] for line in body])
+        outcome, looped = load_outcome(path)
+        assert outcome == want.tobytes() == loop_outcome(path)
+        assert looped == 0
+
+    @pytest.mark.parametrize(
+        "name, text, want",
+        [
+            ("p.xyz", "1_0 2 3\n", [[10.0, 2.0, 3.0]]),
+            ("p.xyz", "\u0663.\u0665 0 0\n", [[3.5, 0.0, 0.0]]),
+            ("p.xyz", "1 2 3\ninfinity 0 0\n", ("line 2: non-finite record [inf, 0.0, 0.0]", 2)),
+            ("p.xyz", "+.5 -.25 1e-3\n", [[0.5, -0.25, 0.001]]),
+            ("p.xyz", "0 0 0\n1 2 3 # scan\n", ("line 2: expected 3 fields, got 5", 2)),
+            ("p.ply", PLY_XYZ_HEADER + "0 0 0\n\n1 1 1\n", ("line 9: expected 3 fields, got 0", 9)),
+            ("p.ply", PLY_XYZ_HEADER + "\n \t\n", ("line 8: expected 3 fields, got 0", 8)),
+            ("p.ply", PLY_XYZ_HEADER + "0 0 0\n1 1\n", ("line 9: expected 3 fields, got 2", 9)),
+            ("p.ply", PLY_XYZ_HEADER + "0 0 0\n1 1 1 1\n", ("line 9: expected 3 fields, got 4", 9)),
+            ("p.ply", PLY_XYZ_HEADER + "1_0 0 0\n\u0663 1 1\n", [[10.0, 0.0, 0.0], [3.0, 1.0, 1.0]]),
+        ],
+        ids=["underscore", "arabic-indic-digits", "infinity", "signed-leading-dot", "inline-hash",
+             "ply-blank-row", "ply-blank-rows-only", "ply-short-row", "ply-long-row", "ply-underscore-and-digits"],
+    )
+    def test_edge_cases_load_as_through_the_loop(self, tmp_path, name, text, want):
+        path = tmp_path / name
+        path.write_bytes(text.encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            outcome, _ = load_outcome(path)
+        assert outcome == loop_outcome(path)
+        assert outcome == (np.array(want).tobytes() if isinstance(want, list) else want)
+
+    def test_clean_file_takes_one_parse_and_no_loop(self, tmp_path):
+        cloud = PointCloud(np.random.default_rng(2).normal(size=(500, 3)))
+        ply, xyz = tmp_path / "c.ply", tmp_path / "c.xyz"
+        save_cloud_ply(cloud, ply)
+        np.savetxt(xyz, cloud.points, fmt="%.17g")
+        for path in (ply, xyz):
+            assert load_outcome(path) == (cloud.points.tobytes(), 0)
 
 
 class TestWriter:

@@ -349,6 +349,23 @@ def test_refit_in_the_middle_of_a_neighbour_row():
     assert [r.tolist() for r in _grow_regions(cloud, params, hoods)] == want
 
 
+@pytest.mark.parametrize("seed", [5, 148])
+def test_a_point_left_by_a_refit_is_met_afresh(seed):
+    # A noisy parabolic sheet whose growth, with these thresholds, passes a
+    # point beyond a refit's cut, rejects it against the refitted plane and
+    # meets it again in a later batch: its first occurrence there must not
+    # depend on the batch it was passed over in.
+    rng = np.random.default_rng(seed)
+    xy = rng.uniform(0.0, 0.1, (300, 2))
+    points = np.column_stack([xy, 5.0 * (xy[:, 0] - 0.05) ** 2 + rng.normal(0.0, 3e-4, 300)])
+    cloud = estimate_normals_curvatures(PointCloud(points), k=16)
+    params = RegionGrowingParams(
+        angle_threshold_deg=30.0, curvature_threshold=0.2, distance_threshold=1e-3, k_neighbors=16
+    )
+    hoods = cloud.index.knn_all(params.k_neighbors)
+    assert [r.tolist() for r in _grow_regions(cloud, params, hoods)] == ref.grow_regions(cloud, params, hoods)
+
+
 @pytest.fixture(scope="module")
 def best_grasps():
     """name -> (corpus cloud, planned best candidate) for every plannable object."""
