@@ -146,7 +146,8 @@ def _load_xyz(path: Path) -> PointCloud:
 
 
 def _load_ply(path: Path) -> PointCloud:
-    lines = path.read_text().splitlines()
+    text = path.read_text()  # \r\n and \r read as \n; split there only, as _load_xyz does, not at \x0c
+    lines = text.removesuffix("\n").split("\n") if text else []
     if not lines:
         raise EmptyCloudError(f"empty file {path}")
     if lines[0].strip() != "ply":

@@ -5,11 +5,15 @@ orthonormal frame whose Z axis is the inward surface normal; the grasp map
 stacks per-contact wrench blocks [R; skew(p - origin) R] into a 6 x 3k
 matrix mapping contact-frame forces to the net object wrench.
 
-``stacked_rotations``, ``stacked_grasp_maps`` and ``stacked_force_closure``
-build many frames, maps and closure tests at once; the one-grasp functions
-are one-row calls of them, so both round identically. Each input is checked
-once, where it enters: normals in ``stacked_rotations``, a rotation in
-``ContactFrame``.
+Force closure needs no frame. Every R R^T = I, so G G^T, and with it every
+singular value of G, depends only on the contact positions, the origin and
+the torque scale; the cone test needs only the contact line and the
+normals. ``stacked_force_closure`` classifies many two-contact grasps from
+positions and normals alone, and ``force_closure`` is its one-row call.
+The frame API (``build_contact_frame``, ``build_grasp_map``) stays for
+callers that want G itself. Each input is checked once, where it enters:
+normals in ``stacked_rotations`` or ``stacked_force_closure``, a rotation
+in ``ContactFrame``.
 """
 
 from __future__ import annotations
@@ -57,22 +61,28 @@ def skew(p: np.ndarray) -> np.ndarray:
     return S
 
 
+def _unit_normals(inward_normals) -> np.ndarray:
+    """``inward_normals`` (..., 3) divided by their lengths. Raises ValueError
+    unless every normal is unit length within 1e-6 (zero, NaN and inf fail)."""
+    n = np.asarray(inward_normals, dtype=np.float64)
+    norm = np.sqrt(np.vecdot(n, n))[..., np.newaxis]
+    if not np.all(np.abs(norm - 1.0) <= 1e-6):
+        raise ValueError("inward normal must be finite, nonzero and unit length")
+    return n / norm
+
+
 def stacked_rotations(inward_normals) -> np.ndarray:
     """(..., 3, 3) contact rotations, one per row of ``inward_normals`` (..., 3).
 
     Column Z is the normalized inward normal. Column X is the normalized
     rejection of global +X from the normal, falling back to +Y when the
     normal is nearly parallel to X (|n . x| > 0.9); Y = Z x X completes the
-    right-handed set. Raises ValueError unless every normal is unit length
-    within 1e-6 (zero, NaN and inf fail); from such normals the result is a
-    proper rotation to about 1e-15, so it is not re-checked. Each row rounds
-    exactly like a one-row call, so stacking never changes a bit.
+    right-handed set. Normals pass ``_unit_normals``; from such normals the
+    result is a proper rotation to about 1e-15, so it is not re-checked.
+    Each row rounds exactly like a one-row call, so stacking never changes
+    a bit.
     """
-    n = np.asarray(inward_normals, dtype=np.float64)
-    norm = np.sqrt(np.vecdot(n, n))[..., np.newaxis]
-    if not np.all(np.abs(norm - 1.0) <= 1e-6):
-        raise ValueError("inward normal must be finite, nonzero and unit length")
-    n = n / norm
+    n = _unit_normals(inward_normals)
     ref = np.where(np.abs(n[..., :1]) > 0.9, (0.0, 1.0, 0.0), (1.0, 0.0, 0.0))
     x = ref - np.vecdot(ref, n)[..., np.newaxis] * n
     x = x / np.sqrt(np.vecdot(x, x))[..., np.newaxis]
@@ -94,47 +104,42 @@ def in_friction_cone(f, mu: float) -> bool:
     return bool(f[2] >= 0.0 and math.hypot(f[0], f[1]) <= mu * f[2])
 
 
-def stacked_grasp_maps(contacts, rotations, object_origin) -> np.ndarray:
-    """(T, 6, 3k) grasp maps from contact points (T, k, 3) and rotations (T, k, 3, 3).
-
-    Contact c fills columns 3c..3c+2 with the block [R; skew(p - o) R], the
-    same products a one-map ``build_grasp_map`` call computes.
-    """
-    contacts = np.asarray(contacts, dtype=np.float64)
-    rotations = np.asarray(rotations, dtype=np.float64)
-    arm = contacts - np.asarray(object_origin, dtype=np.float64)
-    blocks = np.concatenate([rotations, skew(arm) @ rotations], axis=-2)  # (T, k, 6, 3)
-    T, k = contacts.shape[:2]
-    return blocks.transpose(0, 2, 1, 3).reshape(T, 6, 3 * k)
-
-
 def build_grasp_map(contacts, object_origin) -> GraspMap:
     """Assemble the 6 x 3k grasp map, one [R; skew(p - o) R] block per contact."""
     contacts = tuple(contacts)
     if not contacts:
         raise ValueError("grasp map needs at least one contact")
     origin = np.asarray(object_origin, dtype=np.float64)
-    G = stacked_grasp_maps(
-        [[frame.origin for frame in contacts]], [[frame.rotation for frame in contacts]], origin
-    )[0]
+    G = np.hstack([np.vstack([c.rotation, skew(c.origin - origin) @ c.rotation]) for c in contacts])
     return GraspMap(G=G, contacts=contacts, object_origin=origin)
 
 
 def stacked_force_closure(
-    G,
     contacts,
     inward_normals,
+    object_origin,
     mu: float,
     sigma_min_threshold: float = 0.01,
     mode: str = "soft-pinch",
     torque_scale: float = 1.0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``force_closure`` of T two-contact grasps at once.
+    """Classify T two-contact grasps by grasp-map singular values and cone geometry.
 
-    ``G`` is (T, 6, 6), ``contacts`` and unit ``inward_normals`` are
-    (T, 2, 3). One stacked SVD gives every grasp's singular values; the
-    cone test runs on all rows. Returns (closure (T,) bool, sigma_min (T,)),
-    row t equal to a one-grasp call.
+    ``contacts`` and unit ``inward_normals`` are (T, 2, 3). Torque rows are
+    divided by ``torque_scale`` (use the cloud's bounding sphere radius) so
+    one threshold works across object sizes. With arms a_i = (p_i - o) /
+    torque_scale, the Gram of the scaled grasp map is
+    G G^T = [[2 I, -B], [B, C]], B = skew(a_1 + a_2), C = sum_i (|a_i|^2 I - a_i a_i^T),
+    whatever the contact frames, and its eigenvalues are the squared
+    singular values. The smallest is structurally zero for every
+    two-contact grasp: an equal and opposite squeeze along the contact line
+    lies in G's null space (dually, no contact force makes a torque about
+    that line). ``mode`` "soft-pinch" ignores it and classifies on the
+    second smallest; "strict" keeps it, reports 0.0 and so rejects every
+    two-contact grasp. Closure holds when the considered singular values
+    all exceed the threshold AND the contact-to-contact line lies inside
+    both friction cones. Returns (closure (T,) bool, smallest considered
+    singular value (T,)), row t equal to a one-row call.
     """
     if mu <= 0:
         raise ValueError(f"mu must be positive, got {mu}")
@@ -142,14 +147,20 @@ def stacked_force_closure(
         raise ValueError(f"unknown closure mode {mode!r}")
     if torque_scale <= 0:
         raise ValueError("torque_scale must be positive")
-    scaled = np.array(G, dtype=np.float64)
-    scaled[:, 3:, :] /= torque_scale
-    singular = np.linalg.svd(scaled, compute_uv=False)  # descending per row
-    considered = singular[:, :5] if mode == "soft-pinch" else singular
-    sigma_min = considered[:, -1]
-
+    normals = _unit_normals(inward_normals)
     contacts = np.asarray(contacts, dtype=np.float64)
-    normals = np.asarray(inward_normals, dtype=np.float64)
+    if mode == "strict":
+        sigma_min = np.zeros(len(contacts))
+    else:
+        arms = (contacts - np.asarray(object_origin, dtype=np.float64)) / torque_scale
+        gram = np.zeros((len(contacts), 6, 6))
+        gram[:, :3, :3] = 2.0 * np.eye(3)
+        gram[:, 3:, :3] = skew(arms[:, 0] + arms[:, 1])
+        gram[:, :3, 3:] = -gram[:, 3:, :3]
+        squared = np.einsum("tki,tki->t", arms, arms)[:, np.newaxis, np.newaxis]
+        gram[:, 3:, 3:] = squared * np.eye(3) - np.einsum("tki,tkj->tij", arms, arms)
+        sigma_min = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, 1], 0.0))  # ascending per row
+
     axis = contacts[:, 1] - contacts[:, 0]
     width = np.sqrt(np.vecdot(axis, axis))
     apart = width >= 1e-12
@@ -158,8 +169,7 @@ def stacked_force_closure(
     admissible = (np.vecdot(axis, normals[:, 0]) >= cos_limit - 1e-12) & (
         np.vecdot(-axis, normals[:, 1]) >= cos_limit - 1e-12
     )
-    closure = apart & admissible & np.all(considered > sigma_min_threshold, axis=1)
-    return closure, sigma_min
+    return apart & admissible & (sigma_min > sigma_min_threshold), sigma_min
 
 
 def force_closure(
@@ -169,29 +179,17 @@ def force_closure(
     mode: str = "soft-pinch",
     torque_scale: float = 1.0,
 ) -> tuple[bool, float]:
-    """Classify a two-contact grasp by grasp-map singular values and cone geometry.
+    """``stacked_force_closure`` of the grasp map's two contacts and origin.
 
-    Torque rows are divided by ``torque_scale`` (use the cloud's bounding
-    sphere radius) so one threshold works across object sizes. Closure holds
-    when the considered singular values all exceed the threshold AND the
-    contact-to-contact line lies inside both friction cones. ``mode``
-    "soft-pinch" ignores the smallest of the six singular values, which is
-    structurally zero for every two-contact grasp: an equal and opposite
-    squeeze along the contact line lies in G's null space (dually, no
-    contact force makes a torque about that line). "strict" keeps all six,
-    so it rejects every two-contact grasp. Returns (closure, smallest
+    The grasp map's frames and ``G`` do not enter: its singular values
+    follow from the contact positions alone. Returns (closure, smallest
     considered singular value).
     """
     if len(gm.contacts) != 2:
         raise ValueError("force_closure is defined for exactly 2 contacts")
     a, b = gm.contacts
     closure, sigma_min = stacked_force_closure(
-        gm.G[np.newaxis],
-        [[a.origin, b.origin]],
-        [[a.inward_normal, b.inward_normal]],
-        mu,
-        sigma_min_threshold,
-        mode=mode,
-        torque_scale=torque_scale,
+        [[a.origin, b.origin]], [[a.inward_normal, b.inward_normal]], gm.object_origin, mu, sigma_min_threshold,
+        mode=mode, torque_scale=torque_scale,
     )
     return bool(closure[0]), float(sigma_min[0])

@@ -1,19 +1,18 @@
 """Empirical force-closure probability under contact perturbation.
 
 Each trial jitters both contact points with isotropic Gaussian noise, snaps
-them back to the nearest cloud point, rebuilds the grasp map with the
-stored normals at the snapped points and re-runs the closure check. The
-RNG is Philox (counter-based) keyed by (seed, trial), so the per-trial
-outcome vector is reproducible and independent of execution order.
+them back to the nearest cloud point, and re-runs the closure check on the
+snapped points with the stored normals there. The RNG is Philox
+(counter-based) keyed by (seed, trial), so the per-trial outcome vector is
+reproducible and independent of execution order.
 
 All trials are evaluated as arrays: the offsets of every trial are drawn
 up front, the 2 x trials perturbed points are snapped with one
-``SpatialIndex.nearest_many`` call, and the frames, grasp maps and closure
-tests of the trials whose contacts stay apart are built as stacks with one
-SVD call. Each step rounds row by row exactly as a one-trial computation
-does (same draws, same (distance, index) tie-break, same per-row products
-and LAPACK call), so the per-trial outcomes are bit-identical to evaluating
-the trials one at a time.
+``SpatialIndex.nearest_many`` call, and the trials whose contacts stay
+apart are classified by one ``stacked_force_closure`` call, from the
+snapped positions and normals alone (no frame, grasp map or SVD). Each
+step rounds row by row exactly as a one-trial computation does, so the
+per-trial outcomes are bit-identical to evaluating the trials one at a time.
 
 What depends only on the cloud or the spec is not recomputed per call: the
 cloud's ``index``, centroid and bounding radius are memoized on the
@@ -35,7 +34,7 @@ import numpy as np
 
 from .candidates import GraspCandidate
 from .cloud import PointCloud
-from .mechanics import stacked_force_closure, stacked_grasp_maps, stacked_rotations
+from .mechanics import stacked_force_closure
 
 # Not called here since trials are batched; the names stay in this module
 # because perfbench/tracing.py wraps them as module attributes.
@@ -145,11 +144,9 @@ def robust_force_closure(
     offsets = trial_normals(spec.seed, spec.trials, 6).reshape(spec.trials, 2, 3) * sigma
     snapped = cloud.index.nearest_many((contacts + offsets).reshape(-1, 3)).reshape(spec.trials, 2)
     apart = snapped[:, 0] != snapped[:, 1]  # coincident snaps are failures
-    points = cloud.points[snapped[apart]]
-    rotations = stacked_rotations(-cloud.normals[snapped[apart]])
-    G = stacked_grasp_maps(points, rotations, origin)
+    kept = snapped[apart]
     closure, _ = stacked_force_closure(
-        G, points, rotations[..., 2], mu, spec.threshold, mode=mode, torque_scale=torque_scale
+        cloud.points[kept], -cloud.normals[kept], origin, mu, spec.threshold, mode=mode, torque_scale=torque_scale
     )
     outcomes = np.zeros(spec.trials, dtype=bool)
     outcomes[apart] = closure

@@ -23,7 +23,7 @@ import numpy as np
 
 from .candidates import GraspCandidate
 from .cloud import PointCloud
-from .mechanics import GraspMap, stacked_force_closure, stacked_grasp_maps, stacked_rotations
+from .mechanics import GraspMap, stacked_force_closure
 
 # Not called here since candidates are scored as stacks; the names stay in
 # this module because perfbench/tracing.py wraps them as module attributes.
@@ -150,10 +150,9 @@ def rank_candidates(
     origin = cloud.centroid()
     scale = max(cloud.bounding_radius(), 1e-12)
     contacts = np.array([(c.contact_a, c.contact_b) for c in candidates], dtype=np.float64)
-    rotations = stacked_rotations([(c.normal_a, c.normal_b) for c in candidates])
-    G = stacked_grasp_maps(contacts, rotations, origin)
+    normals = [(c.normal_a, c.normal_b) for c in candidates]
     closure, sigma_min = stacked_force_closure(
-        G, contacts, rotations[..., 2], mu, sigma_min_threshold, mode=closure_mode, torque_scale=scale
+        contacts, normals, origin, mu, sigma_min_threshold, mode=closure_mode, torque_scale=scale
     )
     lever = np.cross(origin - contacts[:, 0], [c.grasp_axis for c in candidates])
     distance = np.sqrt(np.vecdot(lever, lever))

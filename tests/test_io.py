@@ -304,6 +304,12 @@ class TestPLY:
         with pytest.raises(EmptyCloudError):
             load_cloud(path)
 
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "empty.ply"
+        path.write_text("")
+        with pytest.raises(EmptyCloudError):
+            load_cloud(path)
+
 
 def fields_of(values, data) -> list[str]:
     """Each value as ``%.17g`` or ``repr``, both of which read back bit-exact."""
@@ -353,7 +359,7 @@ class TestOneParse:
         header += [f"property double {name}" for name in props] + ["end_header"]
         body = [joined(fields_of(row[: len(props)], data), data) for row in rows]
         lines = header + body
-        eols = [data.draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
+        eols = [data.draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
         path = tmp_path_factory.mktemp("ply") / "p.ply"
         path.write_bytes("".join(line + eol for line, eol in zip(lines, eols)).encode())
         read = [props.index(axis) for axis in ("x", "y", "z")]
@@ -375,9 +381,14 @@ class TestOneParse:
             ("p.ply", PLY_XYZ_HEADER + "0 0 0\n1 1\n", ("line 9: expected 3 fields, got 2", 9)),
             ("p.ply", PLY_XYZ_HEADER + "0 0 0\n1 1 1 1\n", ("line 9: expected 3 fields, got 4", 9)),
             ("p.ply", PLY_XYZ_HEADER + "1_0 0 0\n\u0663 1 1\n", [[10.0, 0.0, 0.0], [3.0, 1.0, 1.0]]),
+            # a form feed inside a row breaks no line: str.splitlines() would load the PLY's first
+            # row as two and drop "2 2 2", silently
+            ("p.xyz", "0 0 0\x0c1 1 1\n2 2 2\n", ("line 1: expected 3 fields, got 6", 1)),
+            ("p.ply", PLY_XYZ_HEADER + "0 0 0\x0c1 1 1\n2 2 2\n", ("line 8: expected 3 fields, got 6", 8)),
         ],
         ids=["underscore", "arabic-indic-digits", "infinity", "signed-leading-dot", "inline-hash",
-             "ply-blank-row", "ply-blank-rows-only", "ply-short-row", "ply-long-row", "ply-underscore-and-digits"],
+             "ply-blank-row", "ply-blank-rows-only", "ply-short-row", "ply-long-row", "ply-underscore-and-digits",
+             "form-feed-in-row", "ply-form-feed-in-row"],
     )
     def test_edge_cases_load_as_through_the_loop(self, tmp_path, name, text, want):
         path = tmp_path / name

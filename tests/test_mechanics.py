@@ -14,7 +14,6 @@ from graspkit.mechanics import (
     in_friction_cone,
     skew,
     stacked_force_closure,
-    stacked_grasp_maps,
     stacked_rotations,
 )
 
@@ -185,12 +184,11 @@ class TestForceClosure:
         axis /= np.linalg.norm(axis, axis=1, keepdims=True)
         normals = np.stack([axis, -axis], axis=1) + rng.normal(size=(200, 2, 3)) * 0.2
         normals /= np.linalg.norm(normals, axis=2, keepdims=True)
-        rotations = stacked_rotations(normals)
-        G = stacked_grasp_maps(contacts, rotations, rng.normal(size=3) * 0.01)
-        strict, sigma6 = stacked_force_closure(G, contacts, normals, 0.5, mode="strict", torque_scale=0.05)
-        soft, _ = stacked_force_closure(G, contacts, normals, 0.5, mode="soft-pinch", torque_scale=0.05)
+        origin = rng.normal(size=3) * 0.01
+        strict, sigma6 = stacked_force_closure(contacts, normals, origin, 0.5, mode="strict", torque_scale=0.05)
+        soft, _ = stacked_force_closure(contacts, normals, origin, 0.5, mode="soft-pinch", torque_scale=0.05)
         assert not strict.any()
-        assert sigma6.max() < 1e-12
+        assert np.all(sigma6 == 0.0)
         assert soft.any()
 
     def test_perpendicular_normals_fail_admissibility(self):
@@ -201,20 +199,18 @@ class TestForceClosure:
         assert not closure
 
     def test_tiny_scale_fails_threshold(self):
-        gm = antipodal_sphere_map()
-        scaled = type(gm)(G=gm.G * 1e-6, contacts=gm.contacts, object_origin=gm.object_origin)
-        closure, sigma_min = force_closure(scaled, mu=0.5)
+        # contacts 1e-6 from the origin at torque scale 1: no lever arm to resist torques
+        closure, sigma_min = force_closure(antipodal_sphere_map(radius=1e-6), mu=0.5)
         assert not closure and sigma_min < 0.01
 
     def test_scaling_up_never_breaks_closure(self):
-        gm = antipodal_sphere_map()
-        closure1, _ = force_closure(gm, mu=0.5)
+        closure1, sigma1 = force_closure(antipodal_sphere_map(radius=0.005), mu=0.5)
+        assert not closure1
         for alpha in (2.0, 10.0, 100.0):
-            scaled = type(gm)(
-                G=gm.G * alpha, contacts=gm.contacts, object_origin=gm.object_origin
-            )
-            closure2, _ = force_closure(scaled, mu=0.5)
-            assert closure2 >= closure1
+            closure2, sigma2 = force_closure(antipodal_sphere_map(radius=0.005 * alpha), mu=0.5)
+            assert closure2 >= closure1 and sigma2 >= sigma1
+            closure1, sigma1 = closure2, sigma2
+        assert closure1
 
     def test_torque_scale_normalizes_threshold(self):
         # same lever-to-scale ratio gives the same considered spectrum
@@ -297,8 +293,9 @@ def near_switch_normals(draw):
 
 
 class TestStackedMechanics:
-    """The stacked frame, grasp-map and closure builders equal the one-row
-    library calls and the scalar reference formulas bit for bit."""
+    """The stacked frame and closure builders equal the one-row library calls
+    bit for bit, and the scalar reference formulas (frames, grasp map, SVD)
+    in everything but the last bits of sigma_min."""
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=30, deadline=None)
@@ -317,10 +314,9 @@ class TestStackedMechanics:
         origin = rng.normal(size=3) * 0.01
 
         R = stacked_rotations(normals)
-        G = stacked_grasp_maps(points, R, origin)
         outcomes = {}
         for mode in ("soft-pinch", "strict"):
-            outcomes[mode] = stacked_force_closure(G, points, R[..., 2], 0.5, 0.01, mode=mode, torque_scale=0.1)
+            outcomes[mode] = stacked_force_closure(points, R[..., 2], origin, 0.5, 0.01, mode=mode, torque_scale=0.1)
         assert outcomes["soft-pinch"][0].any() and not outcomes["soft-pinch"][0].all()
         for t in range(len(points)):
             frames = [build_contact_frame(points[t, j], normals[t, j]) for j in (0, 1)]
@@ -328,12 +324,45 @@ class TestStackedMechanics:
             assert np.array_equal(R[t], [f.rotation for f in frames])
             assert np.array_equal(R[t], ref_R)
             gm = build_grasp_map(frames, origin)
-            assert np.array_equal(G[t], gm.G)
-            assert np.array_equal(G[t], ref.grasp_map(points[t], ref_R, origin))
+            G = ref.grasp_map(points[t], ref_R, origin)
+            assert np.array_equal(gm.G, G)
             for mode, (closure, sigma_min) in outcomes.items():
                 one = force_closure(gm, 0.5, 0.01, mode=mode, torque_scale=0.1)
                 assert one == (closure[t], sigma_min[t])
-                assert one == ref.force_closure(G[t], points[t], ref_R, 0.5, 0.01, mode, 0.1)
+                want = ref.force_closure(G, points[t], ref_R, 0.5, 0.01, mode, 0.1)
+                assert one[0] == want[0]
+                assert abs(one[1] - want[1]) <= 1e-13
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_sigma_depends_on_positions_only(self, seed):
+        # G G^T = sum_i [[I, S_i^T], [S_i, S_i S_i^T]] for every choice of
+        # frames, since each R R^T = I: spinning a frame about its normal
+        # cannot move a singular value
+        rng = np.random.default_rng(seed)
+        points = rng.normal(size=(32, 2, 3)) * 0.05
+        axis = points[:, 1] - points[:, 0]
+        axis /= np.linalg.norm(axis, axis=1, keepdims=True)
+        normals = np.stack([axis, -axis], axis=1) + rng.normal(size=(32, 2, 3)) * rng.uniform(0.0, 0.6, (32, 1, 1))
+        normals /= np.linalg.norm(normals, axis=2, keepdims=True)
+        origin = rng.normal(size=3) * 0.01
+        scale = rng.uniform(0.02, 0.2)
+        R = stacked_rotations(normals)
+        # Rodrigues' rotation about each normal by an arbitrary angle
+        angle = rng.uniform(0.0, 2.0 * np.pi, size=(32, 2))[..., np.newaxis, np.newaxis]
+        K = skew(normals)
+        spin = np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * (K @ K)
+        spun = spin @ R
+        soft, sigma5 = stacked_force_closure(points, normals, origin, 0.5, 0.01, torque_scale=scale)
+        strict, sigma6 = stacked_force_closure(points, normals, origin, 0.5, 0.01, mode="strict", torque_scale=scale)
+        assert not strict.any() and np.all(sigma6 == 0.0)
+        assert soft.any()
+        for t in range(len(points)):
+            # the oracle takes np.linalg.svd of the frame-built G with its torque rows scaled
+            frames = [ContactFrame(origin=points[t, j], rotation=spun[t, j], mu=0.5) for j in (0, 1)]
+            want = ref.force_closure(build_grasp_map(frames, origin).G, points[t], spun[t], 0.5, 0.01, "soft-pinch", scale)
+            assert soft[t] == want[0]
+            assert abs(sigma5[t] - want[1]) <= 1e-13
 
     def test_branch_normals_pick_reference_axis(self):
         normals = branch_normals()
@@ -385,14 +414,18 @@ class TestStackedMechanics:
     def test_one_bad_normal_rejects_the_stack(self, normal, match):
         normals = np.tile([0.0, 0.0, 1.0], (5, 2, 1))
         normals[3, 1] = normal
+        points = np.tile([[0.0, 0.0, -0.01], [0.0, 0.0, 0.01]], (5, 1, 1))
         with pytest.raises(ValueError, match=match):
             stacked_rotations(normals)
+        for mode in ("soft-pinch", "strict"):
+            with pytest.raises(ValueError, match=match):
+                stacked_force_closure(points, normals, np.zeros(3), 0.5, mode=mode)
 
     @pytest.mark.parametrize("mu", [0.0, -0.5])
     def test_nonpositive_mu_rejected(self, mu):
         gm = antipodal_sphere_map()
         points = np.array([[[-1.0, 0, 0], [1.0, 0, 0]]])
         with pytest.raises(ValueError, match="mu must be positive"):
-            stacked_force_closure(gm.G[np.newaxis], points, [[[1.0, 0, 0], [-1.0, 0, 0]]], mu)
+            stacked_force_closure(points, [[[1.0, 0, 0], [-1.0, 0, 0]]], np.zeros(3), mu)
         with pytest.raises(ValueError, match="mu must be positive"):
             force_closure(gm, mu)

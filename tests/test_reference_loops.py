@@ -204,6 +204,15 @@ def mirrored_candidates(rng, count: int) -> list[GraspCandidate]:
     return out
 
 
+def assert_reports_match(got, want):
+    """Same order, closure and distance; sigma_min from the positions' Gram
+    within 1e-13 of the oracle's SVD of the frame-built grasp map."""
+    assert [(r.candidate_index, r.closure, r.axis_com_distance) for r in got] == [
+        (r.candidate_index, r.closure, r.axis_com_distance) for r in want
+    ]
+    assert all(abs(g.sigma_min - w.sigma_min) <= 1e-13 for g, w in zip(got, want))
+
+
 def test_rank_matches_tuple_key_sort_on_exact_ties():
     rng = np.random.default_rng(19)
     corners = np.array(list(itertools.product((-1.0, 1.0), repeat=3)))
@@ -212,10 +221,7 @@ def test_rank_matches_tuple_key_sort_on_exact_ties():
     batch = [batch[i] for i in rng.permutation(len(batch))]
     for mode, outcomes in (("soft-pinch", {True, False}), ("strict", {False})):
         got = planner.rank_candidates(batch, cloud, mu=0.5, sigma_min_threshold=0.01, closure_mode=mode).reports
-        want = ref.rank_candidates(batch, cloud, 0.5, 0.01, mode)
-        assert [(r.candidate_index, r.closure, r.sigma_min, r.axis_com_distance) for r in got] == [
-            (r.candidate_index, r.closure, r.sigma_min, r.axis_com_distance) for r in want
-        ]
+        assert_reports_match(got, ref.rank_candidates(batch, cloud, 0.5, 0.01, mode))
         assert all(type(r.candidate_index) is int and type(r.axis_com_distance) is float for r in got)
         assert {r.closure for r in got} == outcomes
         # exact ties between distinct candidates, not only between repeats
@@ -236,9 +242,8 @@ def test_rank_of_the_corpus_matches_tuple_key_sort(clouds, monkeypatch):
         plan(cloud, CONFIG)
     assert len(batches) == 9
     for batch, cloud, kwargs in batches:
-        got = [(r.candidate_index, r.closure, r.sigma_min, r.axis_com_distance) for r in rank_candidates(batch, cloud, **kwargs).reports]
-        want = ref.rank_candidates(batch, cloud, CONFIG.mu, CONFIG.sigma_min_threshold, CONFIG.closure_mode)
-        assert got == [(r.candidate_index, r.closure, r.sigma_min, r.axis_com_distance) for r in want]
+        got = rank_candidates(batch, cloud, **kwargs).reports
+        assert_reports_match(got, ref.rank_candidates(batch, cloud, CONFIG.mu, CONFIG.sigma_min_threshold, CONFIG.closure_mode))
 
 
 @pytest.mark.parametrize("name", OBJECTS)

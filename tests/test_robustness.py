@@ -141,6 +141,18 @@ class TestRobustForceClosure:
         with pytest.raises(ValueError):
             robust_force_closure(candidate, cloud, PerturbationSpec(sigma=0.0))
 
+    @pytest.mark.parametrize("mode", ["soft-pinch", "strict"])
+    def test_one_non_unit_normal_rejects_the_trials(self, mode):
+        cloud = grid_cloud(5, 5, spacing=0.01)
+        candidate = axis_candidate(cloud, cloud.points[0], cloud.points[-1])
+        # PointCloud checks normals itself, so swap one in past that check: the
+        # closure test checks the snapped normals where they enter, and a bad one fails there
+        normals = cloud.normals.copy()
+        normals[-1] *= 0.5
+        object.__setattr__(cloud, "normals", normals)
+        with pytest.raises(ValueError, match="inward normal must be finite, nonzero and unit length"):
+            robust_force_closure(candidate, cloud, PerturbationSpec(sigma=0.0, trials=3), mode=mode)
+
     @pytest.mark.parametrize("kwargs", [{"mu": 0.0}, {"mu": -1.0}, {"mode": "loose"}])
     def test_invalid_mu_or_mode_rejected(self, kwargs):
         cloud = grid_cloud(5, 5, spacing=0.01)
