@@ -28,7 +28,7 @@ def main() -> int:
     result, prepared = _plan(cloud, config)
 
     save_cloud_ply(cloud, outdir / f"{args.name}.ply")
-    seg = segment(prepared, config.region_params())  # reads the table planning left on prepared.index
+    seg = segment(prepared, config)  # reads the table planning left on prepared.index
     save_segmentation_ply(prepared, seg.region_ids(), outdir / f"{args.name}_regions.ply")
     (outdir / f"{args.name}_plan.json").write_text(result.to_json())
 

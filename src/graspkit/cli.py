@@ -95,7 +95,7 @@ def _cmd_segment(args) -> int:
     if cloud.normals is None or cloud.curvatures is None:
         print("error: cloud too small to segment", file=sys.stderr)
         return EXIT_NO_CANDIDATES
-    segmentation = segment(cloud, config.region_params())
+    segmentation = segment(cloud, config)
     save_segmentation_ply(cloud, segmentation.region_ids(), args.output)
     return EXIT_OK if len(segmentation) else EXIT_NO_CANDIDATES
 

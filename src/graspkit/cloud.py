@@ -335,9 +335,9 @@ def remove_statistical_outliers(cloud: PointCloud, k: int = 12, std_ratio: float
 
 
 def _canonical_sign(v: np.ndarray) -> np.ndarray:
-    """Flip so the component of largest magnitude is positive."""
-    dominant = int(np.argmax(np.abs(v)))
-    return v if v[dominant] >= 0 else -v
+    """Flip each (..., 3) vector so its first largest-magnitude component is positive."""
+    dominant = np.take_along_axis(v, np.argmax(np.abs(v), axis=-1)[..., np.newaxis], axis=-1)
+    return np.where(dominant >= 0, v, -v)
 
 
 def estimate_normals_curvatures(cloud: PointCloud, k: int = 16) -> PointCloud:
@@ -384,8 +384,8 @@ def estimate_normals_curvatures(cloud: PointCloud, k: int = 16) -> PointCloud:
     outward = cloud.points - cloud.centroid()
     side = np.einsum("ni,ni->n", normals, outward)
     normals[side < 0] *= -1.0
-    for i in np.flatnonzero(side == 0):
-        normals[i] = _canonical_sign(normals[i])
+    tangent = side == 0
+    normals[tangent] = _canonical_sign(normals[tangent])
     norms = np.linalg.norm(normals, axis=1, keepdims=True)
     normals = normals / norms
     return cloud.with_attrs(normals=normals, curvatures=curvatures)

@@ -11,126 +11,23 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import math
-import os
 import time
-from dataclasses import dataclass, fields
-from pathlib import Path
+from dataclasses import dataclass
 
 from .candidates import GraspCandidate, find_antiparallel_pairs, make_candidates
 from .cloud import PointCloud, estimate_normals_curvatures, remove_statistical_outliers, voxel_downsample
-from .regions import RegionGrowingParams, Segmentation, segment
+from .config import PlannerConfig, load_config  # noqa: F401  callers import load_config from here
+from .regions import Segmentation, segment
 from .stability import GraspReport, RankedCandidates, rank_candidates
 
 logger = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 2
 VERSION = "0.1.0"
-ENV_PREFIX = "GRASPKIT_"
 
 RESULT_OK = "ok"
 RESULT_SEGMENTATION_EMPTY = "segmentation-empty"
 RESULT_NO_CANDIDATES = "no-candidates"
-
-
-@dataclass(frozen=True)
-class PlannerConfig:
-    """Every pipeline tunable, loadable from a flat key=value file.
-
-    Unknown keys are rejected at load time and each value is validated
-    against its stage's invariants. ``k_neighbors`` sizes the one k-NN table
-    that normal estimation and region growth share.
-    """
-
-    voxel_size: float = 0.002
-    outlier_k: int = 12
-    outlier_std_ratio: float = 2.0
-    k_neighbors: int = 16
-    angle_threshold_deg: float = 15.0
-    curvature_threshold: float = 0.05
-    distance_threshold: float = 0.005
-    min_region_size: int = 20
-    max_pair_angle_deg: float = 15.0
-    max_width: float = 0.085
-    candidates_per_pair: int = 5
-    mu: float = 0.5
-    sigma_min_threshold: float = 0.01
-    closure_mode: str = "soft-pinch"
-
-    def __post_init__(self):
-        for f in fields(self):
-            if type(f.default) is float and not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
-        if self.voxel_size < 0:
-            raise ValueError("voxel_size must be >= 0 (0 disables downsampling)")
-        if self.outlier_k < 1:
-            raise ValueError("outlier_k must be >= 1")
-        if self.outlier_std_ratio <= 0:
-            raise ValueError("outlier_std_ratio must be positive")
-        if self.max_pair_angle_deg <= 0:
-            raise ValueError("max_pair_angle_deg must be positive")
-        if self.max_width <= 0:
-            raise ValueError("max_width must be positive")
-        if self.candidates_per_pair < 1:
-            raise ValueError("candidates_per_pair must be >= 1")
-        if self.mu <= 0:
-            raise ValueError("mu must be positive")
-        if self.sigma_min_threshold <= 0:
-            raise ValueError("sigma_min_threshold must be positive")
-        if self.closure_mode not in ("soft-pinch", "strict"):
-            raise ValueError(f"unknown closure_mode {self.closure_mode!r}")
-        # delegate the region-growing invariants, k_neighbors >= 3 among them
-        self.region_params()
-
-    def region_params(self) -> RegionGrowingParams:
-        """The region-growing fields, which share their names with the config's."""
-        return RegionGrowingParams(**{f.name: getattr(self, f.name) for f in fields(RegionGrowingParams)})
-
-    def to_text(self) -> str:
-        return "".join(f"{f.name} = {getattr(self, f.name)}\n" for f in fields(self))
-
-    def sha256(self) -> str:
-        return hashlib.sha256(self.to_text().encode()).hexdigest()
-
-
-def _coerce(name: str, raw: str, target_type):
-    if target_type is float:
-        return float(raw)
-    if target_type is int:
-        return int(raw)
-    if target_type is str:
-        return raw
-    raise ValueError(f"cannot parse config key {name!r}")
-
-
-def load_config(path=None, env: bool = True) -> PlannerConfig:
-    """Config from a flat key=value file, with GRASPKIT_* environment overrides.
-
-    Lines are ``key = value``; '#' starts a comment. Unknown keys raise, and
-    so does a GRASPKIT_* variable that names no key.
-    """
-    known = {f.name: type(f.default) for f in fields(PlannerConfig)}
-    values: dict = {}
-    if path is not None:
-        for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"config line {lineno}: expected key = value, got {raw!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in known:
-                raise ValueError(f"config line {lineno}: unknown key {key!r}")
-            values[key] = _coerce(key, value.strip(), known[key])
-    if env:
-        by_name = {ENV_PREFIX + key.upper(): key for key in known}
-        for name in sorted(n for n in os.environ if n.startswith(ENV_PREFIX)):
-            if name not in by_name:
-                raise ValueError(f"unknown environment override {name}")
-            key = by_name[name]
-            values[key] = _coerce(key, os.environ[name], known[key])
-    return PlannerConfig(**values)
 
 
 @dataclass(frozen=True)
@@ -237,7 +134,7 @@ def _plan(cloud: PointCloud, config: PlannerConfig | None = None) -> tuple[PlanR
         return finish(RESULT_SEGMENTATION_EMPTY)
 
     t0 = time.perf_counter()
-    segmentation: Segmentation = segment(prepared, config.region_params())
+    segmentation: Segmentation = segment(prepared, config)
     timings["segment"] = (time.perf_counter() - t0) * 1e3
     if len(segmentation) == 0:
         return finish(RESULT_SEGMENTATION_EMPTY)

@@ -5,6 +5,7 @@ when its normal stays within an angular tolerance of the seed normal AND it
 lies within a distance tolerance of the region's incrementally refitted
 plane. The distance slack is what lets gently curved surfaces come out as a
 small number of locally planar patches instead of fragmenting.
+Its five parameters are fields of ``PlannerConfig``, which checks them.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloud import PointCloud, _canonical_sign
+from .config import PlannerConfig
 
 logger = logging.getLogger(__name__)
 
@@ -25,25 +27,9 @@ class DegenerateFitError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class RegionGrowingParams:
-    angle_threshold_deg: float = 15.0
-    curvature_threshold: float = 0.05
-    distance_threshold: float = 0.005
-    k_neighbors: int = 16
-    min_region_size: int = 20
-
-    def __post_init__(self):
-        if not 0.0 < self.angle_threshold_deg < 90.0:
-            raise ValueError("angle_threshold_deg must be in (0, 90)")
-        if self.curvature_threshold < 0:
-            raise ValueError("curvature_threshold must be >= 0")
-        if self.distance_threshold < 0:
-            raise ValueError("distance_threshold must be >= 0")
-        if self.k_neighbors < 3:
-            raise ValueError("k_neighbors must be >= 3")
-        if self.min_region_size < 3:
-            raise ValueError("min_region_size must be >= 3")
+# Callers, acceptance criterion 6 among them, build segment's parameters under the
+# old name. A subclass would reorder to_text() and change every config_sha256.
+RegionGrowingParams = PlannerConfig
 
 
 @dataclass(frozen=True)
@@ -129,7 +115,7 @@ def _finish_region(cloud: PointCloud, members: np.ndarray) -> PlanarRegion:
     return PlanarRegion(point_indices=idx, plane_normal=normal, centroid=pts.mean(axis=0))
 
 
-def _grow_regions(cloud: PointCloud, params: RegionGrowingParams, hoods: np.ndarray) -> list[np.ndarray]:
+def _grow_regions(cloud: PointCloud, params: PlannerConfig, hoods: np.ndarray) -> list[np.ndarray]:
     """Raw region members in growth order (see ``segment``).
 
     Growth is breadth-first, one frontier (the points a FIFO queue would pop
@@ -220,7 +206,7 @@ def _grow_regions(cloud: PointCloud, params: RegionGrowingParams, hoods: np.ndar
     return raw_regions
 
 
-def segment(cloud: PointCloud, params: RegionGrowingParams | None = None) -> Segmentation:
+def segment(cloud: PointCloud, params: PlannerConfig | None = None) -> Segmentation:
     """Grow planar regions over ``cloud`` (which must carry normals and curvatures).
 
     Seeds are picked at the minimum-curvature available point (ties by lowest
@@ -233,7 +219,7 @@ def segment(cloud: PointCloud, params: RegionGrowingParams | None = None) -> Seg
     ``cloud.index.knn_all(k_neighbors)``, the table normal estimation with the
     same k left on the index.
     """
-    params = params or RegionGrowingParams()
+    params = params or PlannerConfig()
     if len(cloud) == 0:
         raise ValueError("cannot segment an empty cloud")
     if cloud.normals is None or cloud.curvatures is None:

@@ -27,10 +27,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cloud import PointCloud
+from .config import PlannerConfig
 
 # Neighborhood size assumed when translating principal curvatures into the
-# surface-variation proxy; matches the default PlannerConfig.k_neighbors.
-CURVATURE_PROXY_K = 16
+# surface-variation proxy: the k of the planner's default normal estimation.
+CURVATURE_PROXY_K = PlannerConfig.k_neighbors
 
 # names of each kind's ``ShapeSpec.dimensions``, in order
 _DIMENSIONS = {

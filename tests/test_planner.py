@@ -1,9 +1,15 @@
 import math
+import os
 from dataclasses import fields
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import graspkit.config
 from graspkit.cloud import PointCloud
 from graspkit.planner import (
     RESULT_NO_CANDIDATES,
@@ -14,6 +20,7 @@ from graspkit.planner import (
     load_config,
     plan,
 )
+from graspkit.regions import RegionGrowingParams
 from graspkit.shapes import ShapeSpec, corpus_standard, generate
 
 
@@ -82,6 +89,118 @@ class TestConfig:
 
     def test_hash_tracks_values(self):
         assert PlannerConfig().sha256() != PlannerConfig(mu=0.6).sha256()
+
+    def test_one_config_type(self):
+        assert RegionGrowingParams is PlannerConfig is graspkit.config.PlannerConfig
+        assert not hasattr(PlannerConfig, "region_params")
+        # the region checks keep their messages, after the planner's own
+        with pytest.raises(ValueError, match=r"k_neighbors must be >= 3"):
+            RegionGrowingParams(k_neighbors=2)
+        with pytest.raises(ValueError, match="mu must be positive"):
+            PlannerConfig(mu=0.0, k_neighbors=2)
+        with pytest.raises(ValueError, match="distance_threshold must be finite"):
+            RegionGrowingParams(distance_threshold=math.nan)
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(PlannerConfig) if type(f.default) is int])
+    @pytest.mark.parametrize("value", [2.5, 16.0, True, "16", None], ids=["fraction", "whole-float", "bool", "str", "none"])
+    def test_int_fields_take_only_integers(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be of type int, got {value!r}"):
+            PlannerConfig(**{name: value})
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(PlannerConfig) if type(f.default) is float])
+    @pytest.mark.parametrize("value", [True, "0.5", None], ids=["bool", "str", "none"])
+    def test_float_fields_take_only_real_numbers(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be of type float, got {value!r}"):
+            PlannerConfig(**{name: value})
+
+    @pytest.mark.parametrize("value", [1, None, b"strict"], ids=["int", "none", "bytes"])
+    def test_closure_mode_takes_only_strings(self, value):
+        with pytest.raises(ValueError, match=f"closure_mode must be of type str, got {value!r}"):
+            PlannerConfig(closure_mode=value)
+
+    def test_equal_configs_hash_equal(self):
+        loose = PlannerConfig(mu=1, voxel_size=np.float64(0.002), outlier_k=np.int64(12), max_width=Fraction(17, 200))
+        exact = PlannerConfig(mu=1.0, voxel_size=0.002, outlier_k=12, max_width=0.085)
+        assert loose == exact and loose.sha256() == exact.sha256()
+        assert type(loose.mu) is type(loose.max_width) is float and type(loose.outlier_k) is int
+        # the default config's hash, which every default plan carries
+        default_sha = "408505dc3b57aaf75bd8bfba14585513cb4e79922aa24ec72dfc2fd22f7ed72a"
+        assert PlannerConfig().sha256() == default_sha
+        assert PlannerConfig(voxel_size=np.float64(0.002), outlier_k=np.int64(12)).sha256() == default_sha
+
+    def test_lines_split_only_at_line_ends(self, tmp_path):
+        # a form feed is not a line end: the value "0.7\x0cvoxel_size = 0.003" is not a number
+        path = tmp_path / "ff.cfg"
+        path.write_text("mu = 0.7\x0cvoxel_size = 0.003\n")
+        with pytest.raises(ValueError, match=r"^config line 1: bad value for mu: "):
+            load_config(path, env=False)
+        path.write_text("mu = 0.7\x0c\nbogus = 1\n")
+        with pytest.raises(ValueError, match=r"^config line 2: unknown key 'bogus'"):
+            load_config(path, env=False)
+        path.write_bytes(b"mu = 0.7\r\nbogus = 1\r")
+        with pytest.raises(ValueError, match=r"^config line 2: unknown key 'bogus'"):
+            load_config(path, env=False)
+
+    def test_bad_file_value_cites_line_and_key(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("# tuned\nmu = 0.7\nk_neighbors = 16.0\n")
+        with pytest.raises(ValueError, match=r"^config line 3: bad value for k_neighbors: invalid literal for int"):
+            load_config(path, env=False)
+        path.write_text("mu = abc\n")
+        with pytest.raises(ValueError, match=r"^config line 1: bad value for mu: could not convert string to float: 'abc'"):
+            load_config(path, env=False)
+
+    @pytest.mark.parametrize(
+        "name, value, key",
+        [("GRASPKIT_K_NEIGHBORS", "16.0", "k_neighbors"), ("GRASPKIT_CANDIDATES_PER_PAIR", "2.5", "candidates_per_pair"),
+         ("GRASPKIT_MU", "abc", "mu")],
+    )
+    def test_bad_env_value_cites_variable_and_key(self, monkeypatch, name, value, key):
+        monkeypatch.setenv(name, value)
+        with pytest.raises(ValueError, match=f"^environment override {name}: bad value for {key}: "):
+            load_config(None, env=True)
+
+
+def _field_values():
+    """Strategies for every PlannerConfig field, within its checks. Float
+    fields also draw integers, which the config stores as floats."""
+    def real(lo, hi=1e6, exclude_min=False, exclude_max=False):
+        floats = st.floats(lo, hi, exclude_min=exclude_min, exclude_max=exclude_max, allow_nan=False)
+        return st.one_of(floats, st.integers(math.floor(lo) + 1, math.ceil(hi) - 1))
+
+    return {
+        "voxel_size": real(0.0),
+        "outlier_k": st.integers(1, 2**40),
+        "outlier_std_ratio": real(0.0, exclude_min=True),
+        "k_neighbors": st.integers(3, 2**40),
+        "angle_threshold_deg": real(0.0, 90.0, exclude_min=True, exclude_max=True),
+        "curvature_threshold": real(0.0),
+        "distance_threshold": real(0.0),
+        "min_region_size": st.integers(3, 2**40),
+        "max_pair_angle_deg": real(0.0, exclude_min=True),
+        "max_width": real(0.0, exclude_min=True),
+        "candidates_per_pair": st.integers(1, 2**40),
+        "mu": real(0.0, exclude_min=True),
+        "sigma_min_threshold": real(0.0, exclude_min=True),
+        "closure_mode": st.sampled_from(["soft-pinch", "strict"]),
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fixed_dictionaries(_field_values()))
+def test_config_round_trips_through_file_and_environment(tmp_path_factory, values):
+    assert set(values) == {f.name for f in fields(PlannerConfig)}
+    config = PlannerConfig(**values)
+    typed = PlannerConfig(**{f.name: type(f.default)(values[f.name]) for f in fields(PlannerConfig)})
+    assert config == typed and config.sha256() == typed.sha256()
+    path = tmp_path_factory.mktemp("cfg") / "planner.cfg"
+    path.write_text(config.to_text())
+    loaded = load_config(path, env=False)
+    assert loaded == config and loaded.sha256() == config.sha256()
+    env = {"GRASPKIT_" + key.upper(): f"{value}" for key, value in vars(config).items()}
+    with mock.patch.dict(os.environ, env):
+        from_env = load_config(None, env=True)
+    assert from_env == config and from_env.sha256() == config.sha256()
 
 
 class TestPlan:

@@ -114,7 +114,7 @@ def test_pairs_and_sample_locations_match_loops(table_clouds, name, monkeypatch)
     monkeypatch.setattr(candidates, "_sample_locations", spy)
     for cloud in table_clouds[name]:
         prepared = preprocess(cloud, CONFIG)
-        regions = segment(prepared, CONFIG.region_params()).regions
+        regions = segment(prepared, CONFIG).regions
         for subset in (regions, regions[:1], regions[:0]):
             assert_pairs_equal(
                 find_antiparallel_pairs(subset, CONFIG.max_pair_angle_deg, CONFIG.max_width),
@@ -160,7 +160,7 @@ def test_regions_list_their_members_in_ascending_index(clouds, name):
     # segment's size tie-break, and make_candidates' pair orientation and
     # nearest-member ties, read the first member
     for cloud in clouds[name]:
-        for region in segment(preprocess(cloud, CONFIG), CONFIG.region_params()):
+        for region in segment(preprocess(cloud, CONFIG), CONFIG):
             assert np.all(np.diff(region.point_indices) > 0)
 
 
@@ -266,6 +266,20 @@ def test_normals_of_scans_match_whole_cloud_arrays(clouds, name):
     )
 
 
+@pytest.mark.parametrize("axis", [0, 1, 2], ids=["x", "y", "z"])
+def test_tangent_normals_of_a_flat_patch_match_loops(axis):
+    # A dyadic grid in the plane where one coordinate is 0 has centroid exactly
+    # 0, so every normal is tangent to its outward ray and takes the canonical
+    # sign: the plane's axis, positive, on every point. The eigenvectors of the
+    # y = 0 patch come out with mixed signs, so there the sign is flipped.
+    xs = (np.arange(48) - 23.5) / 64
+    cloud = PointCloud(np.insert(np.array([[u, v] for u in xs for v in xs]), axis, 0.0, axis=1))
+    estimated = estimate_normals_curvatures(cloud, CONFIG.k_neighbors)
+    assert not np.einsum("ni,ni->n", estimated.normals, cloud.points - cloud.centroid()).any()
+    assert np.array_equal(estimated.normals, np.tile(np.eye(3)[axis], (len(cloud), 1)))
+    assert_clouds_equal(estimated, ref.estimate_normals_curvatures(cloud, CONFIG.k_neighbors))
+
+
 def block_edge_cloud(n: int) -> PointCloud:
     """n points of a jittered sphere scan whose curvatures tag each row with
     its index (i / n). Rows n - 21 to n - 2 coincide on the surface at a
@@ -302,7 +316,7 @@ def test_blocks_match_whole_cloud_arrays_at_block_edges(n):
 
 @pytest.mark.parametrize("name", OBJECTS)
 def test_region_growth_matches_loop(clouds, name):
-    params = CONFIG.region_params()
+    params = CONFIG
     for cloud in clouds[name]:
         prepared = preprocess(cloud, CONFIG)
         hoods = SpatialIndex(prepared).knn_all(params.k_neighbors)
