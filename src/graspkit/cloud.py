@@ -26,6 +26,8 @@ from functools import cached_property
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .config import PlannerConfig
+
 logger = logging.getLogger(__name__)
 
 UNIT_NORM_TOL = 1e-6
@@ -34,6 +36,8 @@ UNIT_NORM_TOL = 1e-6
 KNN_BLOCK = 1024
 KNN_FIRST_SLACK = 2
 KNN_SLACK = 8
+# _jacobi3: cyclic sweeps; 4 leave a relative off-diagonal near 1e-16, 3 near 1e-9
+JACOBI_SWEEPS = 4
 
 
 def _as_points(arr, name: str) -> np.ndarray:
@@ -305,7 +309,9 @@ def voxel_downsample(cloud: PointCloud, voxel: float) -> PointCloud:
     return PointCloud(points, normals, curvatures)
 
 
-def remove_statistical_outliers(cloud: PointCloud, k: int = 12, std_ratio: float = 2.0) -> PointCloud:
+def remove_statistical_outliers(
+    cloud: PointCloud, k: int = PlannerConfig.outlier_k, std_ratio: float = PlannerConfig.outlier_std_ratio
+) -> PointCloud:
     """Drop points whose mean k-NN distance exceeds mean + std_ratio * std.
 
     ``k`` excludes the point itself; the cloud must have at least k + 1
@@ -340,45 +346,95 @@ def _canonical_sign(v: np.ndarray) -> np.ndarray:
     return np.where(dominant >= 0, v, -v)
 
 
-def estimate_normals_curvatures(cloud: PointCloud, k: int = 16) -> PointCloud:
+def _jacobi3(a00, a01, a02, a11, a12, a22):
+    """Eigen-decomposition of symmetric 3×3 matrices given by their six
+    entries, each an (m,) array: cyclic Jacobi (Kopp, arXiv:physics/0610206).
+
+    JACOBI_SWEEPS sweeps over the pairs (0, 1), (0, 2), (1, 2). A rotation
+    takes t = sign(θ) / (|θ| + √(θ² + 1)) with θ = (a_qq − a_pp) / (2 a_pq),
+    the smaller root of t² + 2θt − 1 = 0, and t = 0 where a_pq is 0 (θ is
+    then ±inf or NaN). Where a_pq is tiny beside the gap, θ or θ² overflows
+    and the formula itself gives t = 0.
+    Only correctly rounded ufunc arithmetic is used (+ − × ÷ √, copysign,
+    abs): no BLAS or LAPACK, so the bits do not depend on the machine's
+    kernels, and each row rounds as a scalar loop over Python floats does.
+
+    Returns the diagonal (d0, d1, d2), the eigenvalues in no particular
+    order, each an (m,) array, and the (3, 3, m) array ``v`` whose
+    ``v[:, j]`` are the eigenvectors of dj. Where two eigenvalues tie, any
+    orthonormal basis of their plane is an answer, and this one may differ
+    from LAPACK's ``eigh``.
+    """
+    a = [[a00, a01, a02], [a01, a11, a12], [a02, a12, a22]]
+    zero = np.zeros_like(a00)
+    v = np.zeros((3, 3, len(a00)))
+    v[range(3), range(3)] = 1.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(JACOBI_SWEEPS):
+            for p, q, r in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
+                apq = a[p][q]
+                theta = (a[q][q] - a[p][p]) / (2.0 * apq)
+                t = np.copysign(1.0, theta) / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
+                t[apq == 0.0] = 0.0
+                c = 1.0 / np.sqrt(t * t + 1.0)
+                s = t * c
+                a[p][p] = a[p][p] - t * apq
+                a[q][q] = a[q][q] + t * apq
+                a[p][q] = a[q][p] = zero
+                arp, arq = a[r][p], a[r][q]
+                a[r][p] = a[p][r] = c * arp - s * arq
+                a[r][q] = a[q][r] = s * arp + c * arq
+                vp, vq = v[:, p], v[:, q]
+                v[:, p], v[:, q] = c * vp - s * vq, s * vp + c * vq
+    return (a[0][0], a[1][1], a[2][2]), v
+
+
+def estimate_normals_curvatures(cloud: PointCloud, k: int = PlannerConfig.k_neighbors) -> PointCloud:
     """PCA normals and surface-variation curvature over k-NN neighborhoods.
 
     The neighborhood of a point is its k nearest cloud points (the point
     itself included), from ``cloud.index.knn_all(k)``; the returned cloud
     shares that index and its table. The normal is the eigenvector of the
-    smallest covariance eigenvalue, oriented away from the cloud centroid;
-    curvature is lambda_min / (sum of eigenvalues), clamped to [0, 1].
-    Coincident neighborhoods degrade to normal +Z with curvature 0 and are
-    logged.
+    smallest covariance eigenvalue (the first on ties), oriented away from
+    the cloud centroid; curvature is lambda_min / trace, clamped to [0, 1].
+    A neighbourhood whose trace is not positive (coincident points)
+    degrades to normal +Z with curvature 0 and is logged.
 
-    Covariances are formed per block of KNN_BLOCK rows: the block's
-    (KNN_BLOCK, k, 3) neighbour coordinates, centred in place, and its
-    (KNN_BLOCK, 3, 3) covariances and eigenvectors are the only scratch;
-    what grows with n is (n, 3) eigenvalues and normals. Each matrix rounds
-    as it would in one batch of all n.
+    Covariances are formed per block of KNN_BLOCK rows: the block's three
+    (KNN_BLOCK, k) neighbour coordinate columns, centred in place, give the
+    six entries as column products summed over k, and ``_jacobi3`` solves
+    the block's matrices. These and the solver's (KNN_BLOCK,) arrays are the
+    only scratch; what grows with n is the (n, 3) normals and the n minimum
+    eigenvalues and traces. Each row rounds as it would alone, and no step
+    calls BLAS or LAPACK, so the result is the same under every kernel.
     """
     if k < 3:
         raise ValueError(f"k must be >= 3, got {k}")
     if len(cloud) < k:
         raise ValueError(f"cloud of {len(cloud)} points is too small for k={k}")
     hoods = cloud.index.knn_all(k)
-    eigvals = np.empty((len(cloud), 3))
+    columns = np.ascontiguousarray(cloud.points.T)  # so each gather is a contiguous (rows, k) array
+    lam_min = np.empty(len(cloud))
+    total = np.empty(len(cloud))
     normals = np.empty((len(cloud), 3))
     for start in range(0, len(cloud), KNN_BLOCK):
         block = slice(start, start + KNN_BLOCK)
-        nbh = cloud.points[hoods[block]]  # (rows, k, 3)
-        nbh -= nbh.mean(axis=1, keepdims=True)
-        cov = np.einsum("nki,nkj->nij", nbh, nbh) / k
-        eigvals[block], eigvecs = np.linalg.eigh(cov)  # ascending eigenvalues
-        normals[block] = eigvecs[:, :, 0]
-    total = eigvals.sum(axis=1)
+        x, y, z = (col[hoods[block]] for col in columns)
+        for c in (x, y, z):
+            c -= c.mean(axis=1, keepdims=True)
+        a00, a11, a22 = ((c * c).sum(axis=1) / k for c in (x, y, z))
+        a01, a02, a12 = ((c * d).sum(axis=1) / k for c, d in ((x, y), (x, z), (y, z)))
+        total[block] = a00 + a11 + a22
+        diag, v = _jacobi3(a00, a01, a02, a11, a12, a22)
+        eigvals = np.stack(diag, axis=1)
+        smallest = np.argmin(eigvals, axis=1)  # the first on ties
+        lam_min[block] = np.take_along_axis(eigvals, smallest[:, np.newaxis], axis=1)[:, 0]
+        normals[block] = np.take_along_axis(v, smallest[np.newaxis, np.newaxis], axis=1)[:, 0].T
     degenerate = total <= 0.0
     if np.any(degenerate):
         logger.warning("%d degenerate neighborhoods (coincident points)", int(degenerate.sum()))
         normals[degenerate] = (0.0, 0.0, 1.0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        curvatures = np.where(degenerate, 0.0, eigvals[:, 0] / np.where(total > 0, total, 1.0))
-    curvatures = np.clip(curvatures, 0.0, 1.0)
+    curvatures = np.clip(np.where(degenerate, 0.0, lam_min / np.where(degenerate, 1.0, total)), 0.0, 1.0)
     # Orient away from the cloud centroid; exactly tangent normals fall back
     # to the canonical largest-component-positive sign.
     outward = cloud.points - cloud.centroid()

@@ -88,10 +88,12 @@ def load_config(path=None, env: bool = True) -> PlannerConfig:
 
     Lines are ``key = value``; '#' starts a comment. Unknown keys raise, and
     so does a GRASPKIT_* variable that names no key. A value that does not
-    parse raises with its file line or variable name, and its key.
+    parse raises with its file line or variable name, and its key; so does
+    one that parses but fails its field's check.
     """
     kinds = {f.name: type(f.default) for f in fields(PlannerConfig)}
     values: dict = {}
+    sources: dict = {}  # key -> where its value came from
 
     def parse(key: str, raw: str, source: str):
         try:
@@ -111,12 +113,23 @@ def load_config(path=None, env: bool = True) -> PlannerConfig:
             key = key.strip()
             if key not in kinds:
                 raise ValueError(f"config line {lineno}: unknown key {key!r}")
-            values[key] = parse(key, value.strip(), f"config line {lineno}")
+            sources[key] = f"config line {lineno}"
+            values[key] = parse(key, value.strip(), sources[key])
     if env:
         by_name = {ENV_PREFIX + key.upper(): key for key in kinds}
         for name in sorted(n for n in os.environ if n.startswith(ENV_PREFIX)):
             if name not in by_name:
                 raise ValueError(f"unknown environment override {name}")
             key = by_name[name]
-            values[key] = parse(key, os.environ[name], f"environment override {name}")
-    return PlannerConfig(**values)
+            sources[key] = f"environment override {name}"
+            values[key] = parse(key, os.environ[name], sources[key])
+    try:
+        return PlannerConfig(**values)
+    except ValueError:
+        # every check reads one field, so the value that fails alone is at fault
+        for key, value in values.items():
+            try:
+                PlannerConfig(**{key: value})
+            except ValueError as exc:
+                raise ValueError(f"{sources[key]}: {exc}") from None
+        raise

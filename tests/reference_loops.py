@@ -16,10 +16,13 @@ and distances from the per-point ``knn``, which breaks ties by index,
 where the filter reads a plain tree query; ``outlier_mean_distances``
 drops each row's own entry row by row, and ``outlier_mean_distances_full``
 through one (n, k + 1) mask over the whole table, as the library did before
-it skipped column 0. ``estimate_normals_curvatures`` is the whole-cloud
-version of normal estimation, through one (n, k, 3) neighbourhood array and
-its centred copy, that the library ran before it worked in blocks of
-KNN_BLOCK rows.
+it skipped column 0. ``estimate_normals_curvatures`` estimates one
+neighbourhood at a time, its eigen-decomposition by ``jacobi3``, the
+library's Jacobi solver on Python floats. ``estimate_normals_curvatures_eigh``
+is the whole-cloud LAPACK version the library ran before it had that
+solver; tests compare with it within a tolerance, as its bits depend on the
+BLAS kernel. ``grow_regions`` refits each plane by ``fit_plane_lsq`` over
+all the members, where the library folds new members into running moments.
 
 ``rank_candidates`` scores one candidate at a time with the scalar
 mechanics below, takes each lever-arm distance from its own
@@ -47,7 +50,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from graspkit.candidates import RegionPair, _halton
-from graspkit.cloud import KNN_BLOCK, KNN_SLACK, PointCloud, SpatialIndex, _canonical_sign
+from graspkit.cloud import JACOBI_SWEEPS, KNN_BLOCK, KNN_SLACK, PointCloud, SpatialIndex, _canonical_sign
 from graspkit.regions import REFIT_INTERVAL, DegenerateFitError, RegionGrowingParams, fit_plane_lsq
 from graspkit.robustness import trial_rng
 from graspkit.shapes import CURVATURE_PROXY_K, ShapeSpec, _grid_1d
@@ -172,8 +175,67 @@ def remove_statistical_outliers(
     return cloud.select(np.arange(len(cloud))[mean_d <= threshold])
 
 
+def jacobi3(a00, a01, a02, a11, a12, a22):
+    """``cloud._jacobi3`` on one matrix in Python floats, whose + − × ÷ and
+    ``math.sqrt`` round as numpy's ufuncs do: the same sweeps, pairs and
+    rotations, one scalar at a time. Returns the diagonal and the rows of V."""
+    a = [[a00, a01, a02], [a01, a11, a12], [a02, a12, a22]]
+    v = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    for _ in range(JACOBI_SWEEPS):
+        for p, q, r in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
+            apq = a[p][q]
+            t = 0.0
+            if apq != 0.0:
+                theta = (a[q][q] - a[p][p]) / (2.0 * apq)
+                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
+            c = 1.0 / math.sqrt(t * t + 1.0)
+            s = t * c
+            a[p][p] = a[p][p] - t * apq
+            a[q][q] = a[q][q] + t * apq
+            a[p][q] = a[q][p] = 0.0
+            arp, arq = a[r][p], a[r][q]
+            a[r][p] = a[p][r] = c * arp - s * arq
+            a[r][q] = a[q][r] = s * arp + c * arq
+            for row in v:
+                vp, vq = row[p], row[q]
+                row[p] = c * vp - s * vq
+                row[q] = s * vp + c * vq
+    return [a[0][0], a[1][1], a[2][2]], v
+
+
 def estimate_normals_curvatures(cloud: PointCloud, k: int = 16) -> PointCloud:
-    """PCA normals and curvatures from the (n, k, 3) neighbourhoods of the whole cloud at once."""
+    """PCA normals and curvatures one neighbourhood at a time: numpy's 1-D
+    means and sums of its coordinate columns, then ``jacobi3``."""
+    hoods = SpatialIndex(cloud).knn_all(k)
+    n = len(cloud)
+    normals = np.empty((n, 3))
+    curvatures = np.empty(n)
+    for i in range(n):
+        nbh = cloud.points[hoods[i]]
+        x, y, z = (nbh[:, j] - nbh[:, j].mean() for j in range(3))
+        pairs = ((x, x), (x, y), (x, z), (y, y), (y, z), (z, z))
+        a00, a01, a02, a11, a12, a22 = (float((c * d).sum()) / k for c, d in pairs)
+        total = a00 + a11 + a22
+        diag, v = jacobi3(a00, a01, a02, a11, a12, a22)
+        smallest = diag.index(min(diag))  # the first on ties
+        if total <= 0.0:
+            normals[i], curvatures[i] = (0.0, 0.0, 1.0), 0.0
+        else:
+            normals[i] = [row[smallest] for row in v]
+            curvatures[i] = min(max(diag[smallest] / total, 0.0), 1.0)
+    outward = cloud.points - cloud.centroid()
+    side = np.einsum("ni,ni->n", normals, outward)
+    normals[side < 0] *= -1.0
+    for i in np.flatnonzero(side == 0):
+        normals[i] = _canonical_sign(normals[i])
+    normals = normals / np.linalg.norm(normals, axis=1, keepdims=True)
+    return PointCloud(cloud.points, normals, curvatures)
+
+
+def estimate_normals_curvatures_eigh(cloud: PointCloud, k: int = 16) -> PointCloud:
+    """PCA normals and curvatures from LAPACK's ``eigh`` of the (n, k, 3)
+    neighbourhoods of the whole cloud at once, as the library ran them
+    before its own solver."""
     nbh = cloud.points[SpatialIndex(cloud).knn_all(k)]
     centered = nbh - nbh.mean(axis=1, keepdims=True)
     cov = np.einsum("nki,nkj->nij", centered, centered) / k
@@ -223,12 +285,17 @@ def voxel_downsample(cloud: PointCloud, voxel: float) -> PointCloud:
 
 
 def grow_regions(
-    cloud: PointCloud, params: RegionGrowingParams, hoods: np.ndarray, refits: list | None = None
+    cloud: PointCloud,
+    params: RegionGrowingParams,
+    hoods: np.ndarray,
+    refits: list | None = None,
+    planes: list | None = None,
 ) -> list[list[int]]:
     """Raw region member lists, in growth order, testing one neighbour at a time.
 
     ``refits``, when given, receives the (column, row length) of every
-    neighbour that triggered a plane refit.
+    neighbour that triggered a plane refit, and ``planes`` the (normal,
+    offset) of ``fit_plane_lsq`` at every refit, None where it raised.
     """
     n = len(cloud)
     cos_threshold = float(np.cos(np.radians(params.angle_threshold_deg)))
@@ -270,8 +337,11 @@ def grow_regions(
                     try:
                         fit_n, fit_d, _ = fit_plane_lsq(points[members])
                     except DegenerateFitError:
-                        pass
+                        if planes is not None:
+                            planes.append(None)
                     else:
+                        if planes is not None:
+                            planes.append((fit_n, fit_d))
                         if fit_n @ seed_normal < 0:
                             fit_n, fit_d = -fit_n, -fit_d
                         plane_n, plane_d = fit_n, fit_d

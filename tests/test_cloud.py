@@ -13,6 +13,7 @@ from graspkit.cloud import (
     KNN_SLACK,
     PointCloud,
     SpatialIndex,
+    _jacobi3,
     estimate_normals_curvatures,
     remove_statistical_outliers,
     voxel_downsample,
@@ -593,6 +594,71 @@ class TestNormalEstimation:
             estimate_normals_curvatures(PointCloud(np.zeros((5, 3))), k=2)
         with pytest.raises(ValueError):
             estimate_normals_curvatures(PointCloud(np.zeros((2, 3))), k=3)
+
+
+@st.composite
+def symmetric_3x3(draw):
+    """A symmetric 3×3 matrix scaled by 1e-10 to 1e3, of one of seven kinds:
+    random entries, a rotated spectrum that is flat (λ0 near 1e-8), nearly
+    repeated or rank 1 (collinear points), all zeros, exactly diagonal, or a
+    tiny off-diagonal entry beside a diagonal gap of 1, whose θ² overflows."""
+    kind = draw(st.sampled_from(["random", "flat", "near-repeated", "collinear", "zero", "diagonal", "tiny"]))
+    unit = st.floats(-1.0, 1.0)
+    a = np.zeros((3, 3))
+    if kind == "random":
+        a[np.triu_indices(3)] = [draw(unit) for _ in range(6)]
+        a = np.triu(a) + np.triu(a, 1).T
+    elif kind == "diagonal":
+        a[range(3), range(3)] = [draw(unit) for _ in range(3)]
+    elif kind == "tiny":
+        p, q = draw(st.sampled_from([(0, 1), (0, 2), (1, 2)]))
+        a[q, q] = 1.0
+        a[p, q] = a[q, p] = draw(st.sampled_from([5e-324, 1e-300, 1e-160, -1e-160]))
+    elif kind != "zero":
+        w, x, y, z = quat = np.array([draw(unit) for _ in range(4)])
+        if np.linalg.norm(quat) < 0.1:
+            w, x, y, z = 1.0, 0.0, 0.0, 0.0
+        else:
+            w, x, y, z = quat / np.linalg.norm(quat)
+        rotation = np.array(
+            [
+                [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+                [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+                [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+            ]
+        )
+        spread = st.floats(0.1, 1.0)
+        spectrum = {
+            "flat": lambda: [1e-8 * draw(spread), draw(spread), draw(spread)],
+            "near-repeated": lambda: [(lam := draw(spread)), lam * (1.0 + 1e-12 * draw(unit)), draw(unit)],
+            "collinear": lambda: [0.0, 0.0, 1.0],
+        }[kind]()
+        a = (rotation * spectrum) @ rotation.T
+        a = (a + a.T) / 2.0
+    return a * 10.0 ** draw(st.integers(-10, 3))
+
+
+@given(st.lists(symmetric_3x3(), min_size=1, max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_jacobi3_diagonalises_every_spectrum(matrices):
+    """One batch of matrices: V is orthonormal and A V = V diag(d) within
+    1e-14 of the largest entry, Vᵀ A V is diagonal to the same bound, and
+    every row equals the scalar loop's bits. Where two eigenvalues tie, the
+    eigenvectors in their plane (so a normal) may differ from LAPACK's."""
+    a = np.array(matrices)
+    entries = [a[:, i, j].copy() for i, j in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))]
+    diag, v = _jacobi3(*entries)
+    d = np.stack(diag, axis=1)
+    vecs = np.array(v).transpose(2, 0, 1)  # (m, 3, 3), columns the eigenvectors
+    bound = 1e-14 * np.abs(a).max(axis=(1, 2))[:, np.newaxis, np.newaxis]
+    assert np.abs(np.einsum("mki,mkj->mij", vecs, vecs) - np.eye(3)).max() <= 1e-14
+    assert (np.abs(np.einsum("mij,mjk->mik", a, vecs) - vecs * d[:, np.newaxis, :]) <= bound).all()
+    off = np.einsum("mki,mkl,mlj->mij", vecs, a, vecs) * (1.0 - np.eye(3))
+    assert (np.abs(off) <= bound).all()
+    for row in range(len(a)):
+        want_d, want_v = ref.jacobi3(*(float(e[row]) for e in entries))
+        assert [float(x[row]) for x in diag] == want_d
+        assert [[float(x[row]) for x in vrow] for vrow in v] == want_v
 
 
 def test_operations_deterministic():

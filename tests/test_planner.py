@@ -160,6 +160,22 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^environment override {name}: bad value for {key}: "):
             load_config(None, env=True)
 
+    def test_file_value_out_of_range_cites_line(self, tmp_path, monkeypatch):
+        path = tmp_path / "range.cfg"
+        path.write_text("# tuned\nmu = -1\nvoxel_size = 0.003\n")
+        with pytest.raises(ValueError, match=r"^config line 2: mu must be positive$"):
+            load_config(path, env=False)
+        # an override that mends the file's value wins, as before
+        monkeypatch.setenv("GRASPKIT_MU", "0.7")
+        assert load_config(path, env=True).mu == 0.7
+
+    def test_env_value_out_of_range_cites_variable(self, tmp_path, monkeypatch):
+        path = tmp_path / "ok.cfg"
+        path.write_text("mu = 0.7\n")
+        monkeypatch.setenv("GRASPKIT_MU", "nan")
+        with pytest.raises(ValueError, match=r"^environment override GRASPKIT_MU: mu must be finite, got nan$"):
+            load_config(path, env=True)
+
 
 def _field_values():
     """Strategies for every PlannerConfig field, within its checks. Float

@@ -17,13 +17,22 @@ from graspkit.cloud import (
     KNN_BLOCK,
     PointCloud,
     SpatialIndex,
+    _canonical_sign,
     estimate_normals_curvatures,
     remove_statistical_outliers,
     voxel_downsample,
 )
 from graspkit import planner
 from graspkit.planner import PlannerConfig, plan, preprocess
-from graspkit.regions import PlanarRegion, RegionGrowingParams, _grow_regions, segment
+from graspkit import regions
+from graspkit.regions import (
+    DegenerateFitError,
+    PlanarRegion,
+    RegionGrowingParams,
+    _grow_regions,
+    _plane_of_covariance,
+    segment,
+)
 from graspkit.robustness import PerturbationSpec, robust_force_closure
 from graspkit.shapes import corpus_standard, generate
 
@@ -266,6 +275,18 @@ def test_normals_of_scans_match_whole_cloud_arrays(clouds, name):
     )
 
 
+@pytest.mark.parametrize("name", OBJECTS)
+def test_normals_of_scans_agree_with_lapack(clouds, name):
+    # LAPACK's eigh rounds differently, and differently per BLAS kernel; no
+    # scan neighbourhood has a tied smallest eigenvalue, so the normals agree
+    filtered = remove_statistical_outliers(clouds[name][1], k=CONFIG.outlier_k, std_ratio=CONFIG.outlier_std_ratio)
+    cloud = voxel_downsample(filtered, CONFIG.voxel_size)
+    got = estimate_normals_curvatures(cloud, CONFIG.k_neighbors)
+    want = ref.estimate_normals_curvatures_eigh(cloud, CONFIG.k_neighbors)
+    assert np.abs(got.normals - want.normals).max() <= 1e-14
+    assert np.abs(got.curvatures - want.curvatures).max() <= 1e-14
+
+
 @pytest.mark.parametrize("axis", [0, 1, 2], ids=["x", "y", "z"])
 def test_tangent_normals_of_a_flat_patch_match_loops(axis):
     # A dyadic grid in the plane where one coordinate is 0 has centroid exactly
@@ -277,6 +298,19 @@ def test_tangent_normals_of_a_flat_patch_match_loops(axis):
     estimated = estimate_normals_curvatures(cloud, CONFIG.k_neighbors)
     assert not np.einsum("ni,ni->n", estimated.normals, cloud.points - cloud.centroid()).any()
     assert np.array_equal(estimated.normals, np.tile(np.eye(3)[axis], (len(cloud), 1)))
+    assert_clouds_equal(estimated, ref.estimate_normals_curvatures(cloud, CONFIG.k_neighbors))
+
+
+def test_tangent_normals_of_a_diagonal_patch_take_the_canonical_sign():
+    # On the plane y = z, most rows' eigenvectors have |n_y| = |n_z| to the
+    # last bit, so they are exactly tangent to their outward rays and the
+    # canonical sign decides them; the solver gives 92 of them n_y < 0.
+    xs = (np.arange(48) - 23.5) / 64
+    cloud = PointCloud(np.array([[v, u, u] for u in xs for v in xs]))
+    estimated = estimate_normals_curvatures(cloud, CONFIG.k_neighbors)
+    tangent = np.einsum("ni,ni->n", estimated.normals, cloud.points - cloud.centroid()) == 0
+    assert tangent.sum() > 2000
+    assert np.array_equal(estimated.normals[tangent], _canonical_sign(estimated.normals[tangent]))
     assert_clouds_equal(estimated, ref.estimate_normals_curvatures(cloud, CONFIG.k_neighbors))
 
 
@@ -322,6 +356,38 @@ def test_region_growth_matches_loop(clouds, name):
         hoods = SpatialIndex(prepared).knn_all(params.k_neighbors)
         grown = [r.tolist() for r in _grow_regions(prepared, params, hoods)]
         assert grown == ref.grow_regions(prepared, params, hoods)
+
+
+@pytest.mark.parametrize("name", OBJECTS)
+def test_moment_refits_match_full_refits(clouds, name, monkeypatch):
+    # each refit's plane from running moments, against fit_plane_lsq over
+    # the same members (the same, as growth matches the full-refit loop)
+    got = []
+
+    def spy(cov, centroid):
+        try:
+            plane = _plane_of_covariance(cov, centroid)
+        except DegenerateFitError:
+            got.append(None)
+            raise
+        got.append(plane[:2])
+        return plane
+
+    for cloud in clouds[name]:
+        prepared = preprocess(cloud, CONFIG)
+        hoods = prepared.index.knn_all(CONFIG.k_neighbors)
+        want = []
+        grown = ref.grow_regions(prepared, CONFIG, hoods, planes=want)
+        got.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(regions, "_plane_of_covariance", spy)
+            assert [r.tolist() for r in _grow_regions(prepared, CONFIG, hoods)] == grown
+        assert len(got) == len(want) > 0
+        for plane, full in zip(got, want):
+            assert (plane is None) == (full is None)
+            if plane is not None:
+                assert np.abs(plane[0] - full[0]).max() <= 1e-12
+                assert abs(plane[1] - full[1]) <= 1e-14
 
 
 def test_voxel_with_cancelling_normals_takes_lowest_index_member():
