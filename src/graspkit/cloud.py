@@ -4,7 +4,10 @@ All operations are pure: they take immutable clouds and return new clouds.
 Determinism is a hard requirement throughout, so every nearest-neighbor
 query breaks distance ties by ascending point index and every reduction
 runs in a fixed order. One routine, ``SpatialIndex._knn_rows``, answers
-them all: ``knn`` and ``nearest`` are its one-row calls.
+them all: ``knn`` and ``nearest`` are its one-row calls. The voxel grid
+sorts the points by value before it averages them, so its output, and
+with it every stage of a plan after it, does not depend on the order of
+the input points.
 
 A ``PointCloud`` computes its ``index``, centroid and bounding radius once
 and keeps them as long as the cloud lives (see the class). The index keeps
@@ -20,6 +23,7 @@ makes a new cloud, it leaves none on the caller's input.
 from __future__ import annotations
 
 import logging
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -266,47 +270,49 @@ class SpatialIndex:
 
 
 def voxel_downsample(cloud: PointCloud, voxel: float) -> PointCloud:
-    """Collapse the cloud to one centroid per occupied voxel.
+    """Collapse the cloud to one mean per occupied voxel of edge ``voxel``.
 
-    Output order is lexicographic in integer voxel coordinates. Normals are
-    the renormalized mean of member normals (falling back to the lowest-index
-    member when the mean vanishes); curvatures average.
+    A point belongs to the voxel ``floor(p / voxel)``. The points are sorted
+    once by value: voxel coordinates, then x, y, z, then the normal and the
+    curvature where the cloud has them. Every mean is a per-column sum over
+    that order, one member at a time from 0.0, divided by the member count,
+    so the output depends on the points and their attributes but not on
+    their order in the input. Output order is lexicographic in voxel
+    coordinates. Normals are the renormalized mean normal, or, where that
+    mean vanishes, the normal of the voxel's first member in the sorted
+    order; curvatures average.
     """
-    if voxel <= 0:
-        raise ValueError(f"voxel size must be positive, got {voxel}")
+    if not (np.isfinite(voxel) and voxel > 0):
+        raise ValueError(f"voxel size must be finite and positive, got {voxel}")
     if len(cloud) == 0:
         return cloud
     coords = np.floor(cloud.points / voxel).astype(np.int64)
-    # lexsort is stable, so each voxel's members keep ascending original index.
-    order = np.lexsort((coords[:, 2], coords[:, 1], coords[:, 0]))
+    columns = [*cloud.points.T]
+    if cloud.normals is not None:
+        columns += [*cloud.normals.T]
+    if cloud.curvatures is not None:
+        columns.append(cloud.curvatures)
+    # lexsort's last key sorts first
+    order = np.lexsort(columns[::-1] + [coords[:, 2], coords[:, 1], coords[:, 0]])
     sorted_coords = coords[order]
-    boundaries = np.ones(len(cloud), dtype=bool)
-    boundaries[1:] = np.any(sorted_coords[1:] != sorted_coords[:-1], axis=1)
-    starts = np.flatnonzero(boundaries)
-    counts = np.diff(np.append(starts, len(cloud)))
+    starts = np.ones(len(cloud), dtype=bool)
+    starts[1:] = np.any(sorted_coords[1:] != sorted_coords[:-1], axis=1)
+    voxel_of = np.cumsum(starts) - 1
+    counts = np.bincount(voxel_of)
+    # bincount adds a voxel's weights one at a time, in the sorted order
+    means = [np.bincount(voxel_of, weights=col[order]) / counts for col in columns]
 
-    points = np.empty((len(starts), 3))
-    normals = np.empty((len(starts), 3)) if cloud.normals is not None else None
-    curvatures = np.empty(len(starts)) if cloud.curvatures is not None else None
-    # One bucket per member count: a (voxels, count) member matrix whose
-    # rows are ascending original indices. mean(axis=1) sums each voxel in
-    # the same order as a per-voxel mean (rows of points in sequence, a 1-D
-    # attribute pairwise), and vecdot rounds like a 1-D norm, so the result
-    # is bit-identical to a loop over voxels.
-    for count in np.unique(counts):
-        voxels = np.flatnonzero(counts == count)
-        members = order[starts[voxels][:, np.newaxis] + np.arange(count)]
-        points[voxels] = cloud.points[members].mean(axis=1)
-        if normals is not None:
-            mean_n = cloud.normals[members].mean(axis=1)
-            norm = np.sqrt(np.vecdot(mean_n, mean_n))
-            vanished = norm < 1e-12  # fall back to the lowest-index member
-            mean_n[vanished] = cloud.normals[members[vanished, 0]]
-            norm[vanished] = 1.0
-            normals[voxels] = mean_n / norm[:, np.newaxis]
-        if curvatures is not None:
-            curvatures[voxels] = np.clip(cloud.curvatures[members].mean(axis=1), 0.0, 1.0)
-    return PointCloud(points, normals, curvatures)
+    normals = curvatures = None
+    if cloud.normals is not None:
+        mean_n = np.column_stack(means[3:6])
+        norm = np.sqrt(np.vecdot(mean_n, mean_n))
+        vanished = norm < 1e-12
+        mean_n[vanished] = cloud.normals[order[starts.nonzero()[0][vanished]]]
+        norm[vanished] = 1.0
+        normals = mean_n / norm[:, np.newaxis]
+    if cloud.curvatures is not None:
+        curvatures = np.clip(means[-1], 0.0, 1.0)
+    return PointCloud(np.column_stack(means[:3]), normals, curvatures)
 
 
 def remove_statistical_outliers(
@@ -322,8 +328,12 @@ def remove_statistical_outliers(
     (n, k + 1) query result the filter holds only the n mean distances: it
     averages a view of the distances, without a mask or a copy of them.
     """
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+        raise ValueError(f"k must be an integer, got {k!r}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    if not (np.isfinite(std_ratio) and std_ratio > 0):
+        raise ValueError(f"std_ratio must be finite and positive, got {std_ratio}")
     if len(cloud) < k + 1:
         raise ValueError(f"cloud of {len(cloud)} points is too small for k={k}")
     dist = cKDTree(cloud.points).query(cloud.points, k + 1)[0]
@@ -360,15 +370,14 @@ def _jacobi3(a00, a01, a02, a11, a12, a22):
     kernels, and each row rounds as a scalar loop over Python floats does.
 
     Returns the diagonal (d0, d1, d2), the eigenvalues in no particular
-    order, each an (m,) array, and the (3, 3, m) array ``v`` whose
-    ``v[:, j]`` are the eigenvectors of dj. Where two eigenvalues tie, any
-    orthonormal basis of their plane is an answer, and this one may differ
-    from LAPACK's ``eigh``.
+    order, each an (m,) array, and the rows of V as nested lists of (m,)
+    arrays: ``v[i][j]`` is component i of the eigenvector of dj. Where two
+    eigenvalues tie, any orthonormal basis of their plane is an answer, and
+    this one may differ from LAPACK's ``eigh``.
     """
     a = [[a00, a01, a02], [a01, a11, a12], [a02, a12, a22]]
-    zero = np.zeros_like(a00)
-    v = np.zeros((3, 3, len(a00)))
-    v[range(3), range(3)] = 1.0
+    zero, one = np.zeros_like(a00), np.ones_like(a00)
+    v = [[one, zero, zero], [zero, one, zero], [zero, zero, one]]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(JACOBI_SWEEPS):
             for p, q, r in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
@@ -384,8 +393,9 @@ def _jacobi3(a00, a01, a02, a11, a12, a22):
                 arp, arq = a[r][p], a[r][q]
                 a[r][p] = a[p][r] = c * arp - s * arq
                 a[r][q] = a[q][r] = s * arp + c * arq
-                vp, vq = v[:, p], v[:, q]
-                v[:, p], v[:, q] = c * vp - s * vq, s * vp + c * vq
+                for row in v:
+                    vp, vq = row[p], row[q]
+                    row[p], row[q] = c * vp - s * vq, s * vp + c * vq
     return (a[0][0], a[1][1], a[2][2]), v
 
 
@@ -426,10 +436,9 @@ def estimate_normals_curvatures(cloud: PointCloud, k: int = PlannerConfig.k_neig
         a01, a02, a12 = ((c * d).sum(axis=1) / k for c, d in ((x, y), (x, z), (y, z)))
         total[block] = a00 + a11 + a22
         diag, v = _jacobi3(a00, a01, a02, a11, a12, a22)
-        eigvals = np.stack(diag, axis=1)
-        smallest = np.argmin(eigvals, axis=1)  # the first on ties
-        lam_min[block] = np.take_along_axis(eigvals, smallest[:, np.newaxis], axis=1)[:, 0]
-        normals[block] = np.take_along_axis(v, smallest[np.newaxis, np.newaxis], axis=1)[:, 0].T
+        smallest = np.argmin(np.stack(diag, axis=1), axis=1)  # the first on ties
+        lam_min[block] = np.choose(smallest, diag)
+        normals[block] = np.column_stack([np.choose(smallest, row) for row in v])
     degenerate = total <= 0.0
     if np.any(degenerate):
         logger.warning("%d degenerate neighborhoods (coincident points)", int(degenerate.sum()))

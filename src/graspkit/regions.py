@@ -95,13 +95,22 @@ def fit_plane_lsq(points: np.ndarray) -> tuple[np.ndarray, float, float]:
     return _plane_of_covariance(centered.T @ centered / len(pts), centroid)
 
 
-def _plane_of_covariance(cov: np.ndarray, centroid: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """``fit_plane_lsq``'s result from the points' 3×3 covariance and centroid."""
+def _plane_of_covariance(
+    cov: np.ndarray, centroid: np.ndarray, toward: np.ndarray | None = None
+) -> tuple[np.ndarray, float, float]:
+    """``fit_plane_lsq``'s result from the points' 3×3 covariance and centroid,
+    with the normal oriented to agree with ``toward``. The canonical sign
+    applies where ``toward`` is None or exactly perpendicular to the normal."""
     eigvals, eigvecs = np.linalg.eigh(cov)
     # rank < 2 means the points do not span a plane
     if eigvals[1] <= max(eigvals[2], 1.0) * 1e-12:
         raise DegenerateFitError("points are collinear or coincident")
-    normal = _canonical_sign(eigvecs[:, 0])
+    normal = eigvecs[:, 0]
+    side = 0.0 if toward is None else normal @ toward
+    if side < 0:
+        normal = -normal
+    elif side == 0:
+        normal = _canonical_sign(normal)
     offset = float(normal @ centroid)
     rms = float(np.sqrt(np.maximum(eigvals[0], 0.0)))
     return normal, offset, rms
@@ -134,7 +143,8 @@ def _grow_regions(cloud: PointCloud, params: PlannerConfig, hoods: np.ndarray) -
     A refit folds only the members accepted since the last one into running
     moments S1 = Σ d and S2 = Σ d dᵀ of the offsets d = x − x_seed, so each
     costs one 3×3 eigensolve whatever the region's size; the covariance
-    S2/m − (S1/m)(S1/m)ᵀ goes through ``fit_plane_lsq``'s own tail. Its plane
+    S2/m − (S1/m)(S1/m)ᵀ goes through ``fit_plane_lsq``'s own tail, which
+    orients the normal toward the seed normal. Its plane
     differs from a full refit's by round-off alone (within 1e-12 in the
     normal and 1e-14 m in the offset on the corpus and its scans).
     """
@@ -205,15 +215,11 @@ def _grow_regions(cloud: PointCloud, params: PlannerConfig, hoods: np.ndarray) -
                 folded = size
                 mean = s1 / (size - start)
                 try:
-                    fit_n, fit_d, _ = _plane_of_covariance(
-                        s2 / (size - start) - mean[:, np.newaxis] * mean, points[seed] + mean
+                    plane_n, plane_d, _ = _plane_of_covariance(
+                        s2 / (size - start) - mean[:, np.newaxis] * mean, points[seed] + mean, seed_normal
                     )
                 except DegenerateFitError:
                     pass
-                else:
-                    if fit_n @ seed_normal < 0:
-                        fit_n, fit_d = -fit_n, -fit_d
-                    plane_n, plane_d = fit_n, fit_d
                 since_refit = 0
                 # re-test the rest of the frontier's rows against the new plane
                 cand = cand[near[-1] + 1 :]

@@ -8,7 +8,10 @@ the library's output equals theirs bit for bit (``np.array_equal``), so every
 rounding choice of the vectorized code (summation order, dot products,
 tie-breaks) is pinned to these loops. ``knn_brute`` is the oracle of the
 neighbour layer and shares no code with it: it sorts all n points by
-(d², index) for one query at a time. ``knn_rows`` is the single-round
+(d², index) for one query at a time. ``voxel_downsample`` shares none
+either: it groups the points' values as Python float tuples by voxel,
+sorts each voxel's tuples and sums each column one member at a time.
+``knn_rows`` is the single-round
 k + KNN_SLACK neighbour table the library resolved every row with before it
 began with k + 2 candidates, with ``knn_brute`` for the rows that round
 leaves unresolved. The outlier filter's references take each row's ids
@@ -257,31 +260,45 @@ def estimate_normals_curvatures_eigh(cloud: PointCloud, k: int = 16) -> PointClo
 
 
 def voxel_downsample(cloud: PointCloud, voxel: float) -> PointCloud:
-    """One centroid per occupied voxel, one voxel at a time."""
-    coords = np.floor(cloud.points / voxel).astype(np.int64)
-    order = np.lexsort((np.arange(len(cloud)), coords[:, 2], coords[:, 1], coords[:, 0]))
-    sorted_coords = coords[order]
-    boundaries = np.ones(len(cloud), dtype=bool)
-    boundaries[1:] = np.any(sorted_coords[1:] != sorted_coords[:-1], axis=1)
-    starts = np.flatnonzero(boundaries)
-    ends = np.append(starts[1:], len(cloud))
+    """One mean per occupied voxel, one voxel at a time, in Python floats.
 
-    points = np.empty((len(starts), 3))
-    normals = np.empty((len(starts), 3)) if cloud.normals is not None else None
-    curvatures = np.empty(len(starts)) if cloud.curvatures is not None else None
-    for j, (a, b) in enumerate(zip(starts, ends)):
-        members = order[a:b]
-        points[j] = cloud.points[members].mean(axis=0)
-        if normals is not None:
-            mean_n = cloud.normals[members].mean(axis=0)
-            norm = np.linalg.norm(mean_n)
-            if norm < 1e-12:
-                normals[j] = cloud.normals[members.min()]
-            else:
-                normals[j] = mean_n / norm
-        if curvatures is not None:
-            curvatures[j] = np.clip(cloud.curvatures[members].mean(), 0.0, 1.0)
-    return PointCloud(points, normals, curvatures)
+    A point's voxel is ``math.floor`` of each coordinate over ``voxel``. A
+    voxel's members are sorted as tuples of their values (x, y, z, then the
+    normal and the curvature where the cloud has them), and each column is
+    summed one member at a time from 0.0. A mean normal shorter than 1e-12
+    gives way to the first sorted member's normal."""
+    columns = [cloud.points]
+    if cloud.normals is not None:
+        columns.append(cloud.normals)
+    if cloud.curvatures is not None:
+        columns.append(cloud.curvatures[:, np.newaxis])
+    voxels = {}
+    for values in np.hstack(columns).tolist():
+        key = tuple(math.floor(x / voxel) for x in values[:3])
+        voxels.setdefault(key, []).append(tuple(values))
+    means, firsts = [], []
+    for key in sorted(voxels):
+        members = sorted(voxels[key])
+        mean = []
+        for column in zip(*members):
+            total = 0.0
+            for value in column:
+                total += value
+            mean.append(total / len(members))
+        means.append(mean)
+        firsts.append(members[0])
+    means = np.array(means)
+    normals = curvatures = None
+    if cloud.normals is not None:
+        # each norm is of a row of one (voxels, 3) array: some BLAS kernels
+        # (Prescott) round a dot product by the memory alignment of its operands
+        normals = means[:, 3:6].copy()
+        for j, first in enumerate(firsts):
+            norm = np.linalg.norm(normals[j])
+            normals[j] = first[3:6] if norm < 1e-12 else normals[j] / norm
+    if cloud.curvatures is not None:
+        curvatures = np.array([min(max(c, 0.0), 1.0) for c in means[:, -1].tolist()])
+    return PointCloud(means[:, :3], normals, curvatures)
 
 
 def grow_regions(

@@ -416,6 +416,35 @@ class TestSpatialIndex:
         assert np.all(points[table[:, :3]] == points[:, np.newaxis])
 
 
+@st.composite
+def voxel_clouds(draw):
+    """(cloud, voxel size > 0): a few dozen points, some of them on a 1 mm
+    grid (ties in one coordinate), plus exact duplicates of some points
+    carrying other normals and curvatures, half of them the opposite normal
+    (so a voxel's mean normal can vanish); normals and curvatures each
+    present or not."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    points = rng.uniform(-0.01, 0.01, size=(draw(st.integers(1, 40)), 3))
+    if draw(st.booleans()):
+        points = np.round(points, 3)
+    normals = rng.normal(size=points.shape)
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    twins = rng.integers(len(points), size=draw(st.integers(0, len(points))))
+    twin_normals = rng.normal(size=(len(twins), 3))
+    twin_normals /= np.linalg.norm(twin_normals, axis=1, keepdims=True)
+    opposite = rng.random(len(twins)) < 0.5
+    twin_normals[opposite] = -normals[twins[opposite]]
+    points = np.vstack([points, points[twins]])
+    normals = np.vstack([normals, twin_normals])
+    curvatures = rng.uniform(0.0, 1.0, len(points))
+    cloud = PointCloud(
+        points,
+        normals if draw(st.booleans()) else None,
+        curvatures if draw(st.booleans()) else None,
+    )
+    return cloud, draw(st.sampled_from([0.0005, 0.002, 0.005, 0.05]))
+
+
 class TestVoxelDownsample:
     def test_cube_corners_collapse_to_center(self):
         corners = np.array(
@@ -475,6 +504,24 @@ class TestVoxelDownsample:
         with pytest.raises(ValueError):
             voxel_downsample(grid_cloud(3, 3), 0.0)
 
+    @pytest.mark.parametrize("voxel", [np.nan, np.inf, -np.inf, -0.01], ids=["nan", "inf", "-inf", "negative"])
+    def test_rejects_voxel_that_is_not_finite_and_positive(self, voxel):
+        with pytest.raises(ValueError, match="finite and positive"):
+            voxel_downsample(grid_cloud(3, 3), voxel)
+
+    @given(voxel_clouds(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_output_does_not_depend_on_point_order(self, cloud_and_voxel, seed):
+        # the same bits under a permutation, equal to the per-voxel definition
+        cloud, voxel = cloud_and_voxel
+        out = voxel_downsample(cloud, voxel)
+        shuffled = voxel_downsample(cloud.select(np.random.default_rng(seed).permutation(len(cloud))), voxel)
+        for attr in ("points", "normals", "curvatures"):
+            a, b, want = (getattr(c, attr) for c in (out, shuffled, ref.voxel_downsample(cloud, voxel)))
+            assert (a is None) == (b is None) == (want is None)
+            if a is not None:
+                assert a.tobytes() == b.tobytes() == want.tobytes()
+
 
 class TestOutlierRemoval:
     def test_far_point_removed(self, unit_sphere_cloud):
@@ -508,6 +555,20 @@ class TestOutlierRemoval:
         index = SpatialIndex(points)
         want = np.array([index.knn(p, k + 1)[1] for p in points])
         assert dist.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("ratio", [np.nan, np.inf, 0.0, -1.0], ids=["nan", "inf", "zero", "negative"])
+    def test_rejects_std_ratio_that_is_not_finite_and_positive(self, unit_sphere_cloud, ratio):
+        with pytest.raises(ValueError, match="std_ratio must be finite and positive"):
+            remove_statistical_outliers(unit_sphere_cloud, k=8, std_ratio=ratio)
+
+    @pytest.mark.parametrize("k", [12.0, np.float64(12.0), True, "12"], ids=["float", "float64", "bool", "str"])
+    def test_rejects_k_that_is_not_an_integer(self, unit_sphere_cloud, k):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            remove_statistical_outliers(unit_sphere_cloud, k=k)
+
+    def test_accepts_numpy_integer_k(self, unit_sphere_cloud):
+        want = remove_statistical_outliers(unit_sphere_cloud, k=12)
+        assert remove_statistical_outliers(unit_sphere_cloud, k=np.int64(12)).points.tobytes() == want.points.tobytes()
 
     def test_mean_distances_match_brute_force(self):
         points = random_points(80, seed=13)

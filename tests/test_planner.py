@@ -1,6 +1,7 @@
+import json
 import math
 import os
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction
 from unittest import mock
 
@@ -340,3 +341,23 @@ def test_best_grasp_invariant_under_point_permutation(corpus, default_config, na
             continue
         assert np.array_equal(got.best.candidate.contact_a, want.best.candidate.contact_a)
         assert np.array_equal(got.best.candidate.contact_b, want.best.candidate.contact_b)
+
+
+def _plan_json_without_input_hash(result) -> str:
+    data = result.to_json_dict()
+    del data["pipeline_metadata"]["input_sha256"]
+    return json.dumps(data, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("index, name", list(enumerate(corpus_standard())))
+def test_plan_json_invariant_under_point_permutation(default_config, index, name):
+    """The corpus cloud and its points-only 3x-density jittered scan (seed
+    64 + index) plan to the same JSON, the input hash aside, under 3 seeded
+    permutations of their points."""
+    spec = corpus_standard()[name]
+    scan = generate(replace(spec, density=spec.density * 3, jitter=3e-4, seed=64 + index))
+    for cloud in (generate(spec), PointCloud(scan.points)):
+        want = _plan_json_without_input_hash(plan(cloud, default_config))
+        for seed in range(3):
+            order = np.random.default_rng(seed).permutation(len(cloud))
+            assert _plan_json_without_input_hash(plan(cloud.select(order), default_config)) == want

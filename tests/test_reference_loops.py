@@ -362,15 +362,16 @@ def test_region_growth_matches_loop(clouds, name):
 def test_moment_refits_match_full_refits(clouds, name, monkeypatch):
     # each refit's plane from running moments, against fit_plane_lsq over
     # the same members (the same, as growth matches the full-refit loop)
+    # oriented toward the seed normal
     got = []
 
-    def spy(cov, centroid):
+    def spy(cov, centroid, toward=None):
         try:
-            plane = _plane_of_covariance(cov, centroid)
+            plane = _plane_of_covariance(cov, centroid, toward)
         except DegenerateFitError:
             got.append(None)
             raise
-        got.append(plane[:2])
+        got.append((*plane[:2], toward))
         return plane
 
     for cloud in clouds[name]:
@@ -386,11 +387,15 @@ def test_moment_refits_match_full_refits(clouds, name, monkeypatch):
         for plane, full in zip(got, want):
             assert (plane is None) == (full is None)
             if plane is not None:
-                assert np.abs(plane[0] - full[0]).max() <= 1e-12
-                assert abs(plane[1] - full[1]) <= 1e-14
+                # the refit is oriented toward the seed normal, the full fit canonically
+                normal, offset, toward = plane
+                if full[0] @ toward < 0:
+                    full = (-full[0], -full[1])
+                assert np.abs(normal - full[0]).max() <= 1e-12
+                assert abs(offset - full[1]) <= 1e-14
 
 
-def test_voxel_with_cancelling_normals_takes_lowest_index_member():
+def test_voxel_with_cancelling_normals_takes_first_member_in_value_order():
     normals = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 0.0, 1.0], [-1.0, 0.0, 0.0]])
     points = np.array([[0.1, 0.1, 0.1], [0.2, 0.2, 0.2], [0.3, 0.3, 0.3], [0.4, 0.4, 0.4]])
     # all four points fall in voxel (0, 0, 0) of size 0.5, and their normals cancel
@@ -398,23 +403,31 @@ def test_voxel_with_cancelling_normals_takes_lowest_index_member():
     out = voxel_downsample(cloud, 0.5)
     assert_clouds_equal(out, ref.voxel_downsample(cloud, 0.5))
     assert np.array_equal(out.normals, [[1.0, 0.0, 0.0]])
-    # reversed order: the lowest-index member is now the -x one
+    # reversed order: the member of least value is still the +x one
     rev = PointCloud(points[::-1], normals[::-1], np.full(4, 0.25))
-    assert np.array_equal(voxel_downsample(rev, 0.5).normals, [[-1.0, 0.0, 0.0]])
+    assert_clouds_equal(voxel_downsample(rev, 0.5), out)
+    # one point twice with opposite normals: the -x normal sorts first
+    twin = PointCloud(points[[0, 0]], normals[[0, 3]])
+    for order in ([0, 1], [1, 0]):
+        assert np.array_equal(voxel_downsample(twin.select(order), 0.5).normals, [[-1.0, 0.0, 0.0]])
 
 
-def test_voxel_of_nine_members_averages_pairwise():
+def test_voxel_of_nine_members_sums_in_value_order():
     rng = np.random.default_rng(4)
     curvatures = rng.uniform(0.0, 1.0, 9)
-    # numpy's pairwise sum of 9 values differs from a left-to-right sum here
-    assert np.add.reduceat(curvatures, [0])[0] != curvatures.sum()
     normals = rng.normal(size=(9, 3))
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    cloud = PointCloud(rng.uniform(0.0, 0.01, (9, 3)), normals, curvatures)
+    points = rng.uniform(0.0, 0.01, (9, 3))
+    cloud = PointCloud(points, normals, curvatures)
     out = voxel_downsample(cloud, 0.05)
     assert len(out) == 1
     assert_clouds_equal(out, ref.voxel_downsample(cloud, 0.05))
-    assert out.curvatures[0] == curvatures.mean()
+    # the curvatures are summed left to right in the members' x order, which
+    # here differs from numpy's pairwise sum in input order
+    total = 0.0
+    for c in curvatures[np.argsort(points[:, 0])]:
+        total += c
+    assert out.curvatures[0] == total / 9 != curvatures.mean()
 
 
 def test_refit_in_the_middle_of_a_neighbour_row():
