@@ -10,6 +10,8 @@ when region_a's first member has a higher cloud index than region_b's.
 Reversing a pair negates its common normal too, so a pair and its reverse
 project identically and pick the same contacts, each in its own order: the
 sides swap, the grasp axis is negated and the width is bit-equal.
+A contact's inward normal is its region's plane normal, ``cloud._orient``-ed
+toward the other region's centroid.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import PointCloud
+from .cloud import PointCloud, _orient
+from .mechanics import plane_frame
 from .regions import PlanarRegion
 
 
@@ -85,17 +88,6 @@ def find_antiparallel_pairs(
         )
         for t in np.flatnonzero(fits)[np.argsort(angle[fits], kind="stable")]
     ]
-
-
-def plane_frame(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """In-plane basis (u, v): u tracks global +X (or +Y when the normal is near X)."""
-    n = np.asarray(normal, dtype=np.float64)
-    ref = np.array([1.0, 0.0, 0.0])
-    if abs(n @ ref) > 0.9:
-        ref = np.array([0.0, 1.0, 0.0])
-    u = ref - (ref @ n) * n
-    u = u / np.linalg.norm(u)
-    return u, np.cross(n, u)
 
 
 def overlap_region(
@@ -186,8 +178,8 @@ def make_candidates(
     if box is None:
         return []
 
-    normal_a = _toward(region_a.plane_normal, region_b.centroid - region_a.centroid)
-    normal_b = _toward(region_b.plane_normal, region_a.centroid - region_b.centroid)
+    normal_a = _orient(region_a.plane_normal, region_b.centroid - region_a.centroid)
+    normal_b = _orient(region_b.plane_normal, region_a.centroid - region_b.centroid)
     out: list[GraspCandidate] = []
     seen: set[tuple[int, int]] = set()
     for sample in _sample_locations(*box, max(32, 4 * n_per_pair)):
@@ -217,8 +209,3 @@ def make_candidates(
             )
         )
     return out
-
-
-def _toward(normal: np.ndarray, direction: np.ndarray) -> np.ndarray:
-    """Orient ``normal`` to point along ``direction`` (toward the other region)."""
-    return normal if normal @ direction > 0 else -normal

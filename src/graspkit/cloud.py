@@ -200,6 +200,7 @@ class SpatialIndex:
         the first k; a round of all n points accepts every row.
         """
         n = len(self._points)
+        _check_k(k)
         if not 1 <= k <= n:
             raise ValueError(f"k must be in [1, {n}], got {k}")
         out, rows = self._candidate_rows(queries, k, min(k + KNN_FIRST_SLACK, n))
@@ -251,6 +252,7 @@ class SpatialIndex:
         with a lower index exists. The latest table is kept read-only and
         returned again for the same k.
         """
+        _check_k(k)  # before the cache, where 3.0 == 3
         if self._table is None or self._table[0] != k:
             rows = self._knn_rows(self._points, k)
             rows.setflags(write=False)
@@ -328,8 +330,7 @@ def remove_statistical_outliers(
     (n, k + 1) query result the filter holds only the n mean distances: it
     averages a view of the distances, without a mask or a copy of them.
     """
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
-        raise ValueError(f"k must be an integer, got {k!r}")
+    _check_k(k)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if not (np.isfinite(std_ratio) and std_ratio > 0):
@@ -354,6 +355,27 @@ def _canonical_sign(v: np.ndarray) -> np.ndarray:
     """Flip each (..., 3) vector so its first largest-magnitude component is positive."""
     dominant = np.take_along_axis(v, np.argmax(np.abs(v), axis=-1)[..., np.newaxis], axis=-1)
     return np.where(dominant >= 0, v, -v)
+
+
+def _orient(v: np.ndarray, toward: np.ndarray) -> np.ndarray:
+    """The one orientation rule: negate each of ``v`` (3,) or (m, 3) whose dot
+    with ``toward`` (same shape) is negative, ``_canonical_sign`` where it is
+    exactly 0. The dot is an ``einsum``, the same bits under every BLAS kernel
+    and for a vector alone as for its row of a stack."""
+    side = np.einsum("...i,...i->...", v, toward)
+    if v.ndim == 1:
+        if side < 0:
+            return -v
+        return _canonical_sign(v) if side == 0 else v
+    out = np.where(side[:, np.newaxis] < 0, -v, v)
+    tangent = side == 0
+    out[tangent] = _canonical_sign(out[tangent])
+    return out
+
+
+def _check_k(k) -> None:
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+        raise ValueError(f"k must be an integer, got {k!r}")
 
 
 def _jacobi3(a00, a01, a02, a11, a12, a22):
@@ -406,8 +428,8 @@ def estimate_normals_curvatures(cloud: PointCloud, k: int = PlannerConfig.k_neig
     itself included), from ``cloud.index.knn_all(k)``; the returned cloud
     shares that index and its table. The normal is the eigenvector of the
     smallest covariance eigenvalue (the first on ties), oriented away from
-    the cloud centroid; curvature is lambda_min / trace, clamped to [0, 1].
-    A neighbourhood whose trace is not positive (coincident points)
+    the cloud centroid by ``_orient``; curvature is lambda_min / trace,
+    clamped to [0, 1]. A neighbourhood whose trace is not positive (coincident points)
     degrades to normal +Z with curvature 0 and is logged.
 
     Covariances are formed per block of KNN_BLOCK rows: the block's three
@@ -418,6 +440,7 @@ def estimate_normals_curvatures(cloud: PointCloud, k: int = PlannerConfig.k_neig
     eigenvalues and traces. Each row rounds as it would alone, and no step
     calls BLAS or LAPACK, so the result is the same under every kernel.
     """
+    _check_k(k)
     if k < 3:
         raise ValueError(f"k must be >= 3, got {k}")
     if len(cloud) < k:
@@ -444,13 +467,7 @@ def estimate_normals_curvatures(cloud: PointCloud, k: int = PlannerConfig.k_neig
         logger.warning("%d degenerate neighborhoods (coincident points)", int(degenerate.sum()))
         normals[degenerate] = (0.0, 0.0, 1.0)
     curvatures = np.clip(np.where(degenerate, 0.0, lam_min / np.where(degenerate, 1.0, total)), 0.0, 1.0)
-    # Orient away from the cloud centroid; exactly tangent normals fall back
-    # to the canonical largest-component-positive sign.
-    outward = cloud.points - cloud.centroid()
-    side = np.einsum("ni,ni->n", normals, outward)
-    normals[side < 0] *= -1.0
-    tangent = side == 0
-    normals[tangent] = _canonical_sign(normals[tangent])
+    normals = _orient(normals, cloud.points - cloud.centroid())
     norms = np.linalg.norm(normals, axis=1, keepdims=True)
     normals = normals / norms
     return cloud.with_attrs(normals=normals, curvatures=curvatures)

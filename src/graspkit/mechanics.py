@@ -11,9 +11,10 @@ the torque scale; the cone test needs only the contact line and the
 normals. ``stacked_force_closure`` classifies many two-contact grasps from
 positions and normals alone, and ``force_closure`` is its one-row call.
 The frame API (``build_contact_frame``, ``build_grasp_map``) stays for
-callers that want G itself. Each input is checked once, where it enters:
-normals in ``stacked_rotations`` or ``stacked_force_closure``, a rotation
-in ``ContactFrame``.
+callers that want G itself; ``plane_frame`` gives its X and Y axes and the
+contact stage's projection basis. Each input is checked once, where it
+enters: normals in ``build_contact_frame`` or ``stacked_force_closure``, a
+rotation in ``ContactFrame``.
 """
 
 from __future__ import annotations
@@ -71,29 +72,25 @@ def _unit_normals(inward_normals) -> np.ndarray:
     return n / norm
 
 
-def stacked_rotations(inward_normals) -> np.ndarray:
-    """(..., 3, 3) contact rotations, one per row of ``inward_normals`` (..., 3).
-
-    Column Z is the normalized inward normal. Column X is the normalized
-    rejection of global +X from the normal, falling back to +Y when the
-    normal is nearly parallel to X (|n . x| > 0.9); Y = Z x X completes the
-    right-handed set. Normals pass ``_unit_normals``; from such normals the
-    result is a proper rotation to about 1e-15, so it is not re-checked.
-    Each row rounds exactly like a one-row call, so stacking never changes
-    a bit.
-    """
-    n = _unit_normals(inward_normals)
-    ref = np.where(np.abs(n[..., :1]) > 0.9, (0.0, 1.0, 0.0), (1.0, 0.0, 0.0))
-    x = ref - np.vecdot(ref, n)[..., np.newaxis] * n
-    x = x / np.sqrt(np.vecdot(x, x))[..., np.newaxis]
-    return np.stack([x, np.cross(n, x), n], axis=-1)
+def plane_frame(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one tangent frame: unit u rejects global +X from the unit ``normal``
+    (+Y where |n . x| > 0.9), and v = normal x u, so (u, v, normal) is right-handed."""
+    n = np.asarray(normal, dtype=np.float64)
+    ref = np.array([1.0, 0.0, 0.0])
+    if abs(n @ ref) > 0.9:
+        ref = np.array([0.0, 1.0, 0.0])
+    u = ref - (ref @ n) * n
+    u = u / np.linalg.norm(u)
+    return u, np.cross(n, u)
 
 
 def build_contact_frame(contact, inward_normal, mu: float = 0.5) -> ContactFrame:
-    """Frame at ``contact`` with Z along the inward normal (see ``stacked_rotations``)."""
+    """Frame at ``contact`` with columns ``plane_frame(n)`` and n, the inward
+    normal checked and normalized by ``_unit_normals``."""
+    n = _unit_normals(inward_normal)
     return ContactFrame(
         origin=np.asarray(contact, dtype=np.float64),
-        rotation=stacked_rotations(inward_normal),
+        rotation=np.column_stack([*plane_frame(n), n]),
         mu=mu,
     )
 

@@ -6,6 +6,8 @@ lies within a distance tolerance of the region's incrementally refitted
 plane. The distance slack is what lets gently curved surfaces come out as a
 small number of locally planar patches instead of fragmenting.
 Its five parameters are fields of ``PlannerConfig``, which checks them.
+``cloud._orient`` signs every plane normal: a refit's toward the seed normal,
+a region's toward its members' mean normal, ``fit_plane_lsq``'s canonically.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import PointCloud, _canonical_sign
+from .cloud import PointCloud, _orient
 from .config import PlannerConfig
 
 logger = logging.getLogger(__name__)
@@ -92,25 +94,20 @@ def fit_plane_lsq(points: np.ndarray) -> tuple[np.ndarray, float, float]:
         raise DegenerateFitError("plane fit needs at least 3 points")
     centroid = pts.mean(axis=0)
     centered = pts - centroid
-    return _plane_of_covariance(centered.T @ centered / len(pts), centroid)
+    return _plane_of_covariance(centered.T @ centered / len(pts), centroid, np.zeros(3))
 
 
 def _plane_of_covariance(
-    cov: np.ndarray, centroid: np.ndarray, toward: np.ndarray | None = None
+    cov: np.ndarray, centroid: np.ndarray, toward: np.ndarray
 ) -> tuple[np.ndarray, float, float]:
     """``fit_plane_lsq``'s result from the points' 3×3 covariance and centroid,
-    with the normal oriented to agree with ``toward``. The canonical sign
-    applies where ``toward`` is None or exactly perpendicular to the normal."""
+    with the normal oriented toward ``toward`` by ``_orient``: the canonical
+    sign where ``toward`` is zero or exactly perpendicular to the normal."""
     eigvals, eigvecs = np.linalg.eigh(cov)
     # rank < 2 means the points do not span a plane
     if eigvals[1] <= max(eigvals[2], 1.0) * 1e-12:
         raise DegenerateFitError("points are collinear or coincident")
-    normal = eigvecs[:, 0]
-    side = 0.0 if toward is None else normal @ toward
-    if side < 0:
-        normal = -normal
-    elif side == 0:
-        normal = _canonical_sign(normal)
+    normal = _orient(eigvecs[:, 0], toward)
     offset = float(normal @ centroid)
     rms = float(np.sqrt(np.maximum(eigvals[0], 0.0)))
     return normal, offset, rms
@@ -119,12 +116,10 @@ def _plane_of_covariance(
 def _finish_region(cloud: PointCloud, members: np.ndarray) -> PlanarRegion:
     idx = np.sort(members)
     pts = cloud.points[idx]
-    normal, _, _ = fit_plane_lsq(pts)  # a full fit, not the growth's moments: this normal is serialized
-    # Align the fitted normal with the members' stored orientation so that
-    # opposite faces of an object keep opposite region normals.
-    mean_member_normal = cloud.normals[idx].mean(axis=0)
-    if normal @ mean_member_normal < 0:
-        normal = -normal
+    # A full fit, not the growth's moments: this normal decides pairing and
+    # contacts. It points along the members' mean stored normal, so opposite
+    # faces of an object keep opposite region normals.
+    normal = _orient(fit_plane_lsq(pts)[0], cloud.normals[idx].mean(axis=0))
     return PlanarRegion(point_indices=idx, plane_normal=normal, centroid=pts.mean(axis=0))
 
 

@@ -40,6 +40,10 @@ generators ran before they became array expressions: one ``np.array`` per
 point, ``math`` sines and cosines per angle, ``np.linalg.norm`` per
 ellipsoid normal and the curvature proxy one point at a time.
 
+``orient`` is the package's orientation rule one vector at a time in
+Python floats, with its own canonical sign; it shares no code with
+``cloud._orient``.
+
 ``solve_stability_slsqp`` is the iterative solver the library ran per
 candidate before it computed the stability optimum in closed form. Tests
 assert that the closed form is never worse than it, and check feasibility
@@ -365,6 +369,22 @@ def grow_regions(
                     since_refit = 0
         raw_regions.append(members)
     return raw_regions
+
+
+def orient(v, toward) -> np.ndarray:
+    """``cloud._orient`` one vector at a time in Python floats. The dot sums
+    the products as (v0 t0 + v2 t2) + v1 t1, the order numpy's ``einsum``
+    takes over a 3-vector; where it is exactly 0 the vector is negated if its
+    first largest-magnitude component is negative."""
+    v = np.asarray(v, dtype=np.float64)
+    out = []
+    for x, t in zip(np.reshape(v, (-1, 3)).tolist(), np.reshape(toward, (-1, 3)).tolist()):
+        side = (x[0] * t[0] + x[2] * t[2]) + x[1] * t[1]
+        if side == 0:
+            largest = max(abs(c) for c in x)
+            side = next(c for c in x if abs(c) == largest)
+        out.append([-c for c in x] if side < 0 else x)
+    return np.reshape(out, v.shape)
 
 
 def contact_rotation(inward_normal) -> np.ndarray:

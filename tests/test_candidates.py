@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graspkit.candidates import (
+    RegionPair,
     find_antiparallel_pairs,
     make_candidates,
     overlap_region,
     plane_frame,
 )
 from graspkit.cloud import PointCloud
-from graspkit.regions import segment
+from graspkit.regions import PlanarRegion, segment
 from graspkit.shapes import ShapeSpec, generate
 
 from conftest import planar_grid
@@ -245,6 +246,24 @@ class TestMakeCandidates:
         cand = make_candidates(pair, cloud, n_per_pair=1, max_width=0.1)[0]
         assert cand.normal_a @ (cand.contact_b - cand.contact_a) > 0
         assert cand.normal_b @ (cand.contact_a - cand.contact_b) > 0
+
+    def test_perpendicular_normal_takes_the_canonical_sign(self):
+        # Two interleaved grids in the plane z = 0: region a's normal +Z is
+        # exactly perpendicular to the centroid offset (1/512, 0, 0), so the
+        # orientation rule's tie gives the canonical sign and keeps +Z; the
+        # same tie turns region b's -Z into +Z.
+        grid = np.array([[i / 256, j / 256, 0.0] for i in range(8) for j in range(8)])
+        points = np.vstack([grid, grid + [1 / 512, 0.0, 0.0]])
+        cloud = PointCloud(points)
+        a = PlanarRegion(np.arange(64), np.array([0.0, 0.0, 1.0]), points[:64].mean(axis=0))
+        b = PlanarRegion(np.arange(64, 128), np.array([0.0, 0.0, -1.0]), points[64:].mean(axis=0))
+        assert (b.centroid - a.centroid) @ a.plane_normal == 0.0
+        pair = RegionPair(a, b, np.array([0.0, 0.0, 1.0]), 0.0, 0.0, 0, 1)
+        cands = make_candidates(pair, cloud)
+        assert cands
+        for cand in cands:
+            assert np.array_equal(cand.normal_a, [0.0, 0.0, 1.0])
+            assert np.array_equal(cand.normal_b, [0.0, 0.0, 1.0])
 
     def test_deterministic(self, sphere_cloud):
         seg = segment(sphere_cloud)

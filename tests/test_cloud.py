@@ -415,6 +415,17 @@ class TestSpatialIndex:
         assert np.any(table[:, 0] != np.arange(len(points)))
         assert np.all(points[table[:, :3]] == points[:, np.newaxis])
 
+    @pytest.mark.parametrize("k", [3.0, np.float64(3.0), True, "3"], ids=["float", "float64", "bool", "str"])
+    def test_rejects_k_that_is_not_an_integer(self, k):
+        # also where a table for the equal integer k is already kept
+        index = SpatialIndex(random_points(50, seed=2))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="k must be an integer"):
+                index.knn_all(k)
+            with pytest.raises(ValueError, match="k must be an integer"):
+                index.knn(index.points[0], k)
+            index.knn_all(3)
+
 
 @st.composite
 def voxel_clouds(draw):
@@ -649,6 +660,11 @@ class TestNormalEstimation:
         cloud = PointCloud(sphere_points(n, seed=4))
         cloud.index.knn_all(k)
         assert traced_peak(lambda: estimate_normals_curvatures(cloud, k=k)) < 8 * n * k * 3
+
+    @pytest.mark.parametrize("k", [16.0, np.float64(16.0), True, "16"], ids=["float", "float64", "bool", "str"])
+    def test_rejects_k_that_is_not_an_integer(self, unit_sphere_cloud, k):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            estimate_normals_curvatures(unit_sphere_cloud, k)
 
     def test_rejects_small_k_or_cloud(self):
         with pytest.raises(ValueError):

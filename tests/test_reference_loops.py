@@ -9,6 +9,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import reference_loops as ref
 from graspkit import candidates
@@ -18,6 +20,7 @@ from graspkit.cloud import (
     PointCloud,
     SpatialIndex,
     _canonical_sign,
+    _orient,
     estimate_normals_curvatures,
     remove_statistical_outliers,
     voxel_downsample,
@@ -312,6 +315,27 @@ def test_tangent_normals_of_a_diagonal_patch_take_the_canonical_sign():
     assert tangent.sum() > 2000
     assert np.array_equal(estimated.normals[tangent], _canonical_sign(estimated.normals[tangent]))
     assert_clouds_equal(estimated, ref.estimate_normals_curvatures(cloud, CONFIG.k_neighbors))
+
+
+# small integers make exactly perpendicular pairs common; the floats reach
+# subnormal and large magnitudes, where the dot's summation order matters
+ORIENT_COORD = st.one_of(st.integers(-2, 2).map(float), st.floats(-1e100, 1e100, allow_nan=False))
+ORIENT_ROWS = st.lists(st.tuples(*[ORIENT_COORD] * 6), min_size=1, max_size=12)
+
+
+@given(ORIENT_ROWS)
+@example([(1.0, 0.0, 0.0, 0.0, 1.0, 0.0)])
+@example([(0.0, 0.0, 1.0, 1.0, 0.0, 0.0), (-1.0, 0.0, 0.0, 0.0, 1.0, 0.0), (0.0, -2.0, 2.0, 1.0, 0.0, 0.0)])
+@example([(-1.0, 1e-300, 1.0, 1.0, 1.0, 1.0)])  # positive in einsum's order, 0 left to right
+@settings(max_examples=300, deadline=None)
+def test_orient_matches_the_loop(rows):
+    # the one tie rule: a negative dot negates, an exact 0 takes the canonical
+    # sign, and a vector alone gives the bits of its row of a stack
+    v, toward = np.array([r[:3] for r in rows]), np.array([r[3:] for r in rows])
+    got = _orient(v, toward)
+    assert got.tobytes() == ref.orient(v, toward).tobytes()
+    for i in range(len(v)):
+        assert _orient(v[i], toward[i]).tobytes() == got[i].tobytes()
 
 
 def block_edge_cloud(n: int) -> PointCloud:
