@@ -5,11 +5,10 @@ planar regions, chosen where the regions' projections onto their common
 plane overlap. Projection is rank-2, so the original 3D points are carried
 alongside their 2D coordinates instead of ever inverting it.
 
-The projection basis is ``plane_frame`` of the pair's common normal, negated
-when region_a's first member has a higher cloud index than region_b's.
-Reversing a pair negates its common normal too, so a pair and its reverse
-project identically and pick the same contacts, each in its own order: the
-sides swap, the grasp axis is negated and the width is bit-equal.
+A pair's common normal is normalize(n_lo - n_hi), lo the region with the lower
+first cloud index, set only in ``find_antiparallel_pairs``. Contacts project
+onto its ``plane_frame``, so a pair and its reverse pick the same contacts with
+sides swapped, the grasp axis (b - a) / width negated and the width bit-equal.
 A contact's inward normal is its region's plane normal, ``cloud._orient``-ed
 toward the other region's centroid.
 """
@@ -28,6 +27,8 @@ from .regions import PlanarRegion
 
 @dataclass(frozen=True)
 class RegionPair:
+    """Two antiparallel regions; ``common_normal`` is normalize(n_lo - n_hi) (module docstring)."""
+
     region_a: PlanarRegion
     region_b: PlanarRegion
     common_normal: np.ndarray
@@ -67,13 +68,13 @@ def find_antiparallel_pairs(
     first, second = np.triu_indices(len(regions), 1)
     cos_dev = np.clip(np.vecdot(normals[first], -normals[second]), -1.0, 1.0)
     angle = np.degrees(np.arccos(cos_dev))
-    near = angle <= max_angle_deg
-    first, second, angle = first[near], second[near], angle[near]
     direction = normals[first] - normals[second]
     norm = np.sqrt(np.vecdot(direction, direction))
-    distinct = norm >= 1e-12
-    first, second, angle = first[distinct], second[distinct], angle[distinct]
-    common = direction[distinct] / norm[distinct, np.newaxis]
+    keep = (angle <= max_angle_deg) & (norm >= 1e-12)
+    first, second, angle = first[keep], second[keep], angle[keep]
+    common = direction[keep] / norm[keep, np.newaxis]
+    first_member = np.array([r.point_indices[0] for r in regions])
+    common[first_member[first] > first_member[second]] *= -1.0  # n_lo - n_hi
     separation = np.abs(np.vecdot(centroids[first] - centroids[second], common))
     fits = (separation > 0.0) & (separation <= max_width)
     return [
@@ -167,9 +168,7 @@ def make_candidates(
     contact; pairs wider than ``max_width`` are dropped.
     """
     region_a, region_b = pair.region_a, pair.region_b
-    # the canonical orientation of the module docstring
-    canonical = int(region_a.point_indices[0]) <= int(region_b.point_indices[0])
-    u, v = plane_frame(pair.common_normal if canonical else -pair.common_normal)
+    u, v = plane_frame(pair.common_normal)
     points_a = cloud.points[region_a.point_indices]
     points_b = cloud.points[region_b.point_indices]
     proj_a = np.column_stack([points_a @ u, points_a @ v])
@@ -196,15 +195,13 @@ def make_candidates(
         width = float(np.linalg.norm(delta))
         if width <= 0 or width > max_width:
             continue
-        # a reversed pair negates the canonical axis, signed zeros included
-        axis = delta / width if canonical else -((contact_a - contact_b) / width)
         out.append(
             GraspCandidate(
                 contact_a=contact_a,
                 contact_b=contact_b,
                 normal_a=normal_a,
                 normal_b=normal_b,
-                grasp_axis=axis,
+                grasp_axis=delta / width,
                 width=width,
             )
         )

@@ -288,6 +288,8 @@ def voxel_downsample(cloud: PointCloud, voxel: float) -> PointCloud:
         raise ValueError(f"voxel size must be finite and positive, got {voxel}")
     if len(cloud) == 0:
         return cloud
+    if not float(np.abs(cloud.points).max()) / voxel < 2.0**62:  # bounds every |floor(p / voxel)|
+        raise ValueError(f"voxel size {voxel} puts the points beyond the int64 voxel grid")
     coords = np.floor(cloud.points / voxel).astype(np.int64)
     columns = [*cloud.points.T]
     if cloud.normals is not None:
@@ -342,13 +344,17 @@ def remove_statistical_outliers(
     # it leaves the same k distances, in the same order, as skipping the
     # row's own entry (when duplicates share distance 0, any one of them).
     mean_d = dist[:, 1:].mean(axis=1)
-    threshold = mean_d.mean() + std_ratio * mean_d.std()
-    mask = mean_d <= threshold
+    mask = mean_d <= _outlier_threshold(mean_d, std_ratio)
     n = len(cloud)
     removed = int(n - mask.sum())
     if removed:
         logger.debug("outlier filter removed %d of %d points", removed, n)
     return cloud.select(np.flatnonzero(mask))
+
+
+def _outlier_threshold(mean_d: np.ndarray, std_ratio: float) -> float:
+    ordered = np.sort(mean_d)  # summed in value order, so no point order changes the bits
+    return ordered.mean() + std_ratio * ordered.std()
 
 
 def _canonical_sign(v: np.ndarray) -> np.ndarray:
@@ -360,9 +366,9 @@ def _canonical_sign(v: np.ndarray) -> np.ndarray:
 def _orient(v: np.ndarray, toward: np.ndarray) -> np.ndarray:
     """The one orientation rule: negate each of ``v`` (3,) or (m, 3) whose dot
     with ``toward`` (same shape) is negative, ``_canonical_sign`` where it is
-    exactly 0. The dot is an ``einsum``, the same bits under every BLAS kernel
-    and for a vector alone as for its row of a stack."""
-    side = np.einsum("...i,...i->...", v, toward)
+    exactly 0. The dot is an ``einsum`` of C-ordered operands (it sums F order otherwise):
+    the same bits under every BLAS kernel and layout, and for a vector alone as in a stack."""
+    side = np.einsum("...i,...i->...", np.ascontiguousarray(v), np.ascontiguousarray(toward))
     if v.ndim == 1:
         if side < 0:
             return -v

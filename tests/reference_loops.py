@@ -119,6 +119,8 @@ def find_antiparallel_pairs(regions, max_angle_deg: float = 15.0, max_width: flo
             if norm < 1e-12:
                 continue
             common = direction / norm
+            if a.point_indices[0] > b.point_indices[0]:
+                common = -common  # n_lo - n_hi: the region with the lower first member leads
             separation = abs(float((a.centroid - b.centroid) @ common))
             if not 0.0 < separation <= max_width:
                 continue

@@ -213,18 +213,21 @@ class TestMakeCandidates:
 
     def test_swap_symmetry_keeps_signed_zeros(self):
         # facing grids without offset: every grasp axis is (0, 0, +-1) exactly
-        self.assert_swap_symmetric(parallel_grid_cloud(gap=0.05))
+        forward, backward = self.assert_swap_symmetric(parallel_grid_cloud(gap=0.05))
+        for f, b in zip(forward, backward):
+            for axis in (f.grasp_axis, b.grasp_axis):
+                assert not np.signbit(axis[axis == 0.0]).any()
 
     def assert_swap_symmetric(self, cloud):
         seg = segment(cloud)
         pair = find_antiparallel_pairs(seg.regions, 10.0, 0.1)[0]
         forward = make_candidates(pair, cloud, n_per_pair=5, max_width=0.1)
         assert forward
+        # the common normal belongs to the unordered pair, so it is kept
         reversed_pair = dataclasses.replace(
             pair,
             region_a=pair.region_b,
             region_b=pair.region_a,
-            common_normal=-pair.common_normal,
             index_a=pair.index_b,
             index_b=pair.index_a,
         )
@@ -235,9 +238,9 @@ class TestMakeCandidates:
             np.testing.assert_array_equal(f.contact_b, b.contact_a)
             np.testing.assert_array_equal(f.normal_a, b.normal_b)
             assert f.normal_b.tobytes() == b.normal_a.tobytes()
-            # bytewise, so the signed zeros of the axis must match too
-            assert (-f.grasp_axis).tobytes() == b.grasp_axis.tobytes()
+            np.testing.assert_array_equal(-f.grasp_axis, b.grasp_axis)
             assert f.width == b.width
+        return forward, backward
 
     def test_inward_normals_face_each_other(self):
         cloud = parallel_grid_cloud(gap=0.05)

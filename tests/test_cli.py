@@ -52,6 +52,11 @@ class TestPlanCommand:
         code = cli_main(["plan", "--input", str(tmp_path / "nope.ply")])
         assert code == 1
 
+    def test_voxel_beyond_the_int64_grid_is_error(self, box_ply, monkeypatch, capsys):
+        monkeypatch.setenv("GRASPKIT_VOXEL_SIZE", "1e-25")
+        assert cli_main(["plan", "--input", str(box_ply)]) == 1
+        assert "voxel size 1e-25" in capsys.readouterr().err
+
     def test_repeat_runs_byte_identical(self, box_ply, tmp_path):
         out_a, out_b = tmp_path / "a.json", tmp_path / "b.json"
         assert cli_main(["plan", "--input", str(box_ply), "--output", str(out_a)]) == EXIT_OK

@@ -14,6 +14,7 @@ from graspkit.cloud import (
     PointCloud,
     SpatialIndex,
     _jacobi3,
+    _outlier_threshold,
     estimate_normals_curvatures,
     remove_statistical_outliers,
     voxel_downsample,
@@ -520,6 +521,12 @@ class TestVoxelDownsample:
         with pytest.raises(ValueError, match="finite and positive"):
             voxel_downsample(grid_cloud(3, 3), voxel)
 
+    @pytest.mark.parametrize("voxel", [1e-25, 1e-310], ids=["int64-overflow", "inf"])
+    def test_rejects_voxel_that_overflows_the_grid(self, box_cloud, voxel):
+        # floor(p / voxel) beyond int64 (or inf) would collapse the cloud into a few voxels
+        with pytest.raises(ValueError, match=f"voxel size {voxel} "):
+            voxel_downsample(box_cloud, voxel)
+
     @given(voxel_clouds(), st.integers(0, 2**32 - 1))
     @settings(max_examples=80, deadline=None)
     def test_output_does_not_depend_on_point_order(self, cloud_and_voxel, seed):
@@ -598,6 +605,17 @@ class TestOutlierRemoval:
     def test_too_small_cloud_rejected(self):
         with pytest.raises(ValueError):
             remove_statistical_outliers(PointCloud(np.zeros((5, 3))), k=5)
+
+    @given(
+        st.lists(st.floats(0.0, 1.0), min_size=2, max_size=300),
+        st.floats(0.1, 5.0),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_threshold_does_not_depend_on_point_order(self, mean_d, ratio, seed):
+        mean_d = np.array(mean_d)
+        shuffled = np.random.default_rng(seed).permutation(mean_d)
+        assert _outlier_threshold(mean_d, ratio) == _outlier_threshold(shuffled, ratio)
 
     def test_reduction_adds_no_table_sized_scratch(self, monkeypatch):
         # Peak from the moment the tree query returns its (n, k + 1) distances

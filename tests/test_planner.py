@@ -361,3 +361,22 @@ def test_plan_json_invariant_under_point_permutation(default_config, index, name
         for seed in range(3):
             order = np.random.default_rng(seed).permutation(len(cloud))
             assert _plan_json_without_input_hash(plan(cloud.select(order), default_config)) == want
+
+
+def _negative_zeros(value) -> int:
+    """How many floats of a parsed JSON value are -0.0."""
+    if isinstance(value, dict):
+        return sum(_negative_zeros(v) for v in value.values())
+    if isinstance(value, list):
+        return sum(_negative_zeros(v) for v in value)
+    return int(isinstance(value, float) and value == 0.0 and math.copysign(1.0, value) < 0.0)
+
+
+@pytest.mark.parametrize("index, name", list(enumerate(corpus_standard())))
+def test_plan_json_holds_no_negative_zero(default_config, index, name):
+    """The corpus cloud and its points-only 3x-density jittered scan (seed
+    64 + index) plan to JSON in which every zero is written 0.0."""
+    spec = corpus_standard()[name]
+    scan = generate(replace(spec, density=spec.density * 3, jitter=3e-4, seed=64 + index))
+    for cloud in (generate(spec), PointCloud(scan.points)):
+        assert _negative_zeros(json.loads(plan(cloud, default_config).to_json())) == 0

@@ -327,15 +327,22 @@ ORIENT_ROWS = st.lists(st.tuples(*[ORIENT_COORD] * 6), min_size=1, max_size=12)
 @example([(1.0, 0.0, 0.0, 0.0, 1.0, 0.0)])
 @example([(0.0, 0.0, 1.0, 1.0, 0.0, 0.0), (-1.0, 0.0, 0.0, 0.0, 1.0, 0.0), (0.0, -2.0, 2.0, 1.0, 0.0, 0.0)])
 @example([(-1.0, 1e-300, 1.0, 1.0, 1.0, 1.0)])  # positive in einsum's order, 0 left to right
+@example([(1e16, -1.0, -1e16, 1.0, 1.0, 1.0), (1.0, 2.0, 3.0, 1.0, 1.0, 1.0)])  # likewise, negative
 @settings(max_examples=300, deadline=None)
 def test_orient_matches_the_loop(rows):
     # the one tie rule: a negative dot negates, an exact 0 takes the canonical
-    # sign, and a vector alone gives the bits of its row of a stack
-    v, toward = np.array([r[:3] for r in rows]), np.array([r[3:] for r in rows])
+    # sign, and a vector alone gives the bits of its row of a stack, whatever
+    # the memory layout: C order, Fortran order or a strided view
+    both = np.array(rows)
+    v, toward = np.ascontiguousarray(both[:, :3]), np.ascontiguousarray(both[:, 3:])
     got = _orient(v, toward)
     assert got.tobytes() == ref.orient(v, toward).tobytes()
+    fortran = np.asfortranarray(v), np.asfortranarray(toward)
+    for layout in (fortran, (both[:, :3], both[:, 3:])):
+        assert _orient(*layout).tobytes() == got.tobytes()
     for i in range(len(v)):
         assert _orient(v[i], toward[i]).tobytes() == got[i].tobytes()
+        assert _orient(fortran[0][i], fortran[1][i]).tobytes() == got[i].tobytes()
 
 
 def block_edge_cloud(n: int) -> PointCloud:
