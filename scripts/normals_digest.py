@@ -1,16 +1,19 @@
 #!/usr/bin/env python3
 """Print the SHA-256 of the estimated normals and curvatures of the 10
 jittered 3x-density corpus scans (points only, seed 64 + i), each
-preprocessed with the default config.
+preprocessed with the default config, and of the tangent frame
+``plane_frame(n)`` of every one of those normals.
 
-Run it under several ``OPENBLAS_CORETYPE`` values: normal estimation calls
-no BLAS or LAPACK routine, so every kernel must print the same digest.
+Run it under several ``OPENBLAS_CORETYPE`` values: neither normal estimation
+nor the tangent frame calls a BLAS or LAPACK routine, so every kernel must
+print the same digest.
 """
 
 import dataclasses
 import hashlib
 
 from graspkit.cloud import PointCloud
+from graspkit.mechanics import plane_frame
 from graspkit.planner import PlannerConfig, preprocess
 from graspkit.shapes import corpus_standard, generate
 
@@ -22,6 +25,9 @@ def main() -> None:
         cloud = preprocess(PointCloud(scan.points), PlannerConfig())
         digest.update(cloud.normals.tobytes())
         digest.update(cloud.curvatures.tobytes())
+        for n in cloud.normals:
+            for axis in plane_frame(n):
+                digest.update(axis.tobytes())
     print(digest.hexdigest())
 
 

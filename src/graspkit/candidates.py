@@ -34,8 +34,6 @@ class RegionPair:
     common_normal: np.ndarray
     antiparallel_angle_deg: float
     separation: float
-    index_a: int = -1
-    index_b: int = -1
 
 
 @dataclass(frozen=True)
@@ -84,8 +82,6 @@ def find_antiparallel_pairs(
             common_normal=common[t],
             antiparallel_angle_deg=float(angle[t]),
             separation=float(separation[t]),
-            index_a=int(first[t]),
-            index_b=int(second[t]),
         )
         for t in np.flatnonzero(fits)[np.argsort(angle[fits], kind="stable")]
     ]

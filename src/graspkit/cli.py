@@ -158,9 +158,7 @@ def _cmd_eval(args) -> int:
     )
     candidate = _candidate_from_json(grasp_data)  # before the cloud: a bad grasp costs no load
     cloud = _with_normals(load_cloud(args.input), config)
-    report = robust_force_closure(
-        candidate, cloud, spec, mu=config.mu, mode=config.closure_mode
-    )
+    report = robust_force_closure(candidate, cloud, spec, mu=config.mu)
     _write_or_print(json.dumps(report.to_json_dict(), indent=2, sort_keys=True), args.output)
     return EXIT_OK
 
@@ -191,9 +189,7 @@ def _cmd_benchmark(args) -> int:
             continue
         probs = []
         for pspec in pspecs:
-            report = robust_force_closure(
-                result.best.candidate, prepared, pspec, mu=config.mu, mode=config.closure_mode
-            )
+            report = robust_force_closure(result.best.candidate, prepared, pspec, mu=config.mu)
             probs.append(f"{report.probability:.3f}")
         rows.append([name] + probs)
     header = ["object"] + [f"sigma_{s:g}" for s in sigmas]

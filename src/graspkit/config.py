@@ -7,6 +7,7 @@ import numbers
 import os
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import ClassVar
 
 ENV_PREFIX = "GRASPKIT_"
 _ACCEPTS = {int: numbers.Integral, float: numbers.Real, str: str}  # by field type; bools never
@@ -35,7 +36,8 @@ class PlannerConfig:
     candidates_per_pair: int = 5
     mu: float = 0.5
     sigma_min_threshold: float = 0.01
-    closure_mode: str = "soft-pinch"
+    # the one closure rule (mechanics.stacked_force_closure); readable, not a field
+    closure_mode: ClassVar[str] = "soft-pinch"
 
     def __post_init__(self):
         for f in fields(self):
@@ -62,8 +64,6 @@ class PlannerConfig:
             raise ValueError("mu must be positive")
         if self.sigma_min_threshold <= 0:
             raise ValueError("sigma_min_threshold must be positive")
-        if self.closure_mode not in ("soft-pinch", "strict"):
-            raise ValueError(f"unknown closure_mode {self.closure_mode!r}")
         # region growing's checks come last, as when a class of their own held them
         if not 0.0 < self.angle_threshold_deg < 90.0:
             raise ValueError("angle_threshold_deg must be in (0, 90)")

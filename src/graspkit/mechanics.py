@@ -10,6 +10,10 @@ singular value of G, depends only on the contact positions, the origin and
 the torque scale; the cone test needs only the contact line and the
 normals. ``stacked_force_closure`` classifies many two-contact grasps from
 positions and normals alone, and ``force_closure`` is its one-row call.
+There is one closure rule, the soft-finger ("soft-pinch") reading: two hard
+point contacts cannot resist a torque about the line joining them (Nguyen,
+IJRR 1988), so that one structural null direction is not held against a
+grasp, and every other singular value must clear the threshold.
 The frame API (``build_contact_frame``, ``build_grasp_map``) stays for
 callers that want G itself; ``plane_frame`` gives its X and Y axes and the
 contact stage's projection basis. Each input is checked once, where it
@@ -74,13 +78,16 @@ def _unit_normals(inward_normals) -> np.ndarray:
 
 def plane_frame(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The one tangent frame: unit u rejects global +X from the unit ``normal``
-    (+Y where |n . x| > 0.9), and v = normal x u, so (u, v, normal) is right-handed."""
+    (+Y where |n . x| > 0.9), and v = normal x u, so (u, v, normal) is right-handed.
+
+    Elementwise arithmetic in one fixed order, no BLAS: n . ref of a unit
+    axis is the matching component of n, and |u| sums its squares x, y, z."""
     n = np.asarray(normal, dtype=np.float64)
-    ref = np.array([1.0, 0.0, 0.0])
-    if abs(n @ ref) > 0.9:
-        ref = np.array([0.0, 1.0, 0.0])
-    u = ref - (ref @ n) * n
-    u = u / np.linalg.norm(u)
+    ref, along = np.array([1.0, 0.0, 0.0]), n[0]
+    if abs(along) > 0.9:
+        ref, along = np.array([0.0, 1.0, 0.0]), n[1]
+    u = ref - along * n
+    u = u / math.sqrt(u[0] * u[0] + u[1] * u[1] + u[2] * u[2])
     return u, np.cross(n, u)
 
 
@@ -117,7 +124,6 @@ def stacked_force_closure(
     object_origin,
     mu: float,
     sigma_min_threshold: float = 0.01,
-    mode: str = "soft-pinch",
     torque_scale: float = 1.0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Classify T two-contact grasps by grasp-map singular values and cone geometry.
@@ -131,32 +137,28 @@ def stacked_force_closure(
     singular values. The smallest is structurally zero for every
     two-contact grasp: an equal and opposite squeeze along the contact line
     lies in G's null space (dually, no contact force makes a torque about
-    that line). ``mode`` "soft-pinch" ignores it and classifies on the
-    second smallest; "strict" keeps it, reports 0.0 and so rejects every
-    two-contact grasp. Closure holds when the considered singular values
-    all exceed the threshold AND the contact-to-contact line lies inside
-    both friction cones. Returns (closure (T,) bool, smallest considered
-    singular value (T,)), row t equal to a one-row call.
+    that line). A soft finger resists that torque by its contact patch, so
+    the smallest is skipped and the second smallest is the one considered;
+    keeping it would reject every two-contact grasp. Closure holds when the
+    considered singular value exceeds the threshold AND the
+    contact-to-contact line lies inside both friction cones. Returns
+    (closure (T,) bool, second smallest singular value (T,)), row t equal
+    to a one-row call.
     """
     if mu <= 0:
         raise ValueError(f"mu must be positive, got {mu}")
-    if mode not in ("soft-pinch", "strict"):
-        raise ValueError(f"unknown closure mode {mode!r}")
     if torque_scale <= 0:
         raise ValueError("torque_scale must be positive")
     normals = _unit_normals(inward_normals)
     contacts = np.asarray(contacts, dtype=np.float64)
-    if mode == "strict":
-        sigma_min = np.zeros(len(contacts))
-    else:
-        arms = (contacts - np.asarray(object_origin, dtype=np.float64)) / torque_scale
-        gram = np.zeros((len(contacts), 6, 6))
-        gram[:, :3, :3] = 2.0 * np.eye(3)
-        gram[:, 3:, :3] = skew(arms[:, 0] + arms[:, 1])
-        gram[:, :3, 3:] = -gram[:, 3:, :3]
-        squared = np.einsum("tki,tki->t", arms, arms)[:, np.newaxis, np.newaxis]
-        gram[:, 3:, 3:] = squared * np.eye(3) - np.einsum("tki,tkj->tij", arms, arms)
-        sigma_min = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, 1], 0.0))  # ascending per row
+    arms = (contacts - np.asarray(object_origin, dtype=np.float64)) / torque_scale
+    gram = np.zeros((len(contacts), 6, 6))
+    gram[:, :3, :3] = 2.0 * np.eye(3)
+    gram[:, 3:, :3] = skew(arms[:, 0] + arms[:, 1])
+    gram[:, :3, 3:] = -gram[:, 3:, :3]
+    squared = np.einsum("tki,tki->t", arms, arms)[:, np.newaxis, np.newaxis]
+    gram[:, 3:, 3:] = squared * np.eye(3) - np.einsum("tki,tkj->tij", arms, arms)
+    sigma_min = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, 1], 0.0))  # ascending per row
 
     axis = contacts[:, 1] - contacts[:, 0]
     width = np.sqrt(np.vecdot(axis, axis))
@@ -173,7 +175,6 @@ def force_closure(
     gm: GraspMap,
     mu: float,
     sigma_min_threshold: float = 0.01,
-    mode: str = "soft-pinch",
     torque_scale: float = 1.0,
 ) -> tuple[bool, float]:
     """``stacked_force_closure`` of the grasp map's two contacts and origin.
@@ -187,6 +188,6 @@ def force_closure(
     a, b = gm.contacts
     closure, sigma_min = stacked_force_closure(
         [[a.origin, b.origin]], [[a.inward_normal, b.inward_normal]], gm.object_origin, mu, sigma_min_threshold,
-        mode=mode, torque_scale=torque_scale,
+        torque_scale=torque_scale,
     )
     return bool(closure[0]), float(sigma_min[0])

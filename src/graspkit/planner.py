@@ -22,7 +22,7 @@ from .stability import GraspReport, RankedCandidates, rank_candidates
 
 logger = logging.getLogger(__name__)
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 VERSION = "0.1.0"
 
 RESULT_OK = "ok"
@@ -165,7 +165,6 @@ def _plan(cloud: PointCloud, config: PlannerConfig | None = None) -> tuple[PlanR
         prepared,
         mu=config.mu,
         sigma_min_threshold=config.sigma_min_threshold,
-        closure_mode=config.closure_mode,
     )
     timings["rank"] = (time.perf_counter() - t0) * 1e3
     logger.debug("plan timings (ms): %s", timings)

@@ -34,6 +34,7 @@ import numpy as np
 
 from .candidates import GraspCandidate
 from .cloud import PointCloud
+from .config import PlannerConfig
 from .mechanics import stacked_force_closure
 
 # Not called here since trials are batched; the names stay in this module
@@ -125,14 +126,17 @@ def robust_force_closure(
     cloud: PointCloud,
     spec: PerturbationSpec,
     mu: float = 0.5,
-    mode: str = "soft-pinch",
+    mode: str = PlannerConfig.closure_mode,
 ) -> RobustnessReport:
     """Fraction of perturbation trials in which the grasp keeps force closure.
 
     Requires a cloud with stored normals: the inward normal at a snapped
     contact is the negated stored (outward) normal there. Trials where both
-    contacts snap to the same point count as failures.
+    contacts snap to the same point count as failures. ``mode`` names the
+    closure rule the report records; "soft-pinch" is the only one.
     """
+    if mode != PlannerConfig.closure_mode:
+        raise ValueError(f"unknown closure mode {mode!r}")
     if cloud.normals is None:
         raise ValueError("robust_force_closure requires cloud normals")
     sigma = spec.effective_sigma(cloud)
@@ -146,7 +150,7 @@ def robust_force_closure(
     apart = snapped[:, 0] != snapped[:, 1]  # coincident snaps are failures
     kept = snapped[apart]
     closure, _ = stacked_force_closure(
-        cloud.points[kept], -cloud.normals[kept], origin, mu, spec.threshold, mode=mode, torque_scale=torque_scale
+        cloud.points[kept], -cloud.normals[kept], origin, mu, spec.threshold, torque_scale=torque_scale
     )
     outcomes = np.zeros(spec.trials, dtype=bool)
     outcomes[apart] = closure

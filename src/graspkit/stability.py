@@ -18,11 +18,13 @@ the acceptance suite's criterion 5 checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .candidates import GraspCandidate
 from .cloud import PointCloud
+from .config import PlannerConfig
 from .mechanics import GraspMap, stacked_force_closure
 
 # Not called here since candidates are scored as stacks; the names stay in
@@ -102,8 +104,8 @@ class GraspReport:
     candidate_index: int
     closure: bool
     sigma_min: float
-    mode: str
     axis_com_distance: float
+    mode: ClassVar[str] = PlannerConfig.closure_mode  # the one closure rule, not serialized
 
     def to_json_dict(self) -> dict:
         return {
@@ -113,7 +115,6 @@ class GraspReport:
             "width": float(self.candidate.width),
             "closure": self.closure,
             "sigma_min": self.sigma_min,
-            "mode": self.mode,
             "axis_com_distance": self.axis_com_distance,
         }
 
@@ -134,7 +135,6 @@ def rank_candidates(
     cloud: PointCloud,
     mu: float = 0.5,
     sigma_min_threshold: float = 0.01,
-    closure_mode: str = "soft-pinch",
 ) -> RankedCandidates:
     """Score every candidate and sort best-first.
 
@@ -151,9 +151,7 @@ def rank_candidates(
     scale = max(cloud.bounding_radius(), 1e-12)
     contacts = np.array([(c.contact_a, c.contact_b) for c in candidates], dtype=np.float64)
     normals = [(c.normal_a, c.normal_b) for c in candidates]
-    closure, sigma_min = stacked_force_closure(
-        contacts, normals, origin, mu, sigma_min_threshold, mode=closure_mode, torque_scale=scale
-    )
+    closure, sigma_min = stacked_force_closure(contacts, normals, origin, mu, sigma_min_threshold, torque_scale=scale)
     lever = np.cross(origin - contacts[:, 0], [c.grasp_axis for c in candidates])
     distance = np.sqrt(np.vecdot(lever, lever))
     reports = [
@@ -162,7 +160,6 @@ def rank_candidates(
             candidate_index=int(i),
             closure=bool(closure[i]),
             sigma_min=float(sigma_min[i]),
-            mode=closure_mode,
             axis_com_distance=float(distance[i]),
         )
         for i in np.lexsort(([c.width for c in candidates], distance, ~closure))

@@ -124,19 +124,12 @@ def find_antiparallel_pairs(regions, max_angle_deg: float = 15.0, max_width: flo
             separation = abs(float((a.centroid - b.centroid) @ common))
             if not 0.0 < separation <= max_width:
                 continue
-            pairs.append(
-                RegionPair(
-                    region_a=a,
-                    region_b=b,
-                    common_normal=common,
-                    antiparallel_angle_deg=angle,
-                    separation=separation,
-                    index_a=i,
-                    index_b=j,
-                )
+            pair = RegionPair(
+                region_a=a, region_b=b, common_normal=common, antiparallel_angle_deg=angle, separation=separation
             )
-    pairs.sort(key=lambda p: (p.antiparallel_angle_deg, p.index_a, p.index_b))
-    return pairs
+            pairs.append(((angle, i, j), pair))
+    pairs.sort(key=lambda keyed: keyed[0])
+    return [pair for _, pair in pairs]
 
 
 def sample_locations(lo, hi, count: int) -> np.ndarray:
@@ -402,7 +395,7 @@ def contact_rotation(inward_normal) -> np.ndarray:
     if abs(n @ ref) > 0.9:
         ref = np.array([0.0, 1.0, 0.0])
     x = ref - (ref @ n) * n
-    x = x / np.linalg.norm(x)
+    x = x / math.sqrt(sum(c * c for c in x.tolist()))  # squares summed x, y, z, as plane_frame does
     y = np.cross(n, x)
     R = np.column_stack([x, y, n])
     if not np.allclose(R.T @ R, np.eye(3), atol=1e-9) or abs(np.linalg.det(R) - 1.0) > 1e-9:
@@ -421,16 +414,15 @@ def grasp_map(points, rotations, object_origin) -> np.ndarray:
     return np.hstack(blocks)
 
 
-def force_closure(G, points, rotations, mu, threshold=0.01, mode="soft-pinch", torque_scale=1.0):
-    """(closure, sigma_min) of one two-contact grasp map."""
+def force_closure(G, points, rotations, mu, threshold=0.01, torque_scale=1.0):
+    """(closure, sigma_min) of one two-contact grasp map: the soft-pinch rule
+    considers the five largest singular values of the torque-scaled G."""
     if mu <= 0:
         raise ValueError(f"mu must be positive, got {mu}")
-    if mode not in ("soft-pinch", "strict"):
-        raise ValueError(f"unknown closure mode {mode!r}")
     scaled = G.copy()
     scaled[3:, :] /= torque_scale
     singular = np.linalg.svd(scaled, compute_uv=False)
-    considered = singular[:5] if mode == "soft-pinch" else singular
+    considered = singular[:5]
     sigma_min = float(considered[-1])
     axis = np.asarray(points[1], dtype=np.float64) - points[0]
     width = np.linalg.norm(axis)
@@ -444,7 +436,7 @@ def force_closure(G, points, rotations, mu, threshold=0.01, mode="soft-pinch", t
     return bool(admissible and np.all(considered > threshold)), sigma_min
 
 
-def rank_candidates(candidates, cloud: PointCloud, mu=0.5, threshold=0.01, mode="soft-pinch") -> list[GraspReport]:
+def rank_candidates(candidates, cloud: PointCloud, mu=0.5, threshold=0.01) -> list[GraspReport]:
     """Reports best-first, scored one candidate at a time and sorted by a Python tuple key."""
     origin = cloud.centroid()
     scale = max(cloud.bounding_radius(), 1e-12)
@@ -452,9 +444,9 @@ def rank_candidates(candidates, cloud: PointCloud, mu=0.5, threshold=0.01, mode=
     for i, c in enumerate(candidates):
         points = (c.contact_a, c.contact_b)
         rotations = (contact_rotation(c.normal_a), contact_rotation(c.normal_b))
-        closure, sigma_min = force_closure(grasp_map(points, rotations, origin), points, rotations, mu, threshold, mode, scale)
+        closure, sigma_min = force_closure(grasp_map(points, rotations, origin), points, rotations, mu, threshold, scale)
         distance = float(np.linalg.norm(np.cross(origin - c.contact_a, c.grasp_axis)))
-        reports.append(GraspReport(c, i, closure, sigma_min, mode, distance))
+        reports.append(GraspReport(c, i, closure, sigma_min, distance))
     reports.sort(key=lambda r: (not r.closure, r.axis_com_distance, r.candidate.width, r.candidate_index))
     return reports
 
@@ -469,7 +461,7 @@ def nearest_member(sample, proj, member_indices, max_dist):
     return int(member_indices[eligible[order[0]]])
 
 
-def robust_force_closure_loop(candidate, cloud: PointCloud, spec, mu=0.5, mode="soft-pinch") -> tuple[bool, ...]:
+def robust_force_closure_loop(candidate, cloud: PointCloud, spec, mu=0.5) -> tuple[bool, ...]:
     """Per-trial outcomes, one trial at a time: a fresh Philox generator per
     trial, one exact nearest-point query per contact, scalar mechanics."""
     if cloud.normals is None:
@@ -489,7 +481,7 @@ def robust_force_closure_loop(candidate, cloud: PointCloud, spec, mu=0.5, mode="
         points = (cloud.points[ia], cloud.points[ib])
         rotations = (contact_rotation(-cloud.normals[ia]), contact_rotation(-cloud.normals[ib]))
         G = grasp_map(points, rotations, origin)
-        closure, _ = force_closure(G, points, rotations, mu, spec.threshold, mode, torque_scale)
+        closure, _ = force_closure(G, points, rotations, mu, spec.threshold, torque_scale)
         outcomes.append(closure)
     return tuple(outcomes)
 

@@ -228,8 +228,6 @@ class TestMakeCandidates:
             pair,
             region_a=pair.region_b,
             region_b=pair.region_a,
-            index_a=pair.index_b,
-            index_b=pair.index_a,
         )
         backward = make_candidates(reversed_pair, cloud, n_per_pair=5, max_width=0.1)
         assert len(forward) == len(backward)
@@ -261,7 +259,7 @@ class TestMakeCandidates:
         a = PlanarRegion(np.arange(64), np.array([0.0, 0.0, 1.0]), points[:64].mean(axis=0))
         b = PlanarRegion(np.arange(64, 128), np.array([0.0, 0.0, -1.0]), points[64:].mean(axis=0))
         assert (b.centroid - a.centroid) @ a.plane_normal == 0.0
-        pair = RegionPair(a, b, np.array([0.0, 0.0, 1.0]), 0.0, 0.0, 0, 1)
+        pair = RegionPair(a, b, np.array([0.0, 0.0, 1.0]), 0.0, 0.0)
         cands = make_candidates(pair, cloud)
         assert cands
         for cand in cands:

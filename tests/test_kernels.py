@@ -1,4 +1,5 @@
-"""Estimated normals and curvatures do not depend on the BLAS kernel.
+"""Estimated normals and curvatures, and the tangent frames of those normals,
+do not depend on the BLAS kernel.
 
 numpy's bundled OpenBLAS picks its kernels by CPU, and ``OPENBLAS_CORETYPE``
 switches them for one process, so each kernel runs in a subprocess.

@@ -168,28 +168,6 @@ class TestForceClosure:
         assert closure == (s[4] > 0.01)
         assert closure
 
-    def test_strict_mode_fails_on_collinear_contacts(self):
-        gm = antipodal_sphere_map()
-        closure_strict, sigma_strict = force_closure(gm, mu=0.5, mode="strict")
-        assert not closure_strict
-        assert sigma_strict == pytest.approx(0.0, abs=1e-12)
-
-        # Every two-contact grasp has sigma_6 = 0, not only an exactly antipodal
-        # one: an equal and opposite squeeze along the contact line lies in G's
-        # null space. Here the normals are tilted off that line.
-        rng = np.random.default_rng(2024)
-        contacts = rng.normal(size=(200, 2, 3)) * 0.05
-        axis = contacts[:, 1] - contacts[:, 0]
-        axis /= np.linalg.norm(axis, axis=1, keepdims=True)
-        normals = np.stack([axis, -axis], axis=1) + rng.normal(size=(200, 2, 3)) * 0.2
-        normals /= np.linalg.norm(normals, axis=2, keepdims=True)
-        origin = rng.normal(size=3) * 0.01
-        strict, sigma6 = stacked_force_closure(contacts, normals, origin, 0.5, mode="strict", torque_scale=0.05)
-        soft, _ = stacked_force_closure(contacts, normals, origin, 0.5, mode="soft-pinch", torque_scale=0.05)
-        assert not strict.any()
-        assert np.all(sigma6 == 0.0)
-        assert soft.any()
-
     def test_perpendicular_normals_fail_admissibility(self):
         a = build_contact_frame([-1, 0, 0], [0.0, 0, 1], 0.5)
         b = build_contact_frame([1, 0, 0], [0.0, 0, -1], 0.5)
@@ -320,10 +298,8 @@ class TestStackedMechanics:
         origin = rng.normal(size=3) * 0.01
 
         R = frame_rotations(normals)
-        outcomes = {}
-        for mode in ("soft-pinch", "strict"):
-            outcomes[mode] = stacked_force_closure(points, R[..., 2], origin, 0.5, 0.01, mode=mode, torque_scale=0.1)
-        assert outcomes["soft-pinch"][0].any() and not outcomes["soft-pinch"][0].all()
+        closure, sigma_min = stacked_force_closure(points, R[..., 2], origin, 0.5, 0.01, torque_scale=0.1)
+        assert closure.any() and not closure.all()
         for t in range(len(points)):
             frames = [build_contact_frame(points[t, j], normals[t, j]) for j in (0, 1)]
             ref_R = [ref.contact_rotation(n) for n in normals[t]]
@@ -331,12 +307,11 @@ class TestStackedMechanics:
             gm = build_grasp_map(frames, origin)
             G = ref.grasp_map(points[t], ref_R, origin)
             assert np.array_equal(gm.G, G)
-            for mode, (closure, sigma_min) in outcomes.items():
-                one = force_closure(gm, 0.5, 0.01, mode=mode, torque_scale=0.1)
-                assert one == (closure[t], sigma_min[t])
-                want = ref.force_closure(G, points[t], ref_R, 0.5, 0.01, mode, 0.1)
-                assert one[0] == want[0]
-                assert abs(one[1] - want[1]) <= 1e-13
+            one = force_closure(gm, 0.5, 0.01, torque_scale=0.1)
+            assert one == (closure[t], sigma_min[t])
+            want = ref.force_closure(G, points[t], ref_R, 0.5, 0.01, 0.1)
+            assert one[0] == want[0]
+            assert abs(one[1] - want[1]) <= 1e-13
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=50, deadline=None)
@@ -359,13 +334,15 @@ class TestStackedMechanics:
         spin = np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * (K @ K)
         spun = spin @ R
         soft, sigma5 = stacked_force_closure(points, normals, origin, 0.5, 0.01, torque_scale=scale)
-        strict, sigma6 = stacked_force_closure(points, normals, origin, 0.5, 0.01, mode="strict", torque_scale=scale)
-        assert not strict.any() and np.all(sigma6 == 0.0)
         assert soft.any()
         for t in range(len(points)):
             # the oracle takes np.linalg.svd of the frame-built G with its torque rows scaled
             frames = [ContactFrame(origin=points[t, j], rotation=spun[t, j], mu=0.5) for j in (0, 1)]
-            want = ref.force_closure(build_grasp_map(frames, origin).G, points[t], spun[t], 0.5, 0.01, "soft-pinch", scale)
+            G = build_grasp_map(frames, origin).G
+            # the skipped sixth singular value is structurally zero, normals tilted off the
+            # contact line or not: a squeeze along that line lies in G's null space
+            assert np.linalg.svd(G, compute_uv=False)[5] <= 1e-12
+            want = ref.force_closure(G, points[t], spun[t], 0.5, 0.01, scale)
             assert soft[t] == want[0]
             assert abs(sigma5[t] - want[1]) <= 1e-13
 
@@ -420,9 +397,8 @@ class TestStackedMechanics:
         points = np.tile([[0.0, 0.0, -0.01], [0.0, 0.0, 0.01]], (5, 1, 1))
         with pytest.raises(ValueError, match=match):
             build_contact_frame(points[3, 1], normals[3, 1])
-        for mode in ("soft-pinch", "strict"):
-            with pytest.raises(ValueError, match=match):
-                stacked_force_closure(points, normals, np.zeros(3), 0.5, mode=mode)
+        with pytest.raises(ValueError, match=match):
+            stacked_force_closure(points, normals, np.zeros(3), 0.5)
 
     @pytest.mark.parametrize("mu", [0.0, -0.5])
     def test_nonpositive_mu_rejected(self, mu):

@@ -33,8 +33,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             PlannerConfig(mu=0.0)
         with pytest.raises(ValueError):
-            PlannerConfig(closure_mode="loose")
-        with pytest.raises(ValueError):
             PlannerConfig(angle_threshold_deg=120.0)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
@@ -49,7 +47,7 @@ class TestConfig:
             load_config(None, env=True)
 
     def test_file_round_trip(self, tmp_path):
-        config = PlannerConfig(mu=0.7, candidates_per_pair=3, closure_mode="strict")
+        config = PlannerConfig(mu=0.7, candidates_per_pair=3)
         path = tmp_path / "planner.cfg"
         path.write_text(config.to_text())
         loaded = load_config(path, env=False)
@@ -58,17 +56,24 @@ class TestConfig:
     # removed keys, so an older config file fails loudly; k_neighbors replaced the last two
     @pytest.mark.parametrize(
         "line",
-        ["grip_strength = 11", "trials = 100", "f_normal_cap = 2.0", "normals_k = 16", "region_k_neighbors = 16"],
-        ids=["unknown", "trials", "f_normal_cap", "normals_k", "region_k_neighbors"],
+        [
+            "grip_strength = 11", "trials = 100", "f_normal_cap = 2.0", "normals_k = 16", "region_k_neighbors = 16",
+            "closure_mode = strict",
+        ],
+        ids=["unknown", "trials", "f_normal_cap", "normals_k", "region_k_neighbors", "closure_mode"],
     )
     def test_unknown_key_rejected(self, tmp_path, line):
         path = tmp_path / "bad.cfg"
-        path.write_text(line + "\n")
-        with pytest.raises(ValueError, match="unknown key"):
+        path.write_text("# tuned\n" + line + "\n")
+        with pytest.raises(ValueError, match=f"^config line 2: unknown key '{line.split()[0]}'$"):
             load_config(path, env=False)
 
     @pytest.mark.parametrize(
-        "name", ["GRASPKIT_TRIALS", "GRASPKIT_F_NORMAL_CAP", "GRASPKIT_NORMALS_K", "GRASPKIT_REGION_K_NEIGHBORS"]
+        "name",
+        [
+            "GRASPKIT_TRIALS", "GRASPKIT_F_NORMAL_CAP", "GRASPKIT_NORMALS_K", "GRASPKIT_REGION_K_NEIGHBORS",
+            "GRASPKIT_CLOSURE_MODE",
+        ],
     )
     def test_unknown_env_override_rejected(self, monkeypatch, name):
         monkeypatch.setenv(name, "7")
@@ -114,10 +119,13 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"{name} must be of type float, got {value!r}"):
             PlannerConfig(**{name: value})
 
-    @pytest.mark.parametrize("value", [1, None, b"strict"], ids=["int", "none", "bytes"])
-    def test_closure_mode_takes_only_strings(self, value):
-        with pytest.raises(ValueError, match=f"closure_mode must be of type str, got {value!r}"):
-            PlannerConfig(closure_mode=value)
+    def test_closure_mode_is_a_constant_not_a_field(self):
+        # soft-pinch is the one closure rule: readable on the type, settable nowhere
+        assert PlannerConfig.closure_mode == PlannerConfig().closure_mode == "soft-pinch"
+        assert len(fields(PlannerConfig)) == 13
+        assert "closure_mode" not in PlannerConfig().to_text()
+        with pytest.raises(TypeError, match="closure_mode"):
+            PlannerConfig(closure_mode="soft-pinch")
 
     def test_equal_configs_hash_equal(self):
         loose = PlannerConfig(mu=1, voxel_size=np.float64(0.002), outlier_k=np.int64(12), max_width=Fraction(17, 200))
@@ -125,7 +133,7 @@ class TestConfig:
         assert loose == exact and loose.sha256() == exact.sha256()
         assert type(loose.mu) is type(loose.max_width) is float and type(loose.outlier_k) is int
         # the default config's hash, which every default plan carries
-        default_sha = "408505dc3b57aaf75bd8bfba14585513cb4e79922aa24ec72dfc2fd22f7ed72a"
+        default_sha = "ebd45006e46c3b81080ff9a0765bda6f8476c8ec2fecc2eadcb23628e76b3414"
         assert PlannerConfig().sha256() == default_sha
         assert PlannerConfig(voxel_size=np.float64(0.002), outlier_k=np.int64(12)).sha256() == default_sha
 
@@ -199,7 +207,6 @@ def _field_values():
         "candidates_per_pair": st.integers(1, 2**40),
         "mu": real(0.0, exclude_min=True),
         "sigma_min_threshold": real(0.0, exclude_min=True),
-        "closure_mode": st.sampled_from(["soft-pinch", "strict"]),
     }
 
 
@@ -275,12 +282,12 @@ class TestPlan:
         meta = data["pipeline_metadata"]
         assert meta["config_sha256"] == default_config.sha256()
         assert len(meta["input_sha256"]) == 64
-        assert data["schema_version"] == 2
+        assert data["schema_version"] == 3
 
     def test_report_keys(self, box_cloud, default_config):
         data = plan(box_cloud, default_config).to_json_dict()
         assert set(data) == {"schema_version", "result_code", "best", "reports", "pipeline_metadata"}
-        keys = {"contact_a", "contact_b", "grasp_axis", "width", "closure", "sigma_min", "mode", "axis_com_distance"}
+        keys = {"contact_a", "contact_b", "grasp_axis", "width", "closure", "sigma_min", "axis_com_distance"}
         assert set(data["best"]) == keys
         assert all(set(r) == keys for r in data["reports"])
 

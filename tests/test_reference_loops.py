@@ -105,7 +105,6 @@ def test_knn_tables_match_single_round_loop(table_clouds, name):
 def assert_pairs_equal(got, want):
     assert len(got) == len(want)
     for a, b in zip(got, want):
-        assert (a.index_a, a.index_b) == (b.index_a, b.index_b)
         assert a.region_a is b.region_a and a.region_b is b.region_b
         assert type(a.antiparallel_angle_deg) is type(b.antiparallel_angle_deg) is float
         assert type(a.separation) is type(b.separation) is float
@@ -155,7 +154,9 @@ def test_pairs_with_ties_and_degenerate_directions_match_loop():
             got = find_antiparallel_pairs(regions, max_angle, max_width)
             assert_pairs_equal(got, ref.find_antiparallel_pairs(regions, max_angle, max_width))
     tied = find_antiparallel_pairs(regions, 0.0, 0.085)
-    assert [(p.index_a, p.index_b) for p in tied] == [(0, 3), (1, 4), (2, 5), (3, 7)]
+    want = [(regions[i], regions[j]) for i, j in ((0, 3), (1, 4), (2, 5), (3, 7))]
+    assert len(tied) == len(want)
+    assert all(p.region_a is a and p.region_b is b for p, (a, b) in zip(tied, want))
 
 
 def test_sample_locations_match_loop_on_random_boxes():
@@ -231,14 +232,13 @@ def test_rank_matches_tuple_key_sort_on_exact_ties():
     cloud = PointCloud(corners)  # centroid exactly 0
     batch = mirrored_candidates(rng, 6)
     batch = [batch[i] for i in rng.permutation(len(batch))]
-    for mode, outcomes in (("soft-pinch", {True, False}), ("strict", {False})):
-        got = planner.rank_candidates(batch, cloud, mu=0.5, sigma_min_threshold=0.01, closure_mode=mode).reports
-        assert_reports_match(got, ref.rank_candidates(batch, cloud, 0.5, 0.01, mode))
-        assert all(type(r.candidate_index) is int and type(r.axis_com_distance) is float for r in got)
-        assert {r.closure for r in got} == outcomes
-        # exact ties between distinct candidates, not only between repeats
-        keys = {(r.closure, r.axis_com_distance, r.candidate.width) for r in got}
-        assert len(keys) < len(set(map(id, batch))) < len(batch)
+    got = planner.rank_candidates(batch, cloud, mu=0.5, sigma_min_threshold=0.01).reports
+    assert_reports_match(got, ref.rank_candidates(batch, cloud, 0.5, 0.01))
+    assert all(type(r.candidate_index) is int and type(r.axis_com_distance) is float for r in got)
+    assert {r.closure for r in got} == {True, False}
+    # exact ties between distinct candidates, not only between repeats
+    keys = {(r.closure, r.axis_com_distance, r.candidate.width) for r in got}
+    assert len(keys) < len(set(map(id, batch))) < len(batch)
 
 
 def test_rank_of_the_corpus_matches_tuple_key_sort(clouds, monkeypatch):
@@ -255,7 +255,7 @@ def test_rank_of_the_corpus_matches_tuple_key_sort(clouds, monkeypatch):
     assert len(batches) == 9
     for batch, cloud, kwargs in batches:
         got = rank_candidates(batch, cloud, **kwargs).reports
-        assert_reports_match(got, ref.rank_candidates(batch, cloud, CONFIG.mu, CONFIG.sigma_min_threshold, CONFIG.closure_mode))
+        assert_reports_match(got, ref.rank_candidates(batch, cloud, CONFIG.mu, CONFIG.sigma_min_threshold))
 
 
 @pytest.mark.parametrize("name", OBJECTS)
@@ -508,9 +508,9 @@ def best_grasps():
     return out
 
 
-def assert_robust_matches_loop(candidate, cloud, spec, mode=CONFIG.closure_mode):
-    report = robust_force_closure(candidate, cloud, spec, mu=CONFIG.mu, mode=mode)
-    want = ref.robust_force_closure_loop(candidate, cloud, spec, mu=CONFIG.mu, mode=mode)
+def assert_robust_matches_loop(candidate, cloud, spec):
+    report = robust_force_closure(candidate, cloud, spec, mu=CONFIG.mu)
+    want = ref.robust_force_closure_loop(candidate, cloud, spec, mu=CONFIG.mu)
     assert report.per_trial == want
     assert report.probability == sum(want) / spec.trials
     return report
@@ -538,7 +538,7 @@ def test_nearest_many_matches_single_round_loop(best_grasps, monkeypatch):
     for cloud, candidate in best_grasps.values():
         for sigma in (0.02, 0.1):
             spec = PerturbationSpec(sigma=sigma, trials=100, seed=1, sigma_mode="relative")
-            robust_force_closure(candidate, cloud, spec, mu=CONFIG.mu, mode=CONFIG.closure_mode)
+            robust_force_closure(candidate, cloud, spec, mu=CONFIG.mu)
     assert len(calls) == 2 * len(best_grasps)
     for index, queries in calls:
         assert np.array_equal(nearest_many(index, queries), ref.knn_rows(index, queries, 1)[:, 0])
@@ -546,10 +546,8 @@ def test_nearest_many_matches_single_round_loop(best_grasps, monkeypatch):
 
 def test_robust_edge_cases_match_loop(best_grasps):
     cloud, candidate = best_grasps["box_foam_brick"]
-    relative = dict(sigma_mode="relative")
     assert all(assert_robust_matches_loop(candidate, cloud, PerturbationSpec(0.0, trials=20, seed=3)).per_trial)
-    assert_robust_matches_loop(candidate, cloud, PerturbationSpec(0.1, trials=50, seed=4, **relative), mode="strict")
-    assert len(assert_robust_matches_loop(candidate, cloud, PerturbationSpec(0.1, trials=1, seed=6, **relative)).per_trial) == 1
+    assert len(assert_robust_matches_loop(candidate, cloud, PerturbationSpec(0.1, trials=1, seed=6, sigma_mode="relative")).per_trial) == 1
     # one-point cloud: every trial snaps both contacts to the same point
     single = PointCloud(np.zeros((1, 3)), normals=np.array([[0.0, 0.0, 1.0]]))
     report = assert_robust_matches_loop(candidate, single, PerturbationSpec(0.5, trials=10, seed=1))
@@ -572,5 +570,4 @@ def test_robust_matches_loop_at_the_reference_axis_switch(nx):
     candidate = GraspCandidate(
         contact_a=-0.02 * axis, contact_b=0.02 * axis, normal_a=axis, normal_b=-axis, grasp_axis=axis, width=0.04
     )
-    for mode in ("soft-pinch", "strict"):
-        assert_robust_matches_loop(candidate, cloud, PerturbationSpec(0.1, trials=200, seed=2, sigma_mode="relative"), mode)
+    assert_robust_matches_loop(candidate, cloud, PerturbationSpec(0.1, trials=200, seed=2, sigma_mode="relative"))

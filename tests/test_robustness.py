@@ -88,7 +88,7 @@ class TestRobustForceClosure:
         prepared = preprocess(box_cloud, default_config)
         candidate = result.best.candidate
         spec = PerturbationSpec(sigma=0.1, trials=40, seed=5, sigma_mode="relative")
-        report = robust_force_closure(candidate, prepared, spec, mu=0.5, mode="soft-pinch")
+        report = robust_force_closure(candidate, prepared, spec, mu=0.5)
 
         index = SpatialIndex(prepared)
         sigma = spec.sigma * prepared.bounding_radius()
@@ -141,7 +141,7 @@ class TestRobustForceClosure:
         with pytest.raises(ValueError):
             robust_force_closure(candidate, cloud, PerturbationSpec(sigma=0.0))
 
-    @pytest.mark.parametrize("mode", ["soft-pinch", "strict"])
+    @pytest.mark.parametrize("mode", ["soft-pinch"])  # the one mode accepted, passed explicitly
     def test_one_non_unit_normal_rejects_the_trials(self, mode):
         cloud = grid_cloud(5, 5, spacing=0.01)
         candidate = axis_candidate(cloud, cloud.points[0], cloud.points[-1])
@@ -153,7 +153,7 @@ class TestRobustForceClosure:
         with pytest.raises(ValueError, match="inward normal must be finite, nonzero and unit length"):
             robust_force_closure(candidate, cloud, PerturbationSpec(sigma=0.0, trials=3), mode=mode)
 
-    @pytest.mark.parametrize("kwargs", [{"mu": 0.0}, {"mu": -1.0}, {"mode": "loose"}])
+    @pytest.mark.parametrize("kwargs", [{"mu": 0.0}, {"mu": -1.0}, {"mode": "loose"}, {"mode": "strict"}])
     def test_invalid_mu_or_mode_rejected(self, kwargs):
         cloud = grid_cloud(5, 5, spacing=0.01)
         candidate = axis_candidate(cloud, cloud.points[0], cloud.points[-1])
