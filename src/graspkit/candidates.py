@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloud import PointCloud, _orient
+from .config import PlannerConfig
 from .mechanics import plane_frame
 from .regions import PlanarRegion
 
@@ -48,15 +49,15 @@ class GraspCandidate:
     width: float
 
 
-def find_antiparallel_pairs(
-    regions, max_angle_deg: float = 15.0, max_width: float = 0.085
-) -> list[RegionPair]:
-    """All region pairs whose normals are antiparallel within ``max_angle_deg``.
+def find_antiparallel_pairs(regions, config: PlannerConfig | None = None) -> list[RegionPair]:
+    """All region pairs whose normals are antiparallel within ``max_pair_angle_deg``.
 
     Pair separation is the absolute gap between the two planes along the
     common normal; only pairs with separation in (0, max_width] survive.
     Output is sorted by ascending antiparallel angle, ties by region indices.
+    ``config`` defaults to ``PlannerConfig()``.
     """
+    config = config or PlannerConfig()
     regions = list(regions)
     if len(regions) < 2:
         return []
@@ -68,13 +69,13 @@ def find_antiparallel_pairs(
     angle = np.degrees(np.arccos(cos_dev))
     direction = normals[first] - normals[second]
     norm = np.sqrt(np.vecdot(direction, direction))
-    keep = (angle <= max_angle_deg) & (norm >= 1e-12)
+    keep = (angle <= config.max_pair_angle_deg) & (norm >= 1e-12)
     first, second, angle = first[keep], second[keep], angle[keep]
     common = direction[keep] / norm[keep, np.newaxis]
     first_member = np.array([r.point_indices[0] for r in regions])
     common[first_member[first] > first_member[second]] *= -1.0  # n_lo - n_hi
     separation = np.abs(np.vecdot(centroids[first] - centroids[second], common))
-    fits = (separation > 0.0) & (separation <= max_width)
+    fits = (separation > 0.0) & (separation <= config.max_width)
     return [
         RegionPair(
             region_a=regions[first[t]],
@@ -148,28 +149,25 @@ def _nearest_member(
     return int(member_indices[nearest])
 
 
-def make_candidates(
-    pair: RegionPair,
-    cloud: PointCloud,
-    n_per_pair: int = 5,
-    max_width: float = 0.085,
-    distance_threshold: float = 0.005,
-    min_points: int = 1,
-) -> list[GraspCandidate]:
-    """Pick up to ``n_per_pair`` contact pairs inside the pair's overlap box.
+def make_candidates(pair: RegionPair, cloud: PointCloud, config: PlannerConfig | None = None) -> list[GraspCandidate]:
+    """Pick up to ``candidates_per_pair`` contact pairs inside the pair's overlap
+    box, which must hold ``min_region_size`` projected points of each region.
 
     Sample locations start at the overlap centroid and continue along a
     deterministic low-discrepancy sweep. At each location the nearest member
     of each region (projected within ``distance_threshold``) becomes a
-    contact; pairs wider than ``max_width`` are dropped.
+    contact; pairs wider than ``max_width`` are dropped. ``config`` defaults
+    to ``PlannerConfig()``.
     """
+    config = config or PlannerConfig()
+    n_per_pair = config.candidates_per_pair
     region_a, region_b = pair.region_a, pair.region_b
     u, v = plane_frame(pair.common_normal)
     points_a = cloud.points[region_a.point_indices]
     points_b = cloud.points[region_b.point_indices]
     proj_a = np.column_stack([points_a @ u, points_a @ v])
     proj_b = np.column_stack([points_b @ u, points_b @ v])
-    box = overlap_region(proj_a, proj_b, min_points=min_points)
+    box = overlap_region(proj_a, proj_b, min_points=config.min_region_size)
     if box is None:
         return []
 
@@ -180,8 +178,8 @@ def make_candidates(
     for sample in _sample_locations(*box, max(32, 4 * n_per_pair)):
         if len(out) >= n_per_pair:
             break
-        ia = _nearest_member(sample, proj_a, region_a.point_indices, distance_threshold)
-        ib = _nearest_member(sample, proj_b, region_b.point_indices, distance_threshold)
+        ia = _nearest_member(sample, proj_a, region_a.point_indices, config.distance_threshold)
+        ib = _nearest_member(sample, proj_b, region_b.point_indices, config.distance_threshold)
         if ia is None or ib is None or ia == ib or (ia, ib) in seen:
             continue
         seen.add((ia, ib))
@@ -189,7 +187,7 @@ def make_candidates(
         contact_b = cloud.points[ib]
         delta = contact_b - contact_a
         width = float(np.linalg.norm(delta))
-        if width <= 0 or width > max_width:
+        if width <= 0 or width > config.max_width:
             continue
         out.append(
             GraspCandidate(

@@ -28,6 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import PlannerConfig
+
 
 @dataclass(frozen=True)
 class ContactFrame:
@@ -81,17 +83,19 @@ def plane_frame(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (+Y where |n . x| > 0.9), and v = normal x u, so (u, v, normal) is right-handed.
 
     Elementwise arithmetic in one fixed order, no BLAS: n . ref of a unit
-    axis is the matching component of n, and |u| sums its squares x, y, z."""
+    axis is the matching component of n, |u| sums its squares x, y, z, and
+    each component of v is one difference of two products, as in ``np.cross``."""
     n = np.asarray(normal, dtype=np.float64)
     ref, along = np.array([1.0, 0.0, 0.0]), n[0]
     if abs(along) > 0.9:
         ref, along = np.array([0.0, 1.0, 0.0]), n[1]
     u = ref - along * n
     u = u / math.sqrt(u[0] * u[0] + u[1] * u[1] + u[2] * u[2])
-    return u, np.cross(n, u)
+    v = np.array([n[1] * u[2] - n[2] * u[1], n[2] * u[0] - n[0] * u[2], n[0] * u[1] - n[1] * u[0]])
+    return u, v
 
 
-def build_contact_frame(contact, inward_normal, mu: float = 0.5) -> ContactFrame:
+def build_contact_frame(contact, inward_normal, mu: float = PlannerConfig.mu) -> ContactFrame:
     """Frame at ``contact`` with columns ``plane_frame(n)`` and n, the inward
     normal checked and normalized by ``_unit_normals``."""
     n = _unit_normals(inward_normal)
@@ -123,7 +127,7 @@ def stacked_force_closure(
     inward_normals,
     object_origin,
     mu: float,
-    sigma_min_threshold: float = 0.01,
+    sigma_min_threshold: float = PlannerConfig.sigma_min_threshold,
     torque_scale: float = 1.0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Classify T two-contact grasps by grasp-map singular values and cone geometry.
@@ -171,10 +175,21 @@ def stacked_force_closure(
     return apart & admissible & (sigma_min > sigma_min_threshold), sigma_min
 
 
+def _closure_on_cloud(
+    contacts, inward_normals, cloud, mu: float, sigma_min_threshold: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """``stacked_force_closure`` about ``cloud``'s centroid, torque rows scaled
+    by its bounding radius (at least 1e-12): the one way closure is judged on a cloud."""
+    return stacked_force_closure(
+        contacts, inward_normals, cloud.centroid(), mu, sigma_min_threshold,
+        torque_scale=max(cloud.bounding_radius(), 1e-12),
+    )
+
+
 def force_closure(
     gm: GraspMap,
     mu: float,
-    sigma_min_threshold: float = 0.01,
+    sigma_min_threshold: float = PlannerConfig.sigma_min_threshold,
     torque_scale: float = 1.0,
 ) -> tuple[bool, float]:
     """``stacked_force_closure`` of the grasp map's two contacts and origin.

@@ -140,32 +140,16 @@ def _plan(cloud: PointCloud, config: PlannerConfig | None = None) -> tuple[PlanR
         return finish(RESULT_SEGMENTATION_EMPTY)
 
     t0 = time.perf_counter()
-    pairs = find_antiparallel_pairs(
-        segmentation.regions, config.max_pair_angle_deg, config.max_width
-    )
+    pairs = find_antiparallel_pairs(segmentation.regions, config)
     candidates: list[GraspCandidate] = []
     for pair in pairs:
-        candidates.extend(
-            make_candidates(
-                pair,
-                prepared,
-                n_per_pair=config.candidates_per_pair,
-                max_width=config.max_width,
-                distance_threshold=config.distance_threshold,
-                min_points=config.min_region_size,
-            )
-        )
+        candidates.extend(make_candidates(pair, prepared, config))
     timings["candidates"] = (time.perf_counter() - t0) * 1e3
     if not candidates:
         return finish(RESULT_NO_CANDIDATES, n_regions=len(segmentation), n_pairs=len(pairs))
 
     t0 = time.perf_counter()
-    ranked: RankedCandidates = rank_candidates(
-        candidates,
-        prepared,
-        mu=config.mu,
-        sigma_min_threshold=config.sigma_min_threshold,
-    )
+    ranked: RankedCandidates = rank_candidates(candidates, prepared, config)
     timings["rank"] = (time.perf_counter() - t0) * 1e3
     logger.debug("plan timings (ms): %s", timings)
     return finish(

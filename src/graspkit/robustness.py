@@ -35,7 +35,7 @@ import numpy as np
 from .candidates import GraspCandidate
 from .cloud import PointCloud
 from .config import PlannerConfig
-from .mechanics import stacked_force_closure
+from .mechanics import _closure_on_cloud
 
 # Not called here since trials are batched; the names stay in this module
 # because perfbench/tracing.py wraps them as module attributes.
@@ -55,7 +55,7 @@ class PerturbationSpec:
     sigma: float
     trials: int = 100
     seed: int = 0
-    threshold: float = 0.01
+    threshold: float = PlannerConfig.sigma_min_threshold
     sigma_mode: str = "absolute"
 
     def __post_init__(self):
@@ -86,7 +86,6 @@ class RobustnessReport:
     trials: int
     seed: int
     threshold: float
-    mode: str
     rng: str = RNG_ALGORITHM
 
     def to_json_dict(self) -> dict:
@@ -99,7 +98,6 @@ class RobustnessReport:
             "trials": self.trials,
             "seed": self.seed,
             "threshold": self.threshold,
-            "mode": self.mode,
             "rng": self.rng,
         }
 
@@ -125,7 +123,7 @@ def robust_force_closure(
     candidate: GraspCandidate,
     cloud: PointCloud,
     spec: PerturbationSpec,
-    mu: float = 0.5,
+    mu: float = PlannerConfig.mu,
     mode: str = PlannerConfig.closure_mode,
 ) -> RobustnessReport:
     """Fraction of perturbation trials in which the grasp keeps force closure.
@@ -133,15 +131,13 @@ def robust_force_closure(
     Requires a cloud with stored normals: the inward normal at a snapped
     contact is the negated stored (outward) normal there. Trials where both
     contacts snap to the same point count as failures. ``mode`` names the
-    closure rule the report records; "soft-pinch" is the only one.
+    closure rule; "soft-pinch" is the only one.
     """
     if mode != PlannerConfig.closure_mode:
         raise ValueError(f"unknown closure mode {mode!r}")
     if cloud.normals is None:
         raise ValueError("robust_force_closure requires cloud normals")
     sigma = spec.effective_sigma(cloud)
-    origin = cloud.centroid()
-    torque_scale = max(cloud.bounding_radius(), 1e-12)
 
     # trial t perturbs contact a with draws 0-2 of its stream and b with 3-5
     contacts = np.array([candidate.contact_a, candidate.contact_b], dtype=np.float64)
@@ -149,9 +145,7 @@ def robust_force_closure(
     snapped = cloud.index.nearest_many((contacts + offsets).reshape(-1, 3)).reshape(spec.trials, 2)
     apart = snapped[:, 0] != snapped[:, 1]  # coincident snaps are failures
     kept = snapped[apart]
-    closure, _ = stacked_force_closure(
-        cloud.points[kept], -cloud.normals[kept], origin, mu, spec.threshold, torque_scale=torque_scale
-    )
+    closure, _ = _closure_on_cloud(cloud.points[kept], -cloud.normals[kept], cloud, mu, spec.threshold)
     outcomes = np.zeros(spec.trials, dtype=bool)
     outcomes[apart] = closure
     return RobustnessReport(
@@ -163,5 +157,4 @@ def robust_force_closure(
         trials=spec.trials,
         seed=spec.seed,
         threshold=spec.threshold,
-        mode=mode,
     )

@@ -25,7 +25,7 @@ import numpy as np
 from .candidates import GraspCandidate
 from .cloud import PointCloud
 from .config import PlannerConfig
-from .mechanics import GraspMap, stacked_force_closure
+from .mechanics import GraspMap, _closure_on_cloud
 
 # Not called here since candidates are scored as stacks; the names stay in
 # this module because perfbench/tracing.py wraps them as module attributes.
@@ -35,7 +35,7 @@ from .mechanics import build_grasp_map, force_closure  # noqa: F401
 @dataclass(frozen=True)
 class StabilityProblem:
     grasp_map: GraspMap
-    mu: float = 0.5
+    mu: float = PlannerConfig.mu
     f_ex_magnitude: float = 1.0
     f_normal_cap: float | None = None  # defaults to 2 * f_ex_magnitude
 
@@ -130,13 +130,9 @@ class RankedCandidates:
         return self.reports[0] if self.reports else None
 
 
-def rank_candidates(
-    candidates,
-    cloud: PointCloud,
-    mu: float = 0.5,
-    sigma_min_threshold: float = 0.01,
-) -> RankedCandidates:
-    """Score every candidate and sort best-first.
+def rank_candidates(candidates, cloud: PointCloud, config: PlannerConfig | None = None) -> RankedCandidates:
+    """Score every candidate under ``config``'s ``mu`` and
+    ``sigma_min_threshold`` (default ``PlannerConfig()``) and sort best-first.
 
     Sort key: closure winners first, then ascending distance between the
     grasp axis and the object centroid (the near-center preference that
@@ -144,15 +140,14 @@ def rank_candidates(
     ties keep candidate order. An all-failing batch is still returned; its
     best report then has ``closure`` False.
     """
+    config = config or PlannerConfig()
     candidates = list(candidates)
     if not candidates:
         raise ValueError("rank_candidates needs at least one candidate")
-    origin = cloud.centroid()
-    scale = max(cloud.bounding_radius(), 1e-12)
     contacts = np.array([(c.contact_a, c.contact_b) for c in candidates], dtype=np.float64)
     normals = [(c.normal_a, c.normal_b) for c in candidates]
-    closure, sigma_min = stacked_force_closure(contacts, normals, origin, mu, sigma_min_threshold, torque_scale=scale)
-    lever = np.cross(origin - contacts[:, 0], [c.grasp_axis for c in candidates])
+    closure, sigma_min = _closure_on_cloud(contacts, normals, cloud, config.mu, config.sigma_min_threshold)
+    lever = np.cross(cloud.centroid() - contacts[:, 0], [c.grasp_axis for c in candidates])
     distance = np.sqrt(np.vecdot(lever, lever))
     reports = [
         GraspReport(

@@ -13,6 +13,7 @@ from graspkit.candidates import (
     plane_frame,
 )
 from graspkit.cloud import PointCloud
+from graspkit.planner import PlannerConfig
 from graspkit.regions import PlanarRegion, segment
 from graspkit.shapes import ShapeSpec, generate
 
@@ -42,6 +43,10 @@ def inside(pts, lo, hi):
     return np.all((pts >= lo) & (pts <= hi), axis=1)
 
 
+# facing grids 5 cm apart: pairs within 10 degrees, grasps up to 10 cm
+GRID_CONFIG = PlannerConfig(max_pair_angle_deg=10.0, max_width=0.1)
+
+
 def segment_pair_cloud(cloud):
     seg = segment(cloud)
     assert len(seg) == 2
@@ -51,7 +56,7 @@ def segment_pair_cloud(cloud):
 class TestFindPairs:
     def test_exact_antiparallel_pair(self):
         seg, cloud = segment_pair_cloud(parallel_grid_cloud(gap=0.05))
-        pairs = find_antiparallel_pairs(seg.regions, max_angle_deg=10.0, max_width=0.1)
+        pairs = find_antiparallel_pairs(seg.regions, GRID_CONFIG)
         assert len(pairs) == 1
         pair = pairs[0]
         assert pair.antiparallel_angle_deg == pytest.approx(0.0, abs=1e-9)
@@ -60,7 +65,7 @@ class TestFindPairs:
 
     def test_width_filter(self):
         seg, cloud = segment_pair_cloud(parallel_grid_cloud(gap=0.05))
-        assert find_antiparallel_pairs(seg.regions, max_angle_deg=10.0, max_width=0.03) == []
+        assert find_antiparallel_pairs(seg.regions, PlannerConfig(max_pair_angle_deg=10.0, max_width=0.03)) == []
 
     def test_separation_is_orientation_independent(self):
         # outward-oriented variant of the same two planes pairs identically
@@ -73,14 +78,14 @@ class TestFindPairs:
         cloud = PointCloud(pts, normals, np.zeros(200))
         seg = segment(cloud)
         assert len(seg) == 2
-        pairs = find_antiparallel_pairs(seg.regions, 10.0, 0.1)
+        pairs = find_antiparallel_pairs(seg.regions, GRID_CONFIG)
         assert len(pairs) == 1
         assert pairs[0].separation == pytest.approx(0.05, abs=1e-12)
 
     def test_cube_faces_give_three_pairs(self, box_cloud):
         seg = segment(box_cloud)
         assert len(seg) == 6
-        pairs = find_antiparallel_pairs(seg.regions, max_angle_deg=15.0, max_width=0.1)
+        pairs = find_antiparallel_pairs(seg.regions, PlannerConfig(max_width=0.1))
         assert len(pairs) == 3
         # oracle: enumerate all 15 pairs with direct geometry checks
         regions = list(seg.regions)
@@ -95,7 +100,7 @@ class TestFindPairs:
 
     def test_sorted_by_angle(self, sphere_cloud):
         seg = segment(sphere_cloud)
-        pairs = find_antiparallel_pairs(seg.regions, 15.0, 0.085)
+        pairs = find_antiparallel_pairs(seg.regions)
         angles = [p.antiparallel_angle_deg for p in pairs]
         assert angles == sorted(angles)
 
@@ -155,8 +160,9 @@ class TestMakeCandidates:
     def test_full_overlap_centroid_candidate(self):
         cloud = parallel_grid_cloud(gap=0.05)
         seg = segment(cloud)
-        pair = find_antiparallel_pairs(seg.regions, 10.0, 0.1)[0]
-        cands = make_candidates(pair, cloud, n_per_pair=1, max_width=0.1)
+        config = dataclasses.replace(GRID_CONFIG, candidates_per_pair=1)
+        pair = find_antiparallel_pairs(seg.regions, config)[0]
+        cands = make_candidates(pair, cloud, config)
         assert len(cands) == 1
         cand = cands[0]
         axis_angle = np.degrees(
@@ -172,15 +178,11 @@ class TestMakeCandidates:
     def test_single_pair_overlap(self):
         # only the two closest corner points project within the threshold
         cloud = parallel_grid_cloud(gap=0.03, nx=2, ny=2, spacing=0.04)
-        seg = segment(
-            cloud,
-            params=__import__("graspkit.regions", fromlist=["RegionGrowingParams"]).RegionGrowingParams(
-                min_region_size=3, k_neighbors=4
-            ),
-        )
-        pairs = find_antiparallel_pairs(seg.regions, 10.0, 0.1)
+        config = dataclasses.replace(GRID_CONFIG, min_region_size=3, k_neighbors=4)
+        seg = segment(cloud, config)
+        pairs = find_antiparallel_pairs(seg.regions, config)
         assert len(pairs) == 1
-        cands = make_candidates(pairs[0], cloud, n_per_pair=5, max_width=0.1, distance_threshold=0.005)
+        cands = make_candidates(pairs[0], cloud, config)
         # grid spacing 0.04 >> threshold: only exact-projection matches remain
         for c in cands:
             np.testing.assert_allclose(c.contact_a[:2], c.contact_b[:2], atol=1e-9)
@@ -188,14 +190,14 @@ class TestMakeCandidates:
     def test_width_filter_drops_all(self):
         cloud = parallel_grid_cloud(gap=0.05)
         seg = segment(cloud)
-        pair = find_antiparallel_pairs(seg.regions, 10.0, 0.06)[0]
-        assert make_candidates(pair, cloud, n_per_pair=3, max_width=0.01) == []
+        pair = find_antiparallel_pairs(seg.regions, dataclasses.replace(GRID_CONFIG, max_width=0.06))[0]
+        assert make_candidates(pair, cloud, PlannerConfig(candidates_per_pair=3, max_width=0.01)) == []
 
     def test_contacts_are_cloud_members_inside_box(self):
         cloud = parallel_grid_cloud(gap=0.05, offset_xy=(0.02, 0.02))
         seg = segment(cloud)
-        pair = find_antiparallel_pairs(seg.regions, 10.0, 0.1)[0]
-        cands = make_candidates(pair, cloud, n_per_pair=5, max_width=0.1)
+        pair = find_antiparallel_pairs(seg.regions, GRID_CONFIG)[0]
+        cands = make_candidates(pair, cloud, GRID_CONFIG)
         assert cands
         points_a = cloud.points[pair.region_a.point_indices]
         points_b = cloud.points[pair.region_b.point_indices]
@@ -220,8 +222,8 @@ class TestMakeCandidates:
 
     def assert_swap_symmetric(self, cloud):
         seg = segment(cloud)
-        pair = find_antiparallel_pairs(seg.regions, 10.0, 0.1)[0]
-        forward = make_candidates(pair, cloud, n_per_pair=5, max_width=0.1)
+        pair = find_antiparallel_pairs(seg.regions, GRID_CONFIG)[0]
+        forward = make_candidates(pair, cloud, GRID_CONFIG)
         assert forward
         # the common normal belongs to the unordered pair, so it is kept
         reversed_pair = dataclasses.replace(
@@ -229,7 +231,7 @@ class TestMakeCandidates:
             region_a=pair.region_b,
             region_b=pair.region_a,
         )
-        backward = make_candidates(reversed_pair, cloud, n_per_pair=5, max_width=0.1)
+        backward = make_candidates(reversed_pair, cloud, GRID_CONFIG)
         assert len(forward) == len(backward)
         for f, b in zip(forward, backward):
             np.testing.assert_array_equal(f.contact_a, b.contact_b)
@@ -243,8 +245,9 @@ class TestMakeCandidates:
     def test_inward_normals_face_each_other(self):
         cloud = parallel_grid_cloud(gap=0.05)
         seg = segment(cloud)
-        pair = find_antiparallel_pairs(seg.regions, 10.0, 0.1)[0]
-        cand = make_candidates(pair, cloud, n_per_pair=1, max_width=0.1)[0]
+        config = dataclasses.replace(GRID_CONFIG, candidates_per_pair=1)
+        pair = find_antiparallel_pairs(seg.regions, config)[0]
+        cand = make_candidates(pair, cloud, config)[0]
         assert cand.normal_a @ (cand.contact_b - cand.contact_a) > 0
         assert cand.normal_b @ (cand.contact_a - cand.contact_b) > 0
 
@@ -268,9 +271,9 @@ class TestMakeCandidates:
 
     def test_deterministic(self, sphere_cloud):
         seg = segment(sphere_cloud)
-        pairs = find_antiparallel_pairs(seg.regions, 15.0, 0.085)
-        a = sum((make_candidates(p, sphere_cloud, 5, 0.085, min_points=20) for p in pairs), [])
-        b = sum((make_candidates(p, sphere_cloud, 5, 0.085, min_points=20) for p in pairs), [])
+        pairs = find_antiparallel_pairs(seg.regions)
+        a = sum((make_candidates(p, sphere_cloud) for p in pairs), [])
+        b = sum((make_candidates(p, sphere_cloud) for p in pairs), [])
         assert len(a) == len(b) > 0
         for ca, cb in zip(a, b):
             for field in ("contact_a", "contact_b", "normal_a", "normal_b", "grasp_axis"):

@@ -95,6 +95,9 @@ class TestEvalCommand:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
         report = json.loads(outs[0])
+        assert set(report) == {
+            "probability", "per_trial", "sigma", "effective_sigma", "sigma_mode", "trials", "seed", "threshold", "rng",
+        }
         assert report["trials"] == 100
         assert report["seed"] == 7
         assert 0.0 <= report["probability"] <= 1.0

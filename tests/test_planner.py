@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graspkit.config
+from graspkit import planner
+from graspkit.candidates import find_antiparallel_pairs, make_candidates
 from graspkit.cloud import PointCloud
 from graspkit.planner import (
     RESULT_NO_CANDIDATES,
@@ -20,9 +22,11 @@ from graspkit.planner import (
     _plan,
     load_config,
     plan,
+    preprocess,
 )
-from graspkit.regions import RegionGrowingParams
+from graspkit.regions import RegionGrowingParams, segment
 from graspkit.shapes import ShapeSpec, corpus_standard, generate
+from graspkit.stability import rank_candidates
 
 
 class TestConfig:
@@ -387,3 +391,47 @@ def test_plan_json_holds_no_negative_zero(default_config, index, name):
     scan = generate(replace(spec, density=spec.density * 3, jitter=3e-4, seed=64 + index))
     for cloud in (generate(spec), PointCloud(scan.points)):
         assert _negative_zeros(json.loads(plan(cloud, default_config).to_json())) == 0
+
+
+def _candidate_bytes(candidates) -> list:
+    return [
+        (c.contact_a.tobytes(), c.contact_b.tobytes(), c.normal_a.tobytes(), c.normal_b.tobytes(),
+         c.grasp_axis.tobytes(), c.width)
+        for c in candidates
+    ]
+
+
+@pytest.mark.parametrize("name", ["sphere_tennis_ball", "bent_prism_banana"])
+def test_contacts_without_a_config_are_the_plans(corpus, monkeypatch, name):
+    """``make_candidates`` given no config picks plan()'s contacts on every
+    pair of the two corpus objects whose overlap boxes can hold fewer than
+    ``min_region_size`` points of a region, where a looser box picks others."""
+    calls = []
+
+    def spy(pair, cloud, *args, **kwargs):
+        out = make_candidates(pair, cloud, *args, **kwargs)
+        calls.append((pair, cloud, out))
+        return out
+
+    monkeypatch.setattr(planner, "make_candidates", spy)
+    assert plan(generate(corpus[name])).ok
+    assert calls
+    for pair, prepared, want in calls:
+        assert _candidate_bytes(make_candidates(pair, prepared)) == _candidate_bytes(want)
+
+
+@pytest.mark.parametrize("name", list(corpus_standard()))
+def test_stage_chain_under_one_config_is_plan(corpus, name):
+    """preprocess, segment, pairs, contacts and rank, each given the same
+    non-default config, report what plan() reports under it."""
+    config = PlannerConfig(candidates_per_pair=3, max_width=0.07, sigma_min_threshold=0.9)
+    cloud = generate(corpus[name])
+    result = plan(cloud, config)
+    prepared = preprocess(cloud, config)
+    pairs = find_antiparallel_pairs(segment(prepared, config).regions, config)
+    candidates = [c for pair in pairs for c in make_candidates(pair, prepared, config)]
+    reports = rank_candidates(candidates, prepared, config).reports if candidates else ()
+    assert len(pairs) == result.n_pairs
+    assert [(r.candidate_index, r.to_json_dict()) for r in reports] == [
+        (r.candidate_index, r.to_json_dict()) for r in result.all_reports
+    ]

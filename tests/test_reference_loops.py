@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import reference_loops as ref
 from graspkit import candidates
-from graspkit.candidates import GraspCandidate, _sample_locations, find_antiparallel_pairs, make_candidates
+from graspkit.candidates import GraspCandidate, _sample_locations, find_antiparallel_pairs, overlap_region, plane_frame
 from graspkit.cloud import (
     KNN_BLOCK,
     PointCloud,
@@ -114,28 +114,24 @@ def assert_pairs_equal(got, want):
 
 
 @pytest.mark.parametrize("name", OBJECTS)
-def test_pairs_and_sample_locations_match_loops(table_clouds, name, monkeypatch):
-    # the overlap boxes and sample counts of make_candidates, captured at the sweep
-    boxes = []
-
-    def spy(lo, hi, count):
-        boxes.append((lo, hi, count))
-        return _sample_locations(lo, hi, count)
-
-    monkeypatch.setattr(candidates, "_sample_locations", spy)
+def test_pairs_and_sample_locations_match_loops(table_clouds, name):
     for cloud in table_clouds[name]:
         prepared = preprocess(cloud, CONFIG)
         regions = segment(prepared, CONFIG).regions
         for subset in (regions, regions[:1], regions[:0]):
             assert_pairs_equal(
-                find_antiparallel_pairs(subset, CONFIG.max_pair_angle_deg, CONFIG.max_width),
+                find_antiparallel_pairs(subset, CONFIG),
                 ref.find_antiparallel_pairs(subset, CONFIG.max_pair_angle_deg, CONFIG.max_width),
             )
-        for pair in find_antiparallel_pairs(regions, CONFIG.max_pair_angle_deg, CONFIG.max_width):
-            # min_points=1 sweeps every box holding a point of each region, not only the plan's
-            make_candidates(pair, prepared, n_per_pair=CONFIG.candidates_per_pair, min_points=1)
-    for lo, hi, count in boxes:
-        assert np.array_equal(_sample_locations(lo, hi, count), ref.sample_locations(lo, hi, count))
+        for pair in find_antiparallel_pairs(regions, CONFIG):
+            # make_candidates' projections; min_points=1 keeps every box holding
+            # a point of each region, not only the boxes the plan sweeps
+            u, v = plane_frame(pair.common_normal)
+            members = (prepared.points[r.point_indices] for r in (pair.region_a, pair.region_b))
+            box = overlap_region(*(np.column_stack([p @ u, p @ v]) for p in members), min_points=1)
+            if box is not None:
+                # 32 samples: make_candidates' sweep at the default candidates_per_pair
+                assert np.array_equal(_sample_locations(*box, 32), ref.sample_locations(*box, 32))
 
 
 def test_pairs_with_ties_and_degenerate_directions_match_loop():
@@ -149,11 +145,12 @@ def test_pairs_with_ties_and_degenerate_directions_match_loop():
     # (equal normals: no common normal) and a tilted face 10 cm away
     regions = [region(n, 0.02 * np.asarray(n)) for n in np.vstack([np.eye(3), -np.eye(3)])]
     regions += [region((0.0, 0.0, -1.0), (0.01, 0.0, 0.02)), regions[0], region((-1.0, 0.1, 0.0), (-0.1, 0.0, 0.0))]
-    for max_angle in (0.0, 15.0, 180.0):
+    # 1 degree: below the tilted face's 5.7, so only the exact 0-degree pairs remain
+    for max_angle in (1.0, 15.0, 180.0):
         for max_width in (0.04, 0.085, 1.0):
-            got = find_antiparallel_pairs(regions, max_angle, max_width)
+            got = find_antiparallel_pairs(regions, PlannerConfig(max_pair_angle_deg=max_angle, max_width=max_width))
             assert_pairs_equal(got, ref.find_antiparallel_pairs(regions, max_angle, max_width))
-    tied = find_antiparallel_pairs(regions, 0.0, 0.085)
+    tied = find_antiparallel_pairs(regions, PlannerConfig(max_pair_angle_deg=1.0))
     want = [(regions[i], regions[j]) for i, j in ((0, 3), (1, 4), (2, 5), (3, 7))]
     assert len(tied) == len(want)
     assert all(p.region_a is a and p.region_b is b for p, (a, b) in zip(tied, want))
@@ -232,8 +229,8 @@ def test_rank_matches_tuple_key_sort_on_exact_ties():
     cloud = PointCloud(corners)  # centroid exactly 0
     batch = mirrored_candidates(rng, 6)
     batch = [batch[i] for i in rng.permutation(len(batch))]
-    got = planner.rank_candidates(batch, cloud, mu=0.5, sigma_min_threshold=0.01).reports
-    assert_reports_match(got, ref.rank_candidates(batch, cloud, 0.5, 0.01))
+    got = planner.rank_candidates(batch, cloud, CONFIG).reports
+    assert_reports_match(got, ref.rank_candidates(batch, cloud, CONFIG.mu, CONFIG.sigma_min_threshold))
     assert all(type(r.candidate_index) is int and type(r.axis_com_distance) is float for r in got)
     assert {r.closure for r in got} == {True, False}
     # exact ties between distinct candidates, not only between repeats
@@ -245,17 +242,17 @@ def test_rank_of_the_corpus_matches_tuple_key_sort(clouds, monkeypatch):
     batches = []
     rank_candidates = planner.rank_candidates
 
-    def spy(batch, cloud, **kwargs):
-        batches.append((batch, cloud, kwargs))
-        return rank_candidates(batch, cloud, **kwargs)
+    def spy(batch, cloud, config):
+        batches.append((batch, cloud, config))
+        return rank_candidates(batch, cloud, config)
 
     monkeypatch.setattr(planner, "rank_candidates", spy)
     for cloud, _ in clouds.values():
         plan(cloud, CONFIG)
     assert len(batches) == 9
-    for batch, cloud, kwargs in batches:
-        got = rank_candidates(batch, cloud, **kwargs).reports
-        assert_reports_match(got, ref.rank_candidates(batch, cloud, CONFIG.mu, CONFIG.sigma_min_threshold))
+    for batch, cloud, config in batches:
+        got = rank_candidates(batch, cloud, config).reports
+        assert_reports_match(got, ref.rank_candidates(batch, cloud, config.mu, config.sigma_min_threshold))
 
 
 @pytest.mark.parametrize("name", OBJECTS)
