@@ -16,7 +16,7 @@ toward the other region's centroid.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -39,7 +39,9 @@ class RegionPair:
 
 @dataclass(frozen=True)
 class GraspCandidate:
-    """An ordered antipodal contact pair with inward normals."""
+    """An ordered antipodal contact pair with inward normals. Candidates, and
+    the ``GraspReport``s that hold them, compare equal when every field holds
+    equal values."""
 
     contact_a: np.ndarray
     contact_b: np.ndarray
@@ -47,6 +49,11 @@ class GraspCandidate:
     normal_b: np.ndarray
     grasp_axis: np.ndarray
     width: float
+
+    def __eq__(self, other):
+        if not isinstance(other, GraspCandidate):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
 
 def find_antiparallel_pairs(regions, config: PlannerConfig | None = None) -> list[RegionPair]:

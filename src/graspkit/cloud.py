@@ -274,8 +274,8 @@ class SpatialIndex:
 def voxel_downsample(cloud: PointCloud, voxel: float) -> PointCloud:
     """Collapse the cloud to one mean per occupied voxel of edge ``voxel``.
 
-    A point belongs to the voxel ``floor(p / voxel)``. The points are sorted
-    once by value: voxel coordinates, then x, y, z, then the normal and the
+    A point belongs to the voxel ``floor(p / voxel)``. The points are ordered
+    by value: voxel coordinates, then x, y, z, then the normal and the
     curvature where the cloud has them. Every mean is a per-column sum over
     that order, one member at a time from 0.0, divided by the member count,
     so the output depends on the points and their attributes but not on
@@ -291,18 +291,23 @@ def voxel_downsample(cloud: PointCloud, voxel: float) -> PointCloud:
     if not float(np.abs(cloud.points).max()) / voxel < 2.0**62:  # bounds every |floor(p / voxel)|
         raise ValueError(f"voxel size {voxel} puts the points beyond the int64 voxel grid")
     coords = np.floor(cloud.points / voxel).astype(np.int64)
-    columns = [*cloud.points.T]
-    if cloud.normals is not None:
-        columns += [*cloud.normals.T]
-    if cloud.curvatures is not None:
-        columns.append(cloud.curvatures)
-    # lexsort's last key sorts first
-    order = np.lexsort(columns[::-1] + [coords[:, 2], coords[:, 1], coords[:, 0]])
+    # lexsort's last key sorts first; equal keys keep input order
+    order = np.lexsort((coords[:, 2], coords[:, 1], coords[:, 0]))
     sorted_coords = coords[order]
     starts = np.ones(len(cloud), dtype=bool)
     starts[1:] = np.any(sorted_coords[1:] != sorted_coords[:-1], axis=1)
     voxel_of = np.cumsum(starts) - 1
     counts = np.bincount(voxel_of)
+    columns = [*cloud.points.T]
+    if cloud.normals is not None:
+        columns += [*cloud.normals.T]
+    if cloud.curvatures is not None:
+        columns.append(cloud.curvatures)
+    # Only the members of voxels that hold 2 or more points need the value
+    # order: sort just those, stably, by voxel id and then by value.
+    shared = (counts > 1)[voxel_of].nonzero()[0]
+    members = order[shared]
+    order[shared] = members[np.lexsort([col[members] for col in columns[::-1]] + [voxel_of[shared]])]
     # bincount adds a voxel's weights one at a time, in the sorted order
     means = [np.bincount(voxel_of, weights=col[order]) / counts for col in columns]
 
@@ -375,7 +380,8 @@ def _orient(v: np.ndarray, toward: np.ndarray) -> np.ndarray:
         return _canonical_sign(v) if side == 0 else v
     out = np.where(side[:, np.newaxis] < 0, -v, v)
     tangent = side == 0
-    out[tangent] = _canonical_sign(out[tangent])
+    if tangent.any():
+        out[tangent] = _canonical_sign(out[tangent])
     return out
 
 

@@ -176,13 +176,14 @@ class TestMakeCandidates:
         np.testing.assert_allclose(cand.contact_b[:2], cand.contact_a[:2], atol=1e-9)
 
     def test_single_pair_overlap(self):
-        # only the two closest corner points project within the threshold
-        cloud = parallel_grid_cloud(gap=0.03, nx=2, ny=2, spacing=0.04)
-        config = dataclasses.replace(GRID_CONFIG, min_region_size=3, k_neighbors=4)
+        # two facing 3x3 grids: the box centre sample lies on a grid point of each
+        cloud = parallel_grid_cloud(gap=0.03, nx=3, ny=3, spacing=0.04)
+        config = dataclasses.replace(GRID_CONFIG, min_region_size=3, k_neighbors=5)
         seg = segment(cloud, config)
         pairs = find_antiparallel_pairs(seg.regions, config)
         assert len(pairs) == 1
         cands = make_candidates(pairs[0], cloud, config)
+        assert cands
         # grid spacing 0.04 >> threshold: only exact-projection matches remain
         for c in cands:
             np.testing.assert_allclose(c.contact_a[:2], c.contact_b[:2], atol=1e-9)

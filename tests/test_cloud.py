@@ -540,6 +540,23 @@ class TestVoxelDownsample:
             if a is not None:
                 assert a.tobytes() == b.tobytes() == want.tobytes()
 
+    def test_permuted_scan_with_many_shared_voxels(self, sphere_cloud):
+        # a jittered 3x-density sphere with exact duplicates of a tenth of its
+        # rows (other normals and curvatures): several points in most voxels
+        rng = np.random.default_rng(11)
+        points = np.repeat(sphere_cloud.points, 3, axis=0) + rng.normal(scale=3e-4, size=(3 * len(sphere_cloud), 3))
+        twins = rng.integers(len(points), size=len(points) // 10)
+        points = np.vstack([points, points[twins]])
+        normals = rng.normal(size=points.shape)
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        cloud = PointCloud(points, normals, rng.uniform(0.0, 1.0, len(points)))
+        out = voxel_downsample(cloud, 0.003)
+        assert len(out) < len(cloud) / 4
+        shuffled = voxel_downsample(cloud.select(rng.permutation(len(cloud))), 0.003)
+        want = ref.voxel_downsample(cloud, 0.003)
+        for attr in ("points", "normals", "curvatures"):
+            assert getattr(out, attr).tobytes() == getattr(shuffled, attr).tobytes() == getattr(want, attr).tobytes()
+
 
 class TestOutlierRemoval:
     def test_far_point_removed(self, unit_sphere_cloud):

@@ -113,6 +113,12 @@ class TestSegment:
         assert total + len(seg.residue_indices) == len(sphere_cloud)
         assert not (seen & set(seg.residue_indices.tolist()))
 
+    def test_residue_ascends(self, sphere_cloud):
+        seg = segment(sphere_cloud, RegionGrowingParams(min_region_size=40))
+        assert len(seg.residue_indices) > 100
+        assert seg.residue_indices.dtype == np.intp
+        assert (np.diff(seg.residue_indices) > 0).all()
+
     def test_angular_property(self, sphere_cloud):
         params = RegionGrowingParams()
         seg = segment(sphere_cloud, params)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -250,6 +252,15 @@ class TestRankCandidates:
         ranked = rank_candidates([bad], box_cloud)
         assert not ranked.best.closure
         assert len(ranked.reports) == 1
+
+    def test_reports_compare_by_value(self, box_cloud):
+        first, second = plan(box_cloud).all_reports, plan(box_cloud).all_reports
+        assert first[0].candidate is not second[0].candidate
+        assert first == second
+        assert first[0] != first[1] and first[0].candidate != first[1].candidate
+        moved = dataclasses.replace(first[0].candidate, contact_a=first[0].candidate.contact_a + 1e-9)
+        assert dataclasses.replace(first[0], candidate=moved) != first[0]
+        assert first[0].candidate != "a candidate"
 
     def test_box_best_axis_near_centroid(self):
         """Exhaustively rescoring all reports reproduces the module's ranking."""
