@@ -20,7 +20,9 @@ class PlannerConfig:
     Unknown keys are rejected at load time and each value is validated
     against its stage's invariants; numbers are stored as their field's type,
     so equal configs hash alike. ``k_neighbors`` sizes the one k-NN table
-    that normal estimation and region growth share.
+    that normal estimation and region growth share. ``distance_threshold``
+    is the contact snap radius alone: region growth has no plane-distance
+    test.
     """
 
     voxel_size: float = 0.002

@@ -24,8 +24,8 @@ neighbourhood at a time, its eigen-decomposition by ``jacobi3``, the
 library's Jacobi solver on Python floats. ``estimate_normals_curvatures_eigh``
 is the whole-cloud LAPACK version the library ran before it had that
 solver; tests compare with it within a tolerance, as its bits depend on the
-BLAS kernel. ``grow_regions`` refits each plane by ``fit_plane_lsq`` over
-all the members, where the library folds new members into running moments.
+BLAS kernel. ``grow_regions`` pops one neighbour at a time from a FIFO
+queue, where the library takes a whole frontier per step.
 
 ``rank_candidates`` scores one candidate at a time with the scalar
 mechanics below, takes each lever-arm distance from its own
@@ -58,7 +58,7 @@ from scipy.optimize import minimize
 
 from graspkit.candidates import RegionPair, _halton
 from graspkit.cloud import JACOBI_SWEEPS, KNN_BLOCK, KNN_SLACK, PointCloud, SpatialIndex, _canonical_sign
-from graspkit.regions import REFIT_INTERVAL, DegenerateFitError, RegionGrowingParams, fit_plane_lsq
+from graspkit.regions import RegionGrowingParams
 from graspkit.robustness import trial_rng
 from graspkit.shapes import CURVATURE_PROXY_K, ShapeSpec, _grid_1d
 from graspkit.stability import GraspReport, StabilityProblem, StabilityResult, stability_cost, stability_cost_grad
@@ -300,22 +300,11 @@ def voxel_downsample(cloud: PointCloud, voxel: float) -> PointCloud:
     return PointCloud(means[:, :3], normals, curvatures)
 
 
-def grow_regions(
-    cloud: PointCloud,
-    params: RegionGrowingParams,
-    hoods: np.ndarray,
-    refits: list | None = None,
-    planes: list | None = None,
-) -> list[list[int]]:
-    """Raw region member lists, in growth order, testing one neighbour at a time.
-
-    ``refits``, when given, receives the (column, row length) of every
-    neighbour that triggered a plane refit, and ``planes`` the (normal,
-    offset) of ``fit_plane_lsq`` at every refit, None where it raised.
-    """
+def grow_regions(cloud: PointCloud, params: RegionGrowingParams, hoods: np.ndarray) -> list[list[int]]:
+    """Raw region member lists, in growth order, testing one neighbour at a time."""
     n = len(cloud)
     cos_threshold = float(np.cos(np.radians(params.angle_threshold_deg)))
-    normals, points, curvatures = cloud.normals, cloud.points, cloud.curvatures
+    normals, curvatures = cloud.normals, cloud.curvatures
     available = np.ones(n, dtype=bool)
     seed_order = np.lexsort((np.arange(n), curvatures))
     seed_cursor = 0
@@ -329,39 +318,17 @@ def grow_regions(
         seed_normal = normals[seed]
         available[seed] = False
         members = [seed]
-        plane_n = seed_normal
-        plane_d = float(plane_n @ points[seed])
         queue = deque([seed])
-        since_refit = 0
         while queue:
-            current = queue.popleft()
-            for col, nbr in enumerate(hoods[current]):
+            for nbr in hoods[queue.popleft()]:
                 if not available[nbr]:
                     continue
                 if normals[nbr] @ seed_normal <= cos_threshold:
                     continue
-                if abs(points[nbr] @ plane_n - plane_d) >= params.distance_threshold:
-                    continue
                 available[nbr] = False
                 members.append(int(nbr))
-                since_refit += 1
                 if curvatures[nbr] < params.curvature_threshold:
                     queue.append(int(nbr))
-                if since_refit >= REFIT_INTERVAL and len(members) >= 3:
-                    if refits is not None:
-                        refits.append((col, len(hoods[current])))
-                    try:
-                        fit_n, fit_d, _ = fit_plane_lsq(points[members])
-                    except DegenerateFitError:
-                        if planes is not None:
-                            planes.append(None)
-                    else:
-                        if planes is not None:
-                            planes.append((fit_n, fit_d))
-                        if fit_n @ seed_normal < 0:
-                            fit_n, fit_d = -fit_n, -fit_d
-                        plane_n, plane_d = fit_n, fit_d
-                    since_refit = 0
         raw_regions.append(members)
     return raw_regions
 

@@ -25,6 +25,7 @@ from graspkit.planner import (
     preprocess,
 )
 from graspkit.regions import RegionGrowingParams, segment
+from graspkit.robustness import PerturbationSpec, robust_force_closure
 from graspkit.shapes import ShapeSpec, corpus_standard, generate
 from graspkit.stability import rank_candidates
 
@@ -269,6 +270,23 @@ class TestPlan:
         assert result.result_code == RESULT_NO_CANDIDATES
         assert result.n_regions > 0
         assert result.best is None
+
+    def test_large_ellipsoid_plans_as_well_without_a_plane_test(self, default_config):
+        # Growth bounds a region by the seed-normal cone alone. A plane-distance
+        # test bound on this ellipsoid's large-radius faces: it gave 48 regions
+        # and a best grasp of held-out p 0.640. If one comes back and costs
+        # quality, this shows it.
+        cloud = generate(ShapeSpec("ellipsoid", (0.03, 0.15, 0.25), density=3e4))
+        result = plan(cloud, default_config)
+        assert result.result_code == RESULT_OK
+        assert result.n_regions == 36
+        p = [
+            robust_force_closure(
+                result.best.candidate, cloud, PerturbationSpec(0.05, trials=100, seed=seed, sigma_mode="relative")
+            ).probability
+            for seed in (11, 12)
+        ]
+        assert sum(p) / 2 >= 0.64
 
     def test_repeat_runs_byte_identical(self, box_cloud, default_config):
         a = plan(box_cloud, default_config).to_json()

@@ -27,15 +27,10 @@ from graspkit.cloud import (
 )
 from graspkit import planner
 from graspkit.planner import PlannerConfig, plan, preprocess
-from graspkit import regions
 from graspkit.regions import (
-    DegenerateFitError,
     PlanarRegion,
     RegionGrowingParams,
     _grow_regions,
-    _grow_regions_exact,
-    _refit_planes,
-    fit_plane_lsq,
     segment,
 )
 from graspkit.robustness import PerturbationSpec, robust_force_closure
@@ -388,165 +383,26 @@ def test_region_growth_matches_loop(clouds, name):
         assert grown == ref.grow_regions(prepared, params, hoods)
 
 
-@pytest.mark.parametrize("name", OBJECTS)
-def test_moment_refits_match_full_refits(clouds, name, monkeypatch):
-    # each refit's plane from running moments, against fit_plane_lsq over
-    # the same members (the same, as growth matches the full-refit loop)
-    # oriented toward the seed normal
-    got = []
-
-    def spy(moments, counts, seed_points, seed_normals):
-        planes = _refit_planes(moments, counts, seed_points, seed_normals)
-        for normal, offset, fitted, toward in zip(*planes, np.broadcast_to(seed_normals, (len(moments), 3))):
-            got.append((normal, offset, toward) if fitted else None)
-        return planes
-
-    for cloud in clouds[name]:
-        prepared = preprocess(cloud, CONFIG)
-        hoods = prepared.index.knn_all(CONFIG.k_neighbors)
-        want = []
-        grown = ref.grow_regions(prepared, CONFIG, hoods, planes=want)
-        got.clear()
-        with monkeypatch.context() as patch:
-            patch.setattr(regions, "_refit_planes", spy)
-            assert [r.tolist() for r in _grow_regions(prepared, CONFIG, hoods)] == grown
-        assert len(got) == len(want) > 0
-        for plane, full in zip(got, want):
-            assert (plane is None) == (full is None)
-            if plane is not None:
-                # the refit is oriented toward the seed normal, the full fit canonically
-                normal, offset, toward = plane
-                if full[0] @ toward < 0:
-                    full = (-full[0], -full[1])
-                assert np.abs(normal - full[0]).max() <= 1e-12
-                assert abs(offset - full[1]) <= 1e-14
-
-
-def test_a_batch_of_refits_equals_the_same_refits_one_block_at_a_time():
-    # the fast path's check makes every refit of every region in one batch,
-    # the exact loop one refit at a time: their planes must agree bit for bit
-    rng = np.random.default_rng(3)
-    blocks = rng.normal(size=(40, regions.REFIT_INTERVAL, 3)) * [0.02, 0.01, 1e-4]
-    blocks[:3] = rng.normal(size=3) * np.linspace(0.0, 0.01, regions.REFIT_INTERVAL)[:, np.newaxis]  # collinear
-    blocks[7, :, 2] = -0.0
-    blocks[20, :, 0] = 0.0
-    # blocks 0-19 are one region's, 20-39 another's
-    region = np.repeat([0, 1], 20)
-    counts = 1 + regions.REFIT_INTERVAL * (np.arange(40) % 20 + 1)
-    seed_points, seed_normals = np.array([[0.1, -0.2, 0.3], [0.0, 0.05, 0.0]]), np.array([[0.0, 0.6, 0.8], [0.8, 0.0, -0.6]])
-    terms = regions._fold(blocks)
-    moments = np.vstack([np.cumsum(np.concatenate([np.zeros((1, 9)), terms[a : a + 20]]), axis=0)[1:] for a in (0, 20)])
-    batch = _refit_planes(moments, counts, seed_points[region], seed_normals[region])
-    assert not batch[2][:3].any() and batch[2][3:].all()
-    for r in (0, 1):
-        moments = np.zeros(9)
-        for j in range(20 * r, 20 * r + 20):
-            moments = moments + regions._fold(blocks[j : j + 1])[0]
-            alone = _refit_planes(moments[np.newaxis], counts[j], seed_points[r], seed_normals[r])
-            for got, want in zip(alone, batch):
-                assert got[0].tobytes() == want[j].tobytes()
-
-
-def test_each_member_is_checked_on_the_plane_the_exact_loop_tests_it_on():
-    # Two regions, members in acceptance order. The first: a seed and 10
-    # points near its tangent plane. The second: the seed, 32 collinear points
-    # (refit 1 spans no plane, so members 33 to 64 keep the seed's tangent
-    # plane), then points of a curved sheet, whose later refits tilt.
-    rng = np.random.default_rng(8)
-    seed_normal = np.array([0.0, 0.0, 1.0])
-    line = np.column_stack([np.linspace(0.001, 0.03, 32), np.zeros(32), np.zeros(32)])
-    xy = rng.uniform(-0.05, 0.05, (150, 2))
-    sheet = np.vstack([np.zeros(3), line, np.column_stack([xy, 4.0 * xy[:, 0] ** 2 + 2.0 * xy[:, 1] ** 2])])
-    small = np.array([1.0, 1.0, 1.0]) + rng.uniform(-0.01, 0.01, (11, 3))
-    points = np.vstack([small, sheet])
-    normals = np.zeros_like(points)
-    normals[0], normals[len(small)] = [1.0, 0.0, 0.0], seed_normal
-    # member k > 32 of the sheet is tested on refit (k - 1) // 32, a full fit
-    # of members 0 to 32j oriented toward the seed normal, or on the last
-    # plane before it that fits
-    want = [(normals[0], 1.0 * small[0, 0])] * len(small) + [(seed_normal, 0.0)] * (regions.REFIT_INTERVAL + 1)
-    plane = want[-1]
-    for k in range(regions.REFIT_INTERVAL + 1, len(sheet)):
-        if (k - 1) % regions.REFIT_INTERVAL == 0:
-            try:
-                normal, offset, _ = fit_plane_lsq(sheet[:k])
-                plane = (normal, offset) if normal @ seed_normal > 0 else (-normal, -offset)
-            except DegenerateFitError:
-                assert k == regions.REFIT_INTERVAL + 1
-        want.append(plane)
-    got_n, got_d = regions._member_planes(points, normals, np.arange(len(points)), np.array([0, len(small)]))
-    assert len(got_n) == len(want)
-    for normal, offset, (want_n, want_d) in zip(got_n, got_d, want):
-        assert np.abs(normal - want_n).max() <= 1e-12
-        assert abs(offset - want_d) <= 1e-14
-
-
-@pytest.fixture(scope="module")
-def benchmark_scans():
-    """name -> the 3x-density 0.3 mm scan of the benchmark and CI (seed 64 + i), preprocessed."""
-    out = {}
-    for i, (name, spec) in enumerate(corpus_standard().items()):
-        scan = generate(dataclasses.replace(spec, density=spec.density * 3.0, jitter=3e-4, seed=64 + i))
-        out[name] = preprocess(PointCloud(scan.points), CONFIG)
-    return out
-
-
-def grow_both_ways(cloud: PointCloud, params: PlannerConfig, monkeypatch) -> bool:
-    """Assert that ``_grow_regions`` equals ``_grow_regions_exact`` and the
-    one-neighbour loop on ``cloud``, and that it fell back on the exact loop
-    exactly where the plane test changes the regions; return whether it did."""
-    hoods = cloud.index.knn_all(params.k_neighbors)
-    calls = []
-
-    def spy(*args):
-        calls.append(args)
-        return _grow_regions_exact(*args)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(regions, "_grow_regions_exact", spy)
-        grown = [r.tolist() for r in _grow_regions(cloud, params, hoods)]
-    exact = [r.tolist() for r in _grow_regions_exact(cloud, params, hoods)]
-    assert grown == exact == ref.grow_regions(cloud, params, hoods)
-    without_test = _grow_regions_exact(cloud, dataclasses.replace(params, distance_threshold=1000.0), hoods)
-    assert bool(calls) == (exact != [r.tolist() for r in without_test])
-    return bool(calls)
+def scan(name: str, jitter: float) -> PointCloud:
+    """The preprocessed 3x-density scan of corpus object ``name`` at ``jitter``, seed 64 + its index."""
+    i = OBJECTS.index(name)
+    spec = corpus_standard()[name]
+    raw = generate(dataclasses.replace(spec, density=spec.density * 3.0, jitter=jitter, seed=64 + i))
+    return preprocess(PointCloud(raw.points), CONFIG)
 
 
 @pytest.mark.parametrize("name", OBJECTS)
-def test_growth_without_the_plane_test_is_exact_on_the_corpus_and_scans(name, benchmark_scans, monkeypatch):
-    for cloud in (preprocess(generate(corpus_standard()[name]), CONFIG), benchmark_scans[name]):
-        assert not grow_both_ways(cloud, CONFIG, monkeypatch)
-
-
-@pytest.mark.parametrize("distance_threshold, binds", [(0.005, False), (5e-4, True)])
-def test_growth_from_seed_rows_past_the_first_refit(distance_threshold, binds, monkeypatch):
-    # With curvature_threshold 0 no point grows a region, so each region is
-    # its seed and the passing points of the seed's own row; with 48
-    # neighbours some rows hold more than 32 of them, members that the
-    # exact loop tests on a refit.
-    params = dataclasses.replace(CONFIG, k_neighbors=48, curvature_threshold=0.0, distance_threshold=distance_threshold)
-    cloud = preprocess(generate(corpus_standard()["sphere_tennis_ball"]), params)
-    without_test = _grow_regions_exact(cloud, dataclasses.replace(params, distance_threshold=1000.0), cloud.index.knn_all(48))
-    assert max(map(len, without_test)) > regions.REFIT_INTERVAL + 1
-    assert grow_both_ways(cloud, params, monkeypatch) == binds
-
-
-CRACKER_SCAN_2MM = dataclasses.replace(corpus_standard()["box_cracker"], density=1.2e5, jitter=2e-3, seed=65)
-
-
-def tilted_normal_grid() -> PointCloud:
-    """A flat 20x20 grid on z = 0 whose stored normals are tilted 10 degrees."""
-    xs = np.arange(20) * 0.005
-    points = np.array([[x, y, 0.0] for x in xs for y in xs])
-    tilt = np.radians(10.0)
-    return PointCloud(points, np.tile([0.0, np.sin(tilt), np.cos(tilt)], (len(points), 1)), np.zeros(len(points)))
+def test_growth_without_the_plane_test_is_exact_on_the_corpus_and_scans(name):
+    # the corpus cloud and the 0.3 mm scan of the benchmark and CI
+    for cloud in (preprocess(generate(corpus_standard()[name]), CONFIG), scan(name, 3e-4)):
+        hoods = cloud.index.knn_all(CONFIG.k_neighbors)
+        assert [r.tolist() for r in _grow_regions(cloud, CONFIG, hoods)] == ref.grow_regions(cloud, CONFIG, hoods)
 
 
 def wide_cylinder_patch() -> PointCloud:
     """A 0.5 m-radius cylinder patch spanning ±10° on a 4 mm grid, seeded at its
-    middle: every member lies within 15° of the seed normal and the first 32
-    near the seed's tangent plane, but later ones up to 7.6 mm off it, so
-    the plane test binds only through a refit."""
+    middle: every member lies within 15° of the seed normal, the later ones
+    up to 7.6 mm off the seed's tangent plane."""
     arc = np.radians(np.arange(-10.0, 10.0 + 1e-9, np.degrees(0.004 / 0.5)))
     theta, z = (grid.ravel() for grid in np.meshgrid(arc, np.arange(0.0, 0.0601, 0.004), indexing="ij"))
     points = np.column_stack([0.5 * np.sin(theta), z, 0.5 * (np.cos(theta) - 1.0)])
@@ -554,41 +410,71 @@ def wide_cylinder_patch() -> PointCloud:
     return PointCloud(points, normals, np.abs(theta) * 1e-3 + z * 1e-6)
 
 
-SHEET_PARAMS = RegionGrowingParams(
-    angle_threshold_deg=30.0, curvature_threshold=0.2, distance_threshold=1e-3, k_neighbors=16
-)
-
-
-def noisy_parabolic_sheet(seed: int) -> PointCloud:
-    """300 points of z = 5 (x - 0.05)^2 with 0.3 mm noise, estimated normals."""
-    rng = np.random.default_rng(seed)
-    xy = rng.uniform(0.0, 0.1, (300, 2))
-    points = np.column_stack([xy, 5.0 * (xy[:, 0] - 0.05) ** 2 + rng.normal(0.0, 3e-4, 300)])
-    return estimate_normals_curvatures(PointCloud(points), k=16)
-
-
 @pytest.mark.parametrize(
     "build",
     [
-        # the large-radius ellipsoid and the 2 mm cracker-box scan, where the test binds
-        lambda: (preprocess(generate(ShapeSpec("ellipsoid", (0.03, 0.15, 0.25), density=3e4)), CONFIG), CONFIG),
-        lambda: (preprocess(PointCloud(generate(CRACKER_SCAN_2MM).points), CONFIG), CONFIG),
-        lambda: (wide_cylinder_patch(), CONFIG),
-        # the clouds of test_refit_in_the_middle_of_a_neighbour_row and test_a_point_left_by_a_refit_is_met_afresh
-        lambda: (tilted_normal_grid(), RegionGrowingParams(k_neighbors=16)),
-        *(lambda seed=seed: (noisy_parabolic_sheet(seed), SHEET_PARAMS) for seed in (5, 148)),
+        # clouds on which a plane-distance test once changed the raw regions
+        lambda: preprocess(generate(ShapeSpec("ellipsoid", (0.03, 0.15, 0.25), density=3e4)), CONFIG),
+        lambda: scan("box_cracker", 2e-3),
+        lambda: scan("cylinder_soup_can", 1e-3),
+        wide_cylinder_patch,
     ],
-    ids=[
-        "large_ellipsoid",
-        "cracker_scan_2mm",
-        "wide_cylinder_patch",
-        "tilted_normal_grid",
-        "parabolic_sheet_5",
-        "parabolic_sheet_148",
-    ],
+    ids=["ellipsoid", "cracker_2mm", "soup_can_1mm", "wide_cylinder"],
 )
-def test_growth_falls_back_on_the_exact_loop_where_the_plane_test_binds(build, monkeypatch):
-    assert grow_both_ways(*build(), monkeypatch)
+def test_growth_matches_the_loop_where_a_plane_test_bound(build):
+    cloud = build()
+    hoods = cloud.index.knn_all(CONFIG.k_neighbors)
+    assert [r.tolist() for r in _grow_regions(cloud, CONFIG, hoods)] == ref.grow_regions(cloud, CONFIG, hoods)
+
+
+@pytest.mark.parametrize("distance_threshold, beyond", [(0.005, False), (5e-4, True)])
+def test_growth_from_seed_rows_past_the_first_refit(distance_threshold, beyond):
+    # With curvature_threshold 0 no point grows a region, so each region is
+    # its seed and the passing points of the seed's own row; with 48
+    # neighbours some rows hold more than 33 of them. Some members lie
+    # 1.07 mm off their seed's tangent plane, beyond 0.5 mm and within 5 mm:
+    # growth does not read distance_threshold, so both give the same regions.
+    params = dataclasses.replace(CONFIG, k_neighbors=48, curvature_threshold=0.0, distance_threshold=distance_threshold)
+    cloud = preprocess(generate(corpus_standard()["sphere_tennis_ball"]), params)
+    hoods = cloud.index.knn_all(params.k_neighbors)
+    grown = [r.tolist() for r in _grow_regions(cloud, params, hoods)]
+    assert grown == ref.grow_regions(cloud, params, hoods)
+    assert max(map(len, grown)) > 33
+    offsets = [np.abs((cloud.points[r] - cloud.points[r[0]]) @ cloud.normals[r[0]]).max() for r in grown]
+    assert (max(offsets) >= distance_threshold) == beyond
+    unbounded = dataclasses.replace(params, distance_threshold=1000.0)
+    assert grown == [r.tolist() for r in _grow_regions(cloud, unbounded, hoods)]
+
+
+def test_refit_in_the_middle_of_a_neighbour_row():
+    # A flat grid whose stored normals are tilted 10 degrees. A plane test
+    # on the seed's tangent plane once admitted only a band of rows until a
+    # refit found z = 0 in the middle of a row; the seed-normal cone alone
+    # grows the whole grid as one region.
+    xs = np.arange(20) * 0.005
+    points = np.array([[x, y, 0.0] for x in xs for y in xs])
+    tilt = np.radians(10.0)
+    normals = np.tile([0.0, np.sin(tilt), np.cos(tilt)], (len(points), 1))
+    cloud = PointCloud(points, normals, np.zeros(len(points)))
+    params = RegionGrowingParams(k_neighbors=16)
+    hoods = SpatialIndex(cloud).knn_all(params.k_neighbors)
+    want = ref.grow_regions(cloud, params, hoods)
+    assert [r.tolist() for r in _grow_regions(cloud, params, hoods)] == want
+    assert [sorted(r) for r in want] == [list(range(len(points)))]
+
+
+@pytest.mark.parametrize("seed", [5, 148])
+def test_a_point_left_by_a_refit_is_met_afresh(seed):
+    # A noisy parabolic sheet whose growth once passed a point beyond a
+    # refit's cut and met it again in a later frontier: its first occurrence
+    # there must not depend on the frontier it was passed over in.
+    rng = np.random.default_rng(seed)
+    xy = rng.uniform(0.0, 0.1, (300, 2))
+    points = np.column_stack([xy, 5.0 * (xy[:, 0] - 0.05) ** 2 + rng.normal(0.0, 3e-4, 300)])
+    cloud = estimate_normals_curvatures(PointCloud(points), k=16)
+    params = RegionGrowingParams(angle_threshold_deg=30.0, curvature_threshold=0.2, k_neighbors=16)
+    hoods = cloud.index.knn_all(params.k_neighbors)
+    assert [r.tolist() for r in _grow_regions(cloud, params, hoods)] == ref.grow_regions(cloud, params, hoods)
 
 
 def test_voxel_with_cancelling_normals_takes_first_member_in_value_order():
@@ -624,40 +510,6 @@ def test_voxel_of_nine_members_sums_in_value_order():
     for c in curvatures[np.argsort(points[:, 0])]:
         total += c
     assert out.curvatures[0] == total / 9 != curvatures.mean()
-
-
-def test_refit_in_the_middle_of_a_neighbour_row():
-    # A flat grid whose stored normals are tilted 10 degrees: the seed's
-    # tangent plane admits only a band of rows, the first refit (after 32
-    # accepted points) finds z = 0 and admits the rest of the row it fired in.
-    xs = np.arange(20) * 0.005
-    points = np.array([[x, y, 0.0] for x in xs for y in xs])
-    tilt = np.radians(10.0)
-    normals = np.tile([0.0, np.sin(tilt), np.cos(tilt)], (len(points), 1))
-    cloud = PointCloud(points, normals, np.zeros(len(points)))
-    params = RegionGrowingParams(k_neighbors=16)
-    hoods = SpatialIndex(cloud).knn_all(params.k_neighbors)
-    refits = []
-    want = ref.grow_regions(cloud, params, hoods, refits)
-    assert any(0 < col < length - 1 for col, length in refits)
-    assert [r.tolist() for r in _grow_regions(cloud, params, hoods)] == want
-
-
-@pytest.mark.parametrize("seed", [5, 148])
-def test_a_point_left_by_a_refit_is_met_afresh(seed):
-    # A noisy parabolic sheet whose growth, with these thresholds, passes a
-    # point beyond a refit's cut, rejects it against the refitted plane and
-    # meets it again in a later batch: its first occurrence there must not
-    # depend on the batch it was passed over in.
-    rng = np.random.default_rng(seed)
-    xy = rng.uniform(0.0, 0.1, (300, 2))
-    points = np.column_stack([xy, 5.0 * (xy[:, 0] - 0.05) ** 2 + rng.normal(0.0, 3e-4, 300)])
-    cloud = estimate_normals_curvatures(PointCloud(points), k=16)
-    params = RegionGrowingParams(
-        angle_threshold_deg=30.0, curvature_threshold=0.2, distance_threshold=1e-3, k_neighbors=16
-    )
-    hoods = cloud.index.knn_all(params.k_neighbors)
-    assert [r.tolist() for r in _grow_regions(cloud, params, hoods)] == ref.grow_regions(cloud, params, hoods)
 
 
 @pytest.fixture(scope="module")
