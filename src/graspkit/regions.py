@@ -119,25 +119,21 @@ def _grow_regions(cloud: PointCloud, params: PlannerConfig, hoods: np.ndarray) -
     Each region grows breadth-first, one whole frontier (the points a FIFO
     queue would pop next, in its order) per step, with the availability and
     seed-normal tests, accepting the first occurrence of each passing id in
-    row order. Seeds come in ascending curvature, so once they reach the
-    curvature threshold every point left is at or above it and grows
-    nothing: each later region is its seed and the available, passing ids
-    of the seed's own row, taken in a plain loop whose normal tests are one
-    batch.
+    row order. A seed at or above the curvature threshold takes one step:
+    its region is the seed and the available, passing ids of its own row.
     """
     n = len(cloud)
     cos_threshold = float(np.cos(np.radians(params.angle_threshold_deg)))
     normals = cloud.normals
     expandable = cloud.curvatures < params.curvature_threshold
-    order = np.argsort(cloud.curvatures, kind="stable")  # the seed order: expandable points first
-    n_expandable = int(expandable.sum())
+    order = np.argsort(cloud.curvatures, kind="stable")
 
     available = np.ones(n, dtype=bool)
     first_seen = np.full(n, n, dtype=np.intp)  # n: not among the frontier's rows
     grown = np.empty(n, dtype=np.intp)
     size = 0
     starts: list[int] = []
-    for seed in order[:n_expandable].tolist():
+    for seed in order.tolist():
         if not available[seed]:
             continue
         seed_normal = normals[seed]
@@ -163,27 +159,6 @@ def _grow_regions(cloud: PointCloud, params: PlannerConfig, hoods: np.ndarray) -
             size += len(cand)
             front = cand[expandable[cand]]
 
-    # every expandable point has joined a region: one frontier per region from here
-    tail = order[n_expandable:]
-    tail = tail[available[tail]]
-    tail_rows = hoods[tail]
-    passing = available[tail_rows] & (np.vecdot(normals[tail_rows], normals[tail][:, np.newaxis]) > cos_threshold)
-    # each seed's passing ids, in row order, as one flat list
-    row_ids, row_ends = tail_rows[passing].tolist(), np.cumsum(passing.sum(axis=1)).tolist()
-    left = bytearray(available)  # item access without numpy scalars
-    rest: list[int] = []
-    row_start = 0
-    for seed, row_end in zip(tail.tolist(), row_ends):
-        if left[seed]:
-            left[seed] = False
-            starts.append(size + len(rest))
-            rest.append(seed)
-            for member in row_ids[row_start:row_end]:
-                if left[member]:
-                    left[member] = False
-                    rest.append(member)
-        row_start = row_end
-    grown[size:] = rest
     return [grown[a:b] for a, b in zip(starts, starts[1:] + [n])]
 
 
@@ -193,7 +168,8 @@ def segment(cloud: PointCloud, params: PlannerConfig | None = None) -> Segmentat
     Seeds are picked at the minimum-curvature available point (ties by lowest
     index). A neighbor joins when its normal deviates from the seed normal by
     less than the angle threshold; joined points below the curvature
-    threshold keep growing the front. ``distance_threshold`` plays no part
+    threshold keep growing the front, so a seed at or above it takes only
+    the passing points of its own row. ``distance_threshold`` plays no part
     here: it is the contact snap radius of ``make_candidates``. Regions
     smaller than min_region_size end up in the residue. Output regions are
     sorted by descending size, ties by lowest member index. The neighbours of a point are its row of
