@@ -14,10 +14,14 @@ and keeps them as long as the cloud lives (see the class). The index keeps
 its latest ``knn_all`` table, the (n, k) neighbour indices and nothing else,
 and ``with_attrs`` hands the index to the cloud it returns, so normal
 estimation and region growth on one state of the points read one table.
-The outlier filter needs distances, not tie-broken neighbours, and reads
-them from a bare tree it drops on return. Planning memoizes a tree only on
-the clouds it derives, so with the default config, whose voxel grid always
-makes a new cloud, it leaves none on the caller's input.
+The outlier filter needs distances, not tie-broken neighbours. Planning
+runs it on the raw cloud, where it reads them from a bare tree it drops on
+return, unless every point sits alone in its voxel (``singleton_voxels``):
+then it runs on the voxel grid's cloud, reads them from that cloud's
+``knn_all`` table and hands the table on to the points it keeps. Planning
+memoizes a tree only on the clouds it derives, so with the default config,
+whose voxel grid always makes a new cloud, it leaves none on the caller's
+input.
 """
 
 from __future__ import annotations
@@ -206,8 +210,15 @@ class SpatialIndex:
         out, rows = self._candidate_rows(queries, k, min(k + KNN_FIRST_SLACK, n))
         m = k + KNN_SLACK
         while len(rows):
-            out[rows], unresolved = self._candidate_rows(queries[rows], k, min(m, n))
-            rows, m = rows[unresolved], 2 * m
+            # A row depends only on its query's bytes, so each distinct query
+            # goes to the tree once and its duplicates copy its row: n copies
+            # of one point take one row per round, not n.
+            rest = np.ascontiguousarray(queries[rows])
+            keys = rest.view(np.dtype((np.void, rest.itemsize * 3)))[:, 0]
+            _, first, copy_of = np.unique(keys, return_index=True, return_inverse=True)
+            found, unresolved = self._candidate_rows(rest[first], k, min(m, n))
+            out[rows] = found[copy_of]
+            rows, m = rows[np.isin(copy_of, unresolved)], 2 * m
         return out
 
     def _candidate_rows(self, queries: np.ndarray, k: int, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -284,13 +295,10 @@ def voxel_downsample(cloud: PointCloud, voxel: float) -> PointCloud:
     mean vanishes, the normal of the voxel's first member in the sorted
     order; curvatures average.
     """
-    if not (np.isfinite(voxel) and voxel > 0):
-        raise ValueError(f"voxel size must be finite and positive, got {voxel}")
     if len(cloud) == 0:
+        _check_voxel(voxel)
         return cloud
-    if not float(np.abs(cloud.points).max()) / voxel < 2.0**62:  # bounds every |floor(p / voxel)|
-        raise ValueError(f"voxel size {voxel} puts the points beyond the int64 voxel grid")
-    coords = np.floor(cloud.points / voxel).astype(np.int64)
+    coords = _voxel_coords(cloud.points, voxel)
     # lexsort's last key sorts first; equal keys keep input order
     order = np.lexsort((coords[:, 2], coords[:, 1], coords[:, 0]))
     sorted_coords = coords[order]
@@ -324,18 +332,62 @@ def voxel_downsample(cloud: PointCloud, voxel: float) -> PointCloud:
     return PointCloud(np.column_stack(means[:3]), normals, curvatures)
 
 
+def _check_voxel(voxel: float) -> None:
+    if not (np.isfinite(voxel) and voxel > 0):
+        raise ValueError(f"voxel size must be finite and positive, got {voxel}")
+
+
+def _voxel_coords(points: np.ndarray, voxel: float) -> np.ndarray:
+    """``floor(p / voxel)`` of every point of a non-empty (n, 3) array, as int64."""
+    _check_voxel(voxel)
+    if not float(np.abs(points).max()) / voxel < 2.0**62:  # bounds every |floor(p / voxel)|
+        raise ValueError(f"voxel size {voxel} puts the points beyond the int64 voxel grid")
+    return np.floor(points / voxel).astype(np.int64)
+
+
+def singleton_voxels(cloud: PointCloud, voxel: float) -> bool:
+    """True when no two points of a non-empty ``cloud`` share a voxel of edge
+    ``voxel``: ``voxel_downsample`` then keeps every point, its attributes
+    (renormalised normals, clipped curvatures) and its bits, in voxel order.
+
+    The test sorts one int64 key per point, the voxel coordinates packed in
+    mixed radix; a grid whose key would overflow int64 answers False. Raises
+    ``voxel_downsample``'s errors for a bad voxel size before any cast."""
+    coords = _voxel_coords(cloud.points, voxel)
+    coords -= coords.min(axis=0)  # |coords| < 2**62, so every span fits in int64
+    span = [int(s) + 1 for s in coords.max(axis=0)]
+    if span[0] * span[1] * span[2] > 2**62:
+        return False
+    keys = np.sort((coords[:, 0] * span[1] + coords[:, 1]) * span[2] + coords[:, 2])
+    return not (keys[1:] == keys[:-1]).any()
+
+
 def remove_statistical_outliers(
-    cloud: PointCloud, k: int = PlannerConfig.outlier_k, std_ratio: float = PlannerConfig.outlier_std_ratio
+    cloud: PointCloud,
+    k: int = PlannerConfig.outlier_k,
+    std_ratio: float = PlannerConfig.outlier_std_ratio,
+    table_k: int | None = None,
 ) -> PointCloud:
     """Drop points whose mean k-NN distance exceeds mean + std_ratio * std.
 
     ``k`` excludes the point itself; the cloud must have at least k + 1
-    points. Survivor order matches the input order. The distances come from
-    one plain tree query of k + 1 neighbours: the ascending distances of a
-    row are the same whichever of several tied points fill it, so they equal
-    those of ``SpatialIndex.knn``, which breaks the ties by index. Beside that
-    (n, k + 1) query result the filter holds only the n mean distances: it
-    averages a view of the distances, without a mask or a copy of them.
+    points. Survivor order matches the input order.
+
+    With ``table_k`` None the distances come from one plain tree query of
+    k + 1 neighbours on a bare tree dropped on return: the ascending
+    distances of a row are the same whichever of several tied points fill
+    it, so they equal those of ``SpatialIndex.knn``, which breaks the ties
+    by index. Beside that (n, k + 1) query result the filter holds only the
+    n mean distances.
+
+    With ``table_k`` (at least k + 1) they are the first k + 1 columns of
+    ``cloud.index.knn_all(table_k)``, each d² formed as the tree forms it,
+    so the same bits, and the filter hands that table on: it returns
+    ``cloud`` itself when it removes nothing, and otherwise a cloud whose
+    index already holds its own ``knn_all(table_k)`` (see ``_select_with_table``).
+    ``preprocess`` passes ``table_k`` only on the voxel grid's cloud of an
+    input whose points each sit alone in a voxel; on any other input it
+    filters the raw cloud on a bare tree.
     """
     _check_k(k)
     if k < 1:
@@ -344,17 +396,61 @@ def remove_statistical_outliers(
         raise ValueError(f"std_ratio must be finite and positive, got {std_ratio}")
     if len(cloud) < k + 1:
         raise ValueError(f"cloud of {len(cloud)} points is too small for k={k}")
-    dist = cKDTree(cloud.points).query(cloud.points, k + 1)[0]
-    # A point lies at distance 0 from itself, so column 0 is 0 and skipping
-    # it leaves the same k distances, in the same order, as skipping the
-    # row's own entry (when duplicates share distance 0, any one of them).
-    mean_d = dist[:, 1:].mean(axis=1)
+    if table_k is not None:
+        _check_k(table_k)
+        if table_k < k + 1:
+            raise ValueError(f"table_k must be >= k + 1 = {k + 1}, got {table_k}")
+    mean_d = _mean_knn_distances(cloud, k, table_k)
     mask = mean_d <= _outlier_threshold(mean_d, std_ratio)
     n = len(cloud)
     removed = int(n - mask.sum())
     if removed:
         logger.debug("outlier filter removed %d of %d points", removed, n)
-    return cloud.select(np.flatnonzero(mask))
+    if table_k is None:
+        return cloud.select(np.flatnonzero(mask))
+    return _select_with_table(cloud, np.flatnonzero(mask), table_k) if removed else cloud
+
+
+def _mean_knn_distances(cloud: PointCloud, k: int, table_k: int | None) -> np.ndarray:
+    """Each point's mean distance to its k nearest other points, from a bare
+    tree (``table_k`` None) or from ``cloud.index.knn_all(table_k)``."""
+    if table_k is None:
+        dist = cKDTree(cloud.points).query(cloud.points, k + 1)[0]
+    else:
+        # cKDTree takes the root of a 3-D d² summed as ((0 + dx²) + dy²) + dz²,
+        # so these are its bits
+        rows = cloud.index.knn_all(table_k)[:, : k + 1]
+        x, y, z = cloud.points.T
+        dist = np.sqrt(
+            (x[rows] - x[:, np.newaxis]) ** 2 + (y[rows] - y[:, np.newaxis]) ** 2 + (z[rows] - z[:, np.newaxis]) ** 2
+        )
+    # A point lies at distance 0 from itself, so column 0 is 0 and skipping
+    # it leaves the same k distances, in the same order, as skipping the
+    # row's own entry (when duplicates share distance 0, any one of them).
+    # The mean is taken of a view of the same (n, k + 1) layout either way.
+    return dist[:, 1:].mean(axis=1)
+
+
+def _select_with_table(cloud: PointCloud, keep: np.ndarray, k: int) -> PointCloud:
+    """``cloud.select(keep)``, ``keep`` ascending, whose index holds its
+    ``knn_all(k)`` table made from ``cloud``'s: a kept row whose k neighbours
+    all survive is still the subset's exact k-NN, renumbered (``select`` keeps
+    index order, so (d², index) ties break as before); only the other rows
+    are queried again, on the subset's own tree. Below k points there is no
+    table to hand on."""
+    out = cloud.select(keep)
+    if len(out) < k:
+        return out
+    renumber = np.full(len(cloud), -1, dtype=np.intp)
+    renumber[keep] = np.arange(len(keep))
+    rows = renumber[cloud.index.knn_all(k)[keep]]
+    broken = np.flatnonzero((rows < 0).any(axis=1))
+    index = out.index
+    if len(broken):
+        rows[broken] = index._knn_rows(out.points[broken], k)
+    rows.setflags(write=False)
+    index._table = (k, rows)
+    return out
 
 
 def _outlier_threshold(mean_d: np.ndarray, std_ratio: float) -> float:

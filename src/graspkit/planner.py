@@ -15,7 +15,13 @@ import time
 from dataclasses import dataclass
 
 from .candidates import GraspCandidate, find_antiparallel_pairs, make_candidates
-from .cloud import PointCloud, estimate_normals_curvatures, remove_statistical_outliers, voxel_downsample
+from .cloud import (
+    PointCloud,
+    estimate_normals_curvatures,
+    remove_statistical_outliers,
+    singleton_voxels,
+    voxel_downsample,
+)
 from .config import PlannerConfig, load_config  # noqa: F401  callers import load_config from here
 from .regions import Segmentation, segment
 from .stability import GraspReport, RankedCandidates, rank_candidates
@@ -81,12 +87,30 @@ def preprocess(cloud: PointCloud, config: PlannerConfig) -> PointCloud:
     """Outlier filter, voxel downsample, then PCA normals and curvatures over
     ``k_neighbors`` neighbours unless the cloud carries both (a PLY with normals
     but no ``curvature`` column gets both re-estimated). The estimated cloud's
-    index keeps that k-NN table, so ``segment`` reads it without a second one."""
+    index keeps that k-NN table, so ``segment`` reads it without a second one.
+
+    Where every point sits alone in its voxel, the grid only reorders the
+    points, and the filter, a per-point statistic with an order-free
+    threshold, commutes with it bit for bit. Then the grid runs first and the
+    filter reads its distances from the grid cloud's ``k_neighbors`` table,
+    which it hands on, so the plan queries one tree. Otherwise (shared voxels,
+    ``voxel_size`` 0, ``outlier_k`` not below ``k_neighbors``, or fewer than
+    ``k_neighbors`` points) the filter queries a bare tree on the input."""
     out = cloud
-    if len(out) >= config.outlier_k + 1:
-        out = remove_statistical_outliers(out, k=config.outlier_k, std_ratio=config.outlier_std_ratio)
-    if config.voxel_size > 0:
+    if (
+        config.voxel_size > 0
+        and config.outlier_k < config.k_neighbors <= len(out)
+        and singleton_voxels(out, config.voxel_size)
+    ):
         out = voxel_downsample(out, config.voxel_size)
+        out = remove_statistical_outliers(
+            out, k=config.outlier_k, std_ratio=config.outlier_std_ratio, table_k=config.k_neighbors
+        )
+    else:
+        if len(out) >= config.outlier_k + 1:
+            out = remove_statistical_outliers(out, k=config.outlier_k, std_ratio=config.outlier_std_ratio)
+        if config.voxel_size > 0:
+            out = voxel_downsample(out, config.voxel_size)
     if (out.normals is None or out.curvatures is None) and len(out) >= config.k_neighbors:
         out = estimate_normals_curvatures(out, k=config.k_neighbors)
     return out

@@ -51,7 +51,7 @@ def unit_sphere_cloud() -> PointCloud:
 @pytest.fixture
 def index_builds(monkeypatch) -> list:
     """The points of every k-d tree the package builds during the test: one
-    per ``SpatialIndex`` and one per outlier filter."""
+    per ``SpatialIndex`` and one per outlier filter that queries a bare tree."""
     builds = []
 
     def spy(points):
@@ -74,3 +74,17 @@ def table_builds(monkeypatch) -> list:
 
     monkeypatch.setattr(SpatialIndex, "_knn_rows", spy)
     return ks
+
+
+@pytest.fixture
+def table_rows(monkeypatch) -> list:
+    """The row count of every ``SpatialIndex._knn_rows`` call during the test."""
+    rows = []
+    knn_rows = SpatialIndex._knn_rows
+
+    def spy(self, queries, k):
+        rows.append(len(queries))
+        return knn_rows(self, queries, k)
+
+    monkeypatch.setattr(SpatialIndex, "_knn_rows", spy)
+    return rows

@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -54,8 +55,11 @@ class TestPlanCommand:
 
     def test_voxel_beyond_the_int64_grid_is_error(self, box_ply, monkeypatch, capsys):
         monkeypatch.setenv("GRASPKIT_VOXEL_SIZE", "1e-25")
-        assert cli_main(["plan", "--input", str(box_ply)]) == 1
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli_main(["plan", "--input", str(box_ply)]) == 1
         assert "voxel size 1e-25" in capsys.readouterr().err
+        assert caught == []  # rejected before any cast to the grid
 
     def test_repeat_runs_byte_identical(self, box_ply, tmp_path):
         out_a, out_b = tmp_path / "a.json", tmp_path / "b.json"
@@ -253,12 +257,13 @@ class TestBenchmarkCommand:
         assert out.read_bytes() == (GOLDEN / "benchmark_trials20_sigmas_0.02_0.05.csv").read_bytes()
 
     def test_each_object_is_preprocessed_once(self, corpus, tmp_path, monkeypatch, index_builds, table_builds):
-        # the plan's outlier tree and its prepared cloud's tree and table,
-        # whose index then snaps the trials of both sigmas
+        # no two points share a voxel, so the prepared cloud's one tree and
+        # table serve the outlier filter and segmentation, and its index then
+        # snaps the trials of both sigmas
         monkeypatch.setattr("graspkit.cli.corpus_standard", lambda: {"box_foam_brick": corpus["box_foam_brick"]})
         out = tmp_path / "grid.csv"
         assert cli_main(["benchmark", "--trials", "5", "--sigmas", "0.02,0.05", "--output", str(out)]) == EXIT_OK
-        assert len(index_builds) == 2
+        assert len(index_builds) == 1
         assert table_builds == [16, 1, 1]
 
     def test_corpus_flag_is_a_usage_error(self, tmp_path):

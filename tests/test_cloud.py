@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from graspkit.cloud import (
     _outlier_threshold,
     estimate_normals_curvatures,
     remove_statistical_outliers,
+    singleton_voxels,
     voxel_downsample,
 )
 
@@ -401,6 +403,29 @@ class TestSpatialIndex:
         assert widths == [min(k + KNN_FIRST_SLACK, len(index))]
         np.testing.assert_array_equal(table, ref.knn_brute(points, points, k)[0])
 
+    @pytest.mark.parametrize("distinct, copies", [(1, 3000), (40, 25)])
+    def test_copies_of_a_point_go_to_the_tree_once_a_round(self, monkeypatch, distinct, copies):
+        # every row ties with the copies of its point at d² = 0, so rounds
+        # widen until they hold them all; after the first, each distinct
+        # point is one tree row, not one per copy
+        points = np.repeat(random_points(distinct, seed=distinct), copies, axis=0)
+        index = SpatialIndex(points)
+        rows = {}  # tree query width -> rows queried at that width
+        tree = index._tree
+
+        class TreeSpy:
+            def query(self, x, k):
+                rows[k] = rows.get(k, 0) + len(x)
+                return tree.query(x, k=k)
+
+        monkeypatch.setattr(index, "_tree", TreeSpy())
+        table = index.knn_all(16)
+        monkeypatch.undo()
+        np.testing.assert_array_equal(table, ref.knn_brute(points, points, 16)[0])
+        first, *later = rows.values()
+        assert first == len(points) and later
+        assert later == [distinct] * len(later)
+
     def test_points_property_is_read_only(self):
         points = random_points(5, seed=4)
         index = SpatialIndex(points)
@@ -527,6 +552,33 @@ class TestVoxelDownsample:
         with pytest.raises(ValueError, match=f"voxel size {voxel} "):
             voxel_downsample(box_cloud, voxel)
 
+    @pytest.mark.parametrize(
+        "voxel", [1e-25, 1e-310, np.nan, -0.01], ids=["int64-overflow", "inf", "nan", "negative"]
+    )
+    def test_singleton_test_rejects_what_the_grid_rejects_before_any_cast(self, box_cloud, voxel):
+        with pytest.raises(ValueError) as grid_error:
+            voxel_downsample(box_cloud, voxel)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as singleton_error:
+                singleton_voxels(box_cloud, voxel)
+        assert str(singleton_error.value) == str(grid_error.value)
+
+    @given(voxel_clouds())
+    @example((grid_cloud(6, 6, spacing=0.01), 0.005))  # one point a voxel
+    @example((PointCloud(np.array([[0.0, 0.0, 0.0], [2.0**62, -(2.0**62), 1.0]]) * 0.9), 1.0))  # a key past int64
+    @settings(max_examples=80, deadline=None)
+    def test_singleton_test_agrees_with_the_grid(self, cloud_and_voxel):
+        # True only where the grid keeps every point: then it is a reordering
+        cloud, voxel = cloud_and_voxel
+        out = voxel_downsample(cloud, voxel)
+        if singleton_voxels(cloud, voxel):
+            assert len(out) == len(cloud)
+            order = np.lexsort(np.floor(cloud.points / voxel).T[::-1])
+            assert out.points.tobytes() == (cloud.points[order] + 0.0).tobytes()
+        else:
+            assert len(out) < len(cloud) or np.abs(cloud.points).max() / voxel > 2.0**60
+
     @given(voxel_clouds(), st.integers(0, 2**32 - 1))
     @settings(max_examples=80, deadline=None)
     def test_output_does_not_depend_on_point_order(self, cloud_and_voxel, seed):
@@ -618,6 +670,34 @@ class TestOutlierRemoval:
         mean_d = np.array(mean_d)
         keep = mean_d <= mean_d.mean() + ratio * mean_d.std()
         np.testing.assert_array_equal(out.points, points[keep])
+
+    @pytest.mark.parametrize(
+        "points, k, table_k",
+        [
+            (np.vstack([random_points(300, seed=21), [[3.0, 0.0, 0.0], [0.0, 2.5, 2.5]]]), 6, 9),
+            (np.vstack([random_points(5, seed=22, scale=0.01), [[1.0, 1.0, 1.0]]]), 2, 6),  # below table_k kept
+            (np.argwhere(np.ones((8, 8, 2))) * 0.25, 12, 16),  # ties; 8 corners dropped, 40 rows queried again
+            (np.argwhere(np.ones((8, 8, 2))) * 0.25, 2, 16),  # nothing dropped
+        ],
+        ids=["far-points", "too-few-kept", "grid", "grid-kept"],
+    )
+    def test_table_read_keeps_the_bare_tree_survivors_and_hands_on_an_exact_table(self, points, k, table_k):
+        cloud = PointCloud(points)
+        got = remove_statistical_outliers(cloud, k=k, std_ratio=1.0, table_k=table_k)
+        want = remove_statistical_outliers(cloud, k=k, std_ratio=1.0)
+        assert got.points.tobytes() == want.points.tobytes()
+        if len(got) == len(cloud):
+            assert got is cloud
+        if len(got) >= table_k:
+            want_rows = ref.knn_brute(got.points, got.points, table_k)[0]
+            np.testing.assert_array_equal(got.index.knn_all(table_k), want_rows)
+        else:
+            assert "index" not in got.__dict__
+
+    @pytest.mark.parametrize("table_k", [12, 3, 12.0], ids=["k", "below-k", "float"])
+    def test_rejects_a_table_that_is_not_an_integer_past_k(self, unit_sphere_cloud, table_k):
+        with pytest.raises(ValueError, match="table_k must be >= k \\+ 1|k must be an integer"):
+            remove_statistical_outliers(unit_sphere_cloud, k=12, table_k=table_k)
 
     def test_too_small_cloud_rejected(self):
         with pytest.raises(ValueError):

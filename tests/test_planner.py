@@ -351,6 +351,24 @@ class TestPlan:
         assert len(index_builds) == 2
         assert table_builds == [default_config.k_neighbors]
 
+    def test_points_only_cloud_of_singleton_voxels_builds_one_tree_and_one_table(
+        self, corpus, default_config, index_builds, table_builds, table_rows
+    ):
+        # no two points share a voxel: the grid cloud's tree and 16-NN table
+        # serve the outlier filter, normal estimation and segmentation
+        brick = PointCloud(generate(corpus["box_foam_brick"]).points)
+        assert plan(brick, default_config).ok
+        assert [len(p) for p in index_builds] == [2346]
+        assert table_builds == [default_config.k_neighbors]
+        # the clamp's filter drops 290 of 2432 points: the kept cloud gets its
+        # own tree, and only its 556 rows that held a dropped point are queried again
+        index_builds.clear()
+        table_rows.clear()
+        result = plan(PointCloud(generate(corpus["clamp_c_open"]).points), default_config)
+        assert result.result_code == RESULT_NO_CANDIDATES and result.n_points == 2142
+        assert [len(p) for p in index_builds] == [2432, 2142]
+        assert table_rows == [2432, 556]
+
     def test_prepared_index_keeps_only_its_neighbour_rows(self, sphere_cloud, default_config):
         # one read-only (n, k) index table: no distance table, no copy of the points
         _, prepared = _plan(PointCloud(sphere_cloud.points), default_config)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 import reference_loops as ref
 from graspkit import candidates
@@ -20,6 +21,7 @@ from graspkit.cloud import (
     PointCloud,
     SpatialIndex,
     _canonical_sign,
+    _mean_knn_distances,
     _orient,
     estimate_normals_curvatures,
     remove_statistical_outliers,
@@ -58,10 +60,8 @@ def clouds():
     return out
 
 
-def posed_corpus(seed: int) -> dict[str, PointCloud]:
-    """name -> corpus cloud in the seeded rigid pose of the benchmark's corpus
-    workload: one of the 24 axis-keeping rotations and a shift of whole
-    voxels, drawn from Philox keyed by (seed, object index)."""
+def axis_keeping_rotations() -> list[np.ndarray]:
+    """The 24 signed permutation matrices of determinant +1."""
     rotations = []
     for perm in itertools.permutations(range(3)):
         for signs in itertools.product((1.0, -1.0), repeat=3):
@@ -69,15 +69,26 @@ def posed_corpus(seed: int) -> dict[str, PointCloud]:
             m[range(3), perm] = signs
             if np.linalg.det(m) > 0:
                 rotations.append(m)
+    return rotations
+
+
+def posed(cloud: PointCloud, rotation: np.ndarray, shift: np.ndarray) -> PointCloud:
+    normals = cloud.normals @ rotation.T
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    return PointCloud(cloud.points @ rotation.T + shift, normals, cloud.curvatures)
+
+
+def posed_corpus(seed: int) -> dict[str, PointCloud]:
+    """name -> corpus cloud in the seeded rigid pose of the benchmark's corpus
+    workload: one of the 24 axis-keeping rotations and a shift of whole
+    voxels, drawn from Philox keyed by (seed, object index)."""
+    rotations = axis_keeping_rotations()
     out = {}
     for i, (name, spec) in enumerate(corpus_standard().items()):
         rng = np.random.Generator(np.random.Philox(key=(np.uint64(seed), np.uint64(i))))
         rotation = rotations[rng.integers(len(rotations))]
         shift = rng.integers(-25, 26, 3) * CONFIG.voxel_size
-        cloud = generate(spec)
-        normals = cloud.normals @ rotation.T
-        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-        out[name] = PointCloud(cloud.points @ rotation.T + shift, normals, cloud.curvatures)
+        out[name] = posed(generate(spec), rotation, shift)
     return out
 
 
@@ -261,6 +272,88 @@ def test_outlier_filter_and_voxel_grid_match_loops(clouds, name):
         assert_clouds_equal(
             voxel_downsample(filtered, CONFIG.voxel_size), ref.voxel_downsample(filtered, CONFIG.voxel_size)
         )
+
+
+def filter_then_grid(cloud: PointCloud) -> PointCloud:
+    """``preprocess`` as it runs where voxels are shared: the outlier filter on a
+    bare tree, the voxel grid, then normals where the cloud lacks them."""
+    out = voxel_downsample(
+        remove_statistical_outliers(cloud, k=CONFIG.outlier_k, std_ratio=CONFIG.outlier_std_ratio), CONFIG.voxel_size
+    )
+    return out if out.normals is not None else estimate_normals_curvatures(out, CONFIG.k_neighbors)
+
+
+def assert_grid_first_equals_filter_then_grid(cloud: PointCloud) -> None:
+    """``preprocess`` equals ``filter_then_grid`` bit for bit, and the table its
+    index holds equals a fresh one."""
+    prepared = preprocess(cloud, CONFIG)
+    assert_clouds_equal(prepared, filter_then_grid(cloud))
+    assert np.array_equal(
+        prepared.index.knn_all(CONFIG.k_neighbors), SpatialIndex(prepared.points).knn_all(CONFIG.k_neighbors)
+    )
+
+
+@pytest.mark.parametrize("name", OBJECTS)
+def test_grid_first_preprocess_equals_filter_then_grid(clouds, name, monkeypatch):
+    # every axis-keeping pose with a shift of whole voxels, and the points-only
+    # cloud; the singleton test picks the path, so count the poses that take
+    # the grid-first one
+    grid_first = []
+    singleton_voxels = planner.singleton_voxels
+
+    def spy(cloud, voxel):
+        grid_first.append(singleton_voxels(cloud, voxel))
+        return grid_first[-1]
+
+    monkeypatch.setattr(planner, "singleton_voxels", spy)
+    cloud = clouds[name][0]
+    rng = np.random.default_rng(OBJECTS.index(name))
+    for rotation in axis_keeping_rotations():
+        assert_grid_first_equals_filter_then_grid(posed(cloud, rotation, rng.integers(-25, 26, 3) * CONFIG.voxel_size))
+    assert_grid_first_equals_filter_then_grid(PointCloud(cloud.points))
+    assert len(grid_first) == 25
+    if name in ("cylinder_master_chef", "sphere_tennis_ball", "ellipsoid_pear"):
+        assert not all(grid_first)
+    else:
+        assert all(grid_first)
+
+
+def test_grid_first_on_a_tie_heavy_grid_removes_points_and_requeries_rows(table_rows):
+    # A dyadic square lattice (spacing 2**-8 m, one point per 2 mm voxel; an
+    # interior 16-NN row ends inside a shell of 8 tied points), points 2
+    # spacings above some nodes and two far points 10 and 12 spacings off the
+    # plane. The filter drops the far points, lifted ones and lattice corners,
+    # and the kept rows that held one of them are queried again.
+    spacing = 2.0**-8
+    lattice = np.argwhere(np.ones((40, 40, 1))) * spacing
+    lifted = lattice[[205, 211, 217, 605, 611, 617, 1005, 1011, 1017]] + (0.0, 0.0, 2 * spacing)
+    far = np.array([[20, 20, 10], [5, 30, -12]]) * spacing
+    points = np.vstack([lattice, lifted, far])
+    n = len(points)
+    assert len(preprocess(PointCloud(points), CONFIG)) < n
+    # the grid cloud's table, then the kept rows that lost a neighbour
+    assert table_rows[0] == n and 0 < table_rows[1] < n
+    assert_grid_first_equals_filter_then_grid(PointCloud(points))
+    assert_grid_first_equals_filter_then_grid(PointCloud(points[::-1].copy()))
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        np.random.default_rng(5).uniform(-0.05, 0.05, (3000, 3)),
+        np.argwhere(np.ones((14, 14, 14))) * 2.0**-8,
+        np.argwhere(np.ones((14, 14, 14))) * 2.0**-8 + np.random.default_rng(6).normal(0.0, 3e-4, (14**3, 3)),
+    ],
+    ids=["random", "grid", "jittered-grid"],
+)
+def test_grid_first_table_distances_equal_the_tree_query(points):
+    # the filter's mean distances read from the 16-NN table equal those of one
+    # plain cKDTree query of k + 1, bit for bit, ties and all
+    cloud = PointCloud(points)
+    k = CONFIG.outlier_k
+    want = cKDTree(points).query(points, k + 1)[0][:, 1:].mean(axis=1)
+    assert _mean_knn_distances(cloud, k, CONFIG.k_neighbors).tobytes() == want.tobytes()
+    assert _mean_knn_distances(cloud, k, None).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("name", OBJECTS)
